@@ -2,8 +2,8 @@
 canonical decomposition, distribution tables, and formula verification.
 
 Exit codes: 0 on success (and when every verified row is EQUAL or outside
-its stated range), 1 when verification finds a MISMATCH, 2 on usage or
-parse errors.
+its stated range), 1 when verification finds a MISMATCH, 2 on usage, parse
+or I/O errors (such as an unwritable --out).
 """
 
 from __future__ import annotations
@@ -222,6 +222,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise UsageError(f"--n-max must be at least 1, got {args.n_max}")
     if args.formula == "all":
         names = formulas.formula_names()
     elif args.formula in formulas.REGISTRY:
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,7 @@ from .perms import Character
 from .poly import (
     SparsePolynomial,
     WeightSpec,
+    const,
     enumerator,
     exact_div,
     poly_product,
@@ -137,19 +138,24 @@ def f_L_des_set(n: int) -> SparsePolynomial:
 # -- signed arc permutations --------------------------------------------------
 
 
+def _x_or_one(i: int) -> SparsePolynomial:
+    """x_i, except that the printed forms' x_0 stands for 1."""
+    return _x(i) if i else const(1)
+
+
 def f_As_des_neg(n: int) -> SparsePolynomial:
     """Joint descent-set / negative-set distribution on signed arc permutations."""
     _need(n, 1)
 
     def factor(i: int) -> SparsePolynomial:
-        return 1 + _x(i - 1) * _y(i)
+        return 1 + _x_or_one(i - 1) * _y(i)
 
     total = poly_product(factor(i) for i in range(1, n + 1))
     for j in range(1, n):
-        head = (_x(j) + _x(j - 1) * _y(j)) * (1 + _y(j + 1))
+        head = (_x(j) + _x_or_one(j - 1) * _y(j)) * (1 + _y(j + 1))
         rest = poly_product(factor(i) for i in range(1, n + 1) if i not in (j, j + 1))
         total = total + head * rest
-    return total.substitute({"x0": 1})
+    return total
 
 
 def f_As_des_neg_inv(n: int) -> SparsePolynomial:
@@ -157,11 +163,11 @@ def f_As_des_neg_inv(n: int) -> SparsePolynomial:
     _need(n, 1)
 
     def factor(i: int) -> SparsePolynomial:
-        return 1 + T ** (i - 1) * _x(i - 1) * _y(i)
+        return 1 + T ** (i - 1) * _x_or_one(i - 1) * _y(i)
 
     total = poly_product(factor(i) for i in range(1, n + 1))
     for j in range(1, n):
-        head = (_x(j) + T ** (j - 1) * _x(j - 1) * _y(j)) * (
+        head = (_x(j) + T ** (j - 1) * _x_or_one(j - 1) * _y(j)) * (
             T ** (j * (n - j)) + T ** (n - j - 1) * _y(j + 1)
         )
         left = poly_product(factor(i) for i in range(1, j))
@@ -169,7 +175,7 @@ def f_As_des_neg_inv(n: int) -> SparsePolynomial:
             1 + T ** (n - i) * _x(i - 1) * _y(i) for i in range(j + 2, n + 1)
         )
         total = total + head * left * right
-    return total.substitute({"x0": 1})
+    return total
 
 
 def f_As_fdes_fmaj(n: int) -> SparsePolynomial:

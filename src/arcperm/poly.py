@@ -8,10 +8,18 @@ variable order t < q < u < y < z < x0 < x1 < ... < y1 < y2 < ..., so equal
 polynomials are structurally equal.  Printing and JSON list terms in graded
 order (total degree, then exponents in the variable order), stable across
 runs.
+
+Costs, for polynomials with T1 and T2 terms over monomials of at most v
+variables: a product is O(T1 * T2 * v), since the two sorted monomials of
+each pair of terms are merged in one linear pass; a substitution is one pass
+over the terms, O(T * v) when every binding is an integer; an exact division
+of a T-term polynomial by a D-term divisor takes O(R * D * log(R * D)) for R
+reduction steps, picking each leading term from a heap.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -40,28 +48,65 @@ def variable_key(name: str) -> tuple[int, int]:
     return (6, int(name[1:]))
 
 
+class _KeyCache(dict):
+    """Checked name -> variable_key, computed once per variable."""
+
+    def __missing__(self, name):
+        key = self[name] = variable_key(check_variable(name))
+        return key
+
+
+_KEYS = _KeyCache()
+
+
 def _make_monomial(exponents: Mapping[str, int]) -> Monomial:
     items = []
     for name, exp in exponents.items():
-        check_variable(name)
+        _KEYS[name]  # raises ValueError outside the alphabet
         if not isinstance(exp, int) or exp < 0:
             raise ValueError(f"exponent {exp!r} of {name} must be a nonnegative integer")
         if exp:
             items.append((name, exp))
-    return tuple(sorted(items, key=lambda it: variable_key(it[0])))
+    return tuple(sorted(items, key=lambda it: _KEYS[it[0]]))
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    exps = dict(m1)
-    for name, exp in m2:
-        exps[name] = exps.get(name, 0) + exp
-    return tuple(sorted(exps.items(), key=lambda it: variable_key(it[0])))
+    """Product of two monomials: one merge pass over the two sorted tuples."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        name1, exp1 = m1[i]
+        name2, exp2 = m2[j]
+        if name1 == name2:
+            out.append((name1, exp1 + exp2))
+            i += 1
+            j += 1
+        elif _KEYS[name1] < _KEYS[name2]:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
+
+
+def _add_term(terms: dict[Monomial, int], mono: Monomial, coeff: int):
+    total = terms.get(mono, 0) + coeff
+    if total:
+        terms[mono] = total
+    else:
+        terms.pop(mono, None)
 
 
 def _term_sort_key(item):
     mono, _ = item
     degree = sum(exp for _, exp in mono)
-    return (degree, tuple((variable_key(name), exp) for name, exp in mono))
+    return (degree, tuple((_KEYS[name], exp) for name, exp in mono))
 
 
 class SparsePolynomial:
@@ -80,12 +125,7 @@ class SparsePolynomial:
     def from_terms(cls, terms: Iterable[tuple[Mapping[str, int], int]]) -> SparsePolynomial:
         acc: dict[Monomial, int] = {}
         for exponents, coeff in terms:
-            mono = _make_monomial(exponents)
-            total = acc.get(mono, 0) + coeff
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
+            _add_term(acc, _make_monomial(exponents), coeff)
         return cls(acc)
 
     # -- structure -----------------------------------------------------------
@@ -132,11 +172,7 @@ class SparsePolynomial:
             return NotImplemented
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            total = terms.get(mono, 0) + coeff
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
+            _add_term(terms, mono, coeff)
         return SparsePolynomial(terms)
 
     __radd__ = __add__
@@ -164,12 +200,8 @@ class SparsePolynomial:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
-                total = terms.get(mono, 0) + c1 * c2
-                if total:
-                    terms[mono] = total
-                else:
-                    terms.pop(mono, None)
-        return SparsePolynomial(terms)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return SparsePolynomial({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -192,21 +224,39 @@ class SparsePolynomial:
         default: SparsePolynomial | int | None = None,
     ) -> SparsePolynomial:
         """Image under the ring homomorphism sending each bound variable to its
-        binding; unbound variables stay themselves unless ``default`` is given."""
-        bound = {check_variable(name): _coerce(value) for name, value in bindings.items()}
-        total = SparsePolynomial()
+        binding; unbound variables stay themselves unless ``default`` is given.
+
+        One pass over the terms: integer (and constant) bindings fold into
+        the coefficient and the unbound variables keep their order, so a
+        substitution by constants costs O(T * v).  A term with polynomial
+        bindings adds the product of their powers, each power computed once.
+        """
+        bound = {check_variable(name): _binding(value) for name, value in bindings.items()}
+        if default is not None:
+            default = _binding(default)
+        powers: dict[tuple[str, int], SparsePolynomial] = {}
+        terms: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
-            term = const(coeff)
+            kept = []
+            image = None
             for name, exp in mono:
-                if name in bound:
-                    base = bound[name]
-                elif default is not None:
-                    base = _coerce(default)
+                value = bound.get(name, default)
+                if value is None:
+                    kept.append((name, exp))
+                elif isinstance(value, int):
+                    coeff *= value**exp
                 else:
-                    base = var(name)
-                term = term * base**exp
-            total = total + term
-        return total
+                    power = powers.get((name, exp))
+                    if power is None:
+                        power = powers[(name, exp)] = value**exp
+                    image = power if image is None else image * power
+            kept = tuple(kept)
+            if image is None:
+                _add_term(terms, kept, coeff)
+            else:
+                for m, c in image._terms.items():
+                    _add_term(terms, _merge_monomials(kept, m), coeff * c)
+        return SparsePolynomial(terms)
 
     # -- presentation ----------------------------------------------------------
 
@@ -252,6 +302,14 @@ def _coerce(value) -> SparsePolynomial:
     return NotImplemented
 
 
+def _binding(value) -> SparsePolynomial | int:
+    """A substitution value: an int when it is constant, else a polynomial."""
+    value = _coerce(value)
+    if value is NotImplemented:
+        raise TypeError("a binding must be a SparsePolynomial or an int")
+    return value.constant_value() if value._terms.keys() <= {()} else value
+
+
 def const(c: int) -> SparsePolynomial:
     return SparsePolynomial({(): c} if c else {})
 
@@ -292,6 +350,13 @@ def exact_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
     Runs the single-divisor reduction in a graded order; when d divides p
     every leading coefficient step is an exact integer division, and a
     nonzero final remainder proves non-divisibility (ExactDivisionError).
+
+    Leading terms come off a heap keyed on the graded order, so R steps
+    with a D-term divisor cost O(R * D * log(R * D)).  A monomial is pushed
+    once, when it enters the work set; it stays there until popped, and a
+    popped one whose coefficient has cancelled to 0 is skipped.  This is
+    sound because every term a step adds lies below the current leading
+    term, so a popped monomial never comes back.
     """
     d = _coerce(d)
     if d.is_zero:
@@ -305,8 +370,9 @@ def exact_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
             out[position[name]] = exp
         return tuple(out)
 
-    def graded(vec: tuple[int, ...]):
-        return (sum(vec), vec)
+    def heap_key(vec: tuple[int, ...]):
+        # heapq pops the smallest entry: negate the graded key (degree, vec)
+        return (-sum(vec), tuple(-e for e in vec), vec)
 
     def from_vecs(vecs: dict[tuple[int, ...], int]) -> SparsePolynomial:
         terms = {}
@@ -317,27 +383,28 @@ def exact_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
 
     work = {to_vec(m): c for m, c in p._terms.items()}
     divisor = {to_vec(m): c for m, c in d._terms.items()}
-    d_lead = max(divisor, key=graded)
-    d_coeff = divisor[d_lead]
+    d_lead = min(heap_key(vec) for vec in divisor)[2]
+    d_coeff = divisor.pop(d_lead)
 
+    heap = [heap_key(vec) for vec in work]
+    heapq.heapify(heap)
     quotient: dict[tuple[int, ...], int] = {}
     remainder: dict[tuple[int, ...], int] = {}
-    while work:
-        lead = max(work, key=graded)
+    while heap:
+        lead = heapq.heappop(heap)[2]
         coeff = work.pop(lead)
+        if not coeff:
+            continue
         if all(a >= b for a, b in zip(lead, d_lead)) and coeff % d_coeff == 0:
             q_vec = tuple(a - b for a, b in zip(lead, d_lead))
             q_coeff = coeff // d_coeff
-            quotient[q_vec] = quotient.get(q_vec, 0) + q_coeff
+            quotient[q_vec] = q_coeff
             for vec, c in divisor.items():
-                if vec == d_lead:
-                    continue
                 target = tuple(a + b for a, b in zip(q_vec, vec))
-                total = work.get(target, 0) - q_coeff * c
-                if total:
-                    work[target] = total
-                else:
-                    work.pop(target, None)
+                if target not in work:
+                    work[target] = 0
+                    heapq.heappush(heap, heap_key(target))
+                work[target] -= q_coeff * c
         else:
             remainder[lead] = coeff
     if remainder:
@@ -413,10 +480,5 @@ def enumerator(
     acc: dict[Monomial, int] = {}
     for p in elements:
         exponents, coeff = _weight_term(p, spec)
-        mono = _make_monomial(exponents)
-        total = acc.get(mono, 0) + coeff
-        if total:
-            acc[mono] = total
-        else:
-            acc.pop(mono, None)
+        _add_term(acc, _make_monomial(exponents), coeff)
     return SparsePolynomial(acc)

@@ -148,6 +148,14 @@ def test_verify_unknown_formula(capsys):
     assert "unknown formula" in err
 
 
+def test_verify_rejects_empty_range(capsys):
+    for n_max in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--formula", "all", "--n-max", n_max)
+        assert code == 2
+        assert out == ""
+        assert "--n-max" in err
+
+
 def test_verify_negative_control(capsys):
     code, out, _ = run(capsys, "verify", "--formula", "negative-control", "--n-max", "4")
     assert code == 1
@@ -204,6 +212,15 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "enumerate", "--set", "arc", "--n", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().strip().splitlines() == ["[1,2]", "[2,1]", "count 2"]
+
+
+def test_unwritable_output_file(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "enumerate", "--set", "arc", "--n", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_byte_identical_reruns(capsys):
