@@ -180,8 +180,25 @@ def generate_arc(n: int) -> list[Permutation]:
 
 
 def generate_left_unimodal(n: int) -> list[Permutation]:
-    """All left-unimodal permutations of size n (a subset of the arc family)."""
-    return [p for p in generate_arc(n) if is_left_unimodal(p)]
+    """All 2^(n-1) left-unimodal permutations of size n, built by growing
+    integer intervals.
+
+    This is ``generate_arc`` with the extensions that wrap around skipped,
+    so the elements come in the same order as in the arc family.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    # states: (word, lo, hi) with the prefix occupying the values lo..hi
+    states = [((v,), v, v) for v in range(1, n + 1)]
+    for _ in range(n - 1):
+        grown = []
+        for word, lo, hi in states:
+            if lo > 1:
+                grown.append((word + (lo - 1,), lo - 1, hi))
+            if hi < n:
+                grown.append((word + (hi + 1,), lo, hi + 1))
+        states = grown
+    return [Permutation(word) for word, _, _ in states]
 
 
 def generate_signed_arc(n: int) -> list[SignedPermutation]:

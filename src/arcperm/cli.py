@@ -3,7 +3,8 @@ canonical decomposition, distribution tables, and formula verification.
 
 Exit codes: 0 on success (and when every verified row is EQUAL or outside
 its stated range), 1 when verification finds a MISMATCH, 2 on usage, parse
-or I/O errors (such as an unwritable --out).
+or I/O errors (such as an unwritable --out); under --format json an error
+is printed to stderr as {"error": "..."}.
 """
 
 from __future__ import annotations
@@ -66,19 +67,22 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
+def _guard(n: int, limit: int, force: bool, what: str):
+    """Refuse n beyond the size guard unless forced; forcing warns on stderr."""
+    if n > limit:
+        if not force:
+            raise UsageError(f"n={n} exceeds the guard {limit} for {what} (use --force)")
+        print(f"warning: n={n} exceeds the guard {limit}", file=sys.stderr)
+
+
 def _generate(set_name: str, n: int, force: bool):
     if n < 1:
         raise UsageError("n must be positive")
     limit = {"sym": SYMMETRIC_LIMIT, "hyp": HYPEROCTAHEDRAL_LIMIT}.get(
         set_name, ARC_FAMILY_LIMIT
     )
-    if n > limit:
-        if not force:
-            raise UsageError(
-                f"n={n} exceeds the guard {limit} for set {set_name!r} (use --force)"
-            )
-        print(f"warning: n={n} exceeds the guard {limit}", file=sys.stderr)
-        limit = n
+    _guard(n, limit, force, f"set {set_name!r}")
+    limit = max(limit, n)
     if set_name in ("sym", "hyp"):
         return _GENERATORS[set_name](n, limit=limit)
     return _GENERATORS[set_name](n)
@@ -231,6 +235,8 @@ def cmd_verify(args) -> int:
     else:
         known = ", ".join(formulas.formula_names(include_hidden=True))
         raise UsageError(f"unknown formula {args.formula!r}; choose from: all, {known}")
+    # every formula is checked by enumerating an arc family up to n-max
+    _guard(args.n_max, ARC_FAMILY_LIMIT, args.force, "the arc families")
     rows = formulas.verify_many(names, range(1, args.n_max + 1))
     mismatched = sum(1 for r in rows if r.status == formulas.MISMATCH)
     if args.format == "json":
@@ -344,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed forms against brute-force enumerators")
     p.add_argument("--formula", required=True)
     p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--force", action="store_true", help="override the size guard")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -367,7 +374,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.format == "json":
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -320,6 +320,19 @@ class Character(Enum):
     NEG_PARITY = "neg_parity"
     SIGN_ABS = "sign_abs"
 
+    def of_stats(self, inv: int, neg: int) -> int:
+        """Value, in {+1, -1}, at an element with these inv (of the absolute
+        word) and neg statistics; only the parities matter."""
+        if self is Character.SIGN:
+            parity = inv + neg
+        elif self is Character.NEG_PARITY:
+            parity = neg
+        elif self is Character.SIGN_ABS:
+            parity = inv
+        else:
+            return 1
+        return -1 if parity % 2 else 1
+
     def of(self, p: Permutation | SignedPermutation) -> int:
         """Value at p, in {+1, -1}.
 
@@ -328,15 +341,7 @@ class Character(Enum):
         """
         if self is Character.TRIVIAL:
             return 1
-        if isinstance(p, Permutation):
-            inv, neg = p.inv(), 0
-        else:
-            inv, neg = p.inv(), p.neg()
-        if self is Character.SIGN:
-            return -1 if (inv + neg) % 2 else 1
-        if self is Character.NEG_PARITY:
-            return -1 if neg % 2 else 1
-        return -1 if inv % 2 else 1
+        return self.of_stats(p.inv(), p.neg() if isinstance(p, SignedPermutation) else 0)
 
 
 def character_value(chi: Character, p: Permutation | SignedPermutation) -> int:

@@ -15,6 +15,11 @@ each pair of terms are merged in one linear pass; a substitution is one pass
 over the terms, O(T * v) when every binding is an integer; an exact division
 of a T-term polynomial by a D-term divisor takes O(R * D * log(R * D)) for R
 reduction steps, picking each leading term from a heap.
+
+The statistic-weighted ``enumerator`` makes one pass over its elements: each
+word is read once, at O(n) per element (inv, when asked for, adds n shifts
+and bit counts on an n-bit integer, O(n^2) bit work), and one monomial is
+built per distinct statistic key, not per element.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping
 
-from .perms import Character, Permutation, SignedPermutation
+from .perms import Character, Permutation, SignedPermutation, b_order_key
 
 _NAME_RE = re.compile(r"^(?:[tquyz]|x(?:0|[1-9][0-9]*)|y[1-9][0-9]*)$")
 _BASE_ORDER = {"t": 0, "q": 1, "u": 2, "y": 3, "z": 4}
@@ -421,16 +426,14 @@ class WeightSpec:
 
     t_stat: exponent of t, one of "inv", "des", "fdes" (inv is computed on
     the absolute word for signed permutations).  q_stat: exponent of q,
-    "maj" or "fmaj".  descent_vars multiplies x_i per descent position i,
-    shifted down by descent_shift with x0 counting as 1.  neg_vars
-    multiplies y_i per negative position.  character contributes a +-1
-    coefficient.
+    "maj" or "fmaj".  descent_vars multiplies x_i per descent position i.
+    neg_vars multiplies y_i per negative position.  character contributes a
+    +-1 coefficient.
     """
 
     t_stat: str | None = None
     q_stat: str | None = None
     descent_vars: bool = False
-    descent_shift: int = 0
     neg_vars: bool = False
     character: Character | None = None
 
@@ -441,44 +444,78 @@ class WeightSpec:
             raise ValueError(f"unknown q statistic {self.q_stat!r}")
 
 
-def _weight_term(p, spec: WeightSpec) -> tuple[dict[str, int], int]:
-    signed = isinstance(p, SignedPermutation)
-    if not signed and (
-        spec.t_stat == "fdes" or spec.q_stat == "fmaj" or spec.neg_vars
-    ):
-        raise ValueError("flag statistics need signed permutations")
-    des_set = p.descent_set()
-    exponents: dict[str, int] = {}
-    if spec.t_stat == "inv":
-        exponents["t"] = p.inv()
-    elif spec.t_stat == "des":
-        exponents["t"] = len(des_set)
-    elif spec.t_stat == "fdes":
-        exponents["t"] = p.fdes()
-    if spec.q_stat == "maj":
-        exponents["q"] = sum(des_set)
-    elif spec.q_stat == "fmaj":
-        exponents["q"] = p.fmaj()
-    if spec.descent_vars:
-        for i in des_set:
-            index = i - spec.descent_shift
-            if index < 0:
-                raise ValueError(f"descent shift {spec.descent_shift} drops below x0")
-            if index:
-                exponents[f"x{index}"] = exponents.get(f"x{index}", 0) + 1
-    if spec.neg_vars:
-        for i in p.neg_set():
-            exponents[f"y{i}"] = exponents.get(f"y{i}", 0) + 1
-    coeff = spec.character.of(p) if spec.character is not None else 1
-    return exponents, coeff
+def _b_ranks(n: int) -> dict[int, int]:
+    """Rank of each of ±1..±n in the type-B order of ``b_order_key``."""
+    values = sorted([*range(-n, 0), *range(1, n + 1)], key=b_order_key)
+    return {v: i for i, v in enumerate(values)}
+
+
+def _abs_inv(word) -> int:
+    """Inversions of the absolute word: each entry meets the larger values
+    already seen, kept as the set bits of one integer."""
+    seen = inv = 0
+    for v in word:
+        v = abs(v)
+        inv += (seen >> v).bit_count()
+        seen |= 1 << v
+    return inv
 
 
 def enumerator(
     elements: Iterable[Permutation | SignedPermutation], spec: WeightSpec
 ) -> SparsePolynomial:
-    """Sum of weight monomials over the given permutations."""
-    acc: dict[Monomial, int] = {}
+    """Sum of weight monomials over the given permutations.
+
+    One pass over the elements: each word is read once, and only the
+    statistics the spec asks for are computed.  Elements are counted by
+    (t exponent, q exponent, descent positions, negative positions), with
+    the character value folded into the count, and one monomial is built
+    per distinct key at the end.
+    """
+    t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
+    descent_vars, neg_vars = spec.descent_vars, spec.neg_vars
+    flags = t_stat == "fdes" or q_stat == "fmaj" or neg_vars
+    want_des = descent_vars or t_stat in ("des", "fdes") or q_stat is not None
+    want_neg = q_stat == "fmaj" or neg_vars or chi in (Character.SIGN, Character.NEG_PARITY)
+    want_inv = t_stat == "inv" or chi in (Character.SIGN, Character.SIGN_ABS)
+    ranks: dict[int, dict[int, int]] = {}
+    counts: dict[tuple, int] = {}
     for p in elements:
-        exponents, coeff = _weight_term(p, spec)
-        _add_term(acc, _make_monomial(exponents), coeff)
-    return SparsePolynomial(acc)
+        word = p.word
+        n = len(word)
+        if isinstance(p, SignedPermutation):
+            rank = ranks.get(n) or ranks.setdefault(n, _b_ranks(n))
+            r = [rank[v] for v in word]
+        elif flags:
+            raise ValueError("flag statistics need signed permutations")
+        else:
+            r = word
+        des = tuple([i for i in range(1, n) if r[i - 1] > r[i]]) if want_des else ()
+        neg = tuple([i for i, v in enumerate(word, 1) if v < 0]) if want_neg else ()
+        inv = _abs_inv(word) if want_inv else 0
+        if t_stat == "inv":
+            t = inv
+        elif t_stat == "des":
+            t = len(des)
+        elif t_stat == "fdes":
+            t = 2 * len(des) + (word[0] < 0)
+        else:
+            t = 0
+        if q_stat == "maj":
+            q = sum(des)
+        elif q_stat == "fmaj":
+            q = 2 * sum(des) + len(neg)
+        else:
+            q = 0
+        key = (t, q, des if descent_vars else (), neg if neg_vars else ())
+        counts[key] = counts.get(key, 0) + (1 if chi is None else chi.of_stats(inv, len(neg)))
+    terms: dict[Monomial, int] = {}
+    for (t, q, des, neg), coeff in counts.items():
+        if coeff:
+            mono = [("t", t)] if t else []
+            if q:
+                mono.append(("q", q))
+            mono += [(f"x{i}", 1) for i in des]
+            mono += [(f"y{i}", 1) for i in neg]
+            terms[tuple(mono)] = coeff
+    return SparsePolynomial(terms)

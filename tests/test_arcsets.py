@@ -114,6 +114,13 @@ def test_predicate_generator_duality():
         assert set(filter(is_b_arc, group)) == set(generate_b_arc(n))
 
 
+def test_left_unimodal_generator_is_the_filtered_arc_family():
+    for n in range(1, 11):
+        family = generate_left_unimodal(n)
+        assert family == [p for p in generate_arc(n) if is_left_unimodal(p)]
+        assert len(family) == 2 ** (n - 1)
+
+
 def test_cardinalities():
     for n in range(2, 9):
         assert len(generate_arc(n)) == n * 2 ** (n - 2)

@@ -148,6 +148,23 @@ def test_verify_unknown_formula(capsys):
     assert "unknown formula" in err
 
 
+def test_verify_guard_and_force(capsys):
+    code, out, err = run(capsys, "verify", "--formula", "f_L_des_set", "--n-max", "13")
+    assert code == 2 and out == ""
+    assert "guard" in err and "--force" in err
+    code, out, err = run(capsys, "verify", "--formula", "f_L_des_set", "--n-max", "13", "--force")
+    assert code == 0 and "warning" in err
+    assert "summary: 13 EQUAL, 0 MISMATCH, 0 OUT_OF_STATED_RANGE" in out
+
+
+def test_errors_are_json_under_json_format(capsys):
+    code, out, err = run(capsys, "verify", "--formula", "nosuch", "--format", "json")
+    assert code == 2 and out == ""
+    assert "unknown formula 'nosuch'" in json.loads(err)["error"]
+    code, _, err = run(capsys, "verify", "--formula", "nosuch", "--format", "csv")
+    assert code == 2 and err.startswith("error: unknown formula")
+
+
 def test_verify_rejects_empty_range(capsys):
     for n_max in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--formula", "all", "--n-max", n_max)

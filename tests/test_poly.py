@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcperm.arcsets import generate_arc, generate_b_arc
-from arcperm.perms import Character, Permutation, SignedPermutation
+from arcperm.perms import Character
 from arcperm.poly import (
     ExactDivisionError,
     SparsePolynomial,
@@ -161,16 +161,6 @@ def test_enumerator_character_and_flags():
     assert poly == 1 - Q
     with pytest.raises(ValueError):
         enumerator(generate_arc(2), WeightSpec(q_stat="fmaj"))
-
-
-def test_enumerator_descent_shift():
-    # with a shift of one, a descent at position 1 contributes x0 = 1
-    p = SignedPermutation.parse("[2,-1,3]")
-    poly = enumerator([p], WeightSpec(descent_vars=True, descent_shift=1))
-    assert poly == const(1)
-    q = SignedPermutation.parse("[1,3,-2]")
-    poly = enumerator([q], WeightSpec(descent_vars=True, descent_shift=1))
-    assert poly == X1
 
 
 def test_weight_spec_validation():
