@@ -270,18 +270,7 @@ def cmd_table(args) -> int:
     items = _generate(args.set, args.n, args.force)
     counts: dict[int, int] = {}
     for p in items:
-        if args.stat == "des":
-            value = p.des()
-        elif args.stat == "maj":
-            value = p.maj()
-        elif args.stat == "inv":
-            value = p.inv()
-        elif args.stat == "fmaj":
-            value = p.fmaj()
-        elif args.stat == "fdes":
-            value = p.fdes()
-        else:
-            value = p.neg()
+        value = getattr(p, args.stat)()
         counts[value] = counts.get(value, 0) + 1
     note = None
     if args.stat == "inv" and args.set in _SIGNED_SETS:

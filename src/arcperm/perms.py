@@ -48,214 +48,176 @@ def _parse_word(text: str, *, signed: bool) -> list[int]:
     return values
 
 
-class Permutation:
-    """A permutation of {1..n} in one-line notation."""
+class _RankCache(dict):
+    """n -> rank of each of ±1..±n in the type-B order, built once per n."""
+
+    def __missing__(self, n):
+        values = sorted([*range(-n, 0), *range(1, n + 1)], key=b_order_key)
+        ranks = self[n] = {v: i for i, v in enumerate(values)}
+        return ranks
+
+
+_B_RANKS = _RankCache()
+
+
+def descent_positions(word, signed: bool) -> tuple[int, ...]:
+    """Positions i with word[i-1] > word[i]: integer order on unsigned words,
+    the order of ``b_order_key`` on signed ones (compared through ranks)."""
+    if signed:
+        rank = _B_RANKS[len(word)]
+        word = [rank[v] for v in word]
+    return tuple([i for i in range(1, len(word)) if word[i - 1] > word[i]])
+
+
+def abs_inv(word) -> int:
+    """Inversions of the absolute word: each entry meets the larger values
+    already seen, kept as the set bits of one integer."""
+    seen = inv = 0
+    for v in word:
+        v = abs(v)
+        inv += (seen >> v).bit_count()
+        seen |= 1 << v
+    return inv
+
+
+class _PermutationBase:
+    """What S_n and B_n share: a validated word, composition and the
+    statistics, with S_n the all-positive words.  ``signed`` tells the two
+    subclasses apart; they stay siblings, so neither is an instance of the
+    other and equal words of different classes are unequal."""
 
     __slots__ = ("word",)
+    signed = False
+    _noun = "permutation"
 
     def __init__(self, word: Iterable[int]):
         word = tuple(word)
         n = len(word)
         if n == 0:
-            raise ValueError("a permutation needs at least one entry")
+            raise ValueError(f"a {self._noun} needs at least one entry")
+        signed = self.signed
         seen = set()
         for v in word:
             if not isinstance(v, int):
                 raise TypeError(f"entry {v!r} is not an integer")
-            if not 1 <= v <= n:
-                raise ValueError(f"value {v} out of range 1..{n}")
-            if v in seen:
-                raise ValueError(f"value {v} appears more than once")
-            seen.add(v)
+            a = abs(v) if signed else v
+            if not 1 <= a <= n:
+                where = f"for size {n}" if signed else f"1..{n}"
+                raise ValueError(f"value {v} out of range {where}")
+            if a in seen:
+                what = "absolute value" if signed else "value"
+                raise ValueError(f"{what} {a} appears more than once")
+            seen.add(a)
         self.word = word
 
     @classmethod
-    def identity(cls, n: int) -> Permutation:
+    def identity(cls, n: int):
         return cls(range(1, n + 1))
 
     @classmethod
-    def parse(cls, text: str) -> Permutation:
-        """Parse "[2,5,4,3,1]" or the compact digit form "25431" (n <= 9)."""
-        return cls(_parse_word(text, signed=False))
+    def parse(cls, text: str):
+        """Parse "[2,5,4,3,1]", "[-3,-2,4,1]" (signed only) or the compact
+        digit form "25431" (n <= 9, read as all-positive)."""
+        return cls(_parse_word(text, signed=cls.signed))
 
     @property
     def n(self) -> int:
         return len(self.word)
 
-    def __call__(self, i: int) -> int:
-        return self.word[i - 1]
-
     def __len__(self) -> int:
         return len(self.word)
 
+    def __call__(self, i: int) -> int:
+        """Image of position i, extended to negative positions by p(-a) = -p(a)."""
+        w = self.word
+        if i == 0 or abs(i) > len(w):
+            raise IndexError(f"position {i} out of range for size {len(w)}")
+        return w[i - 1] if i > 0 else -w[-i - 1]
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.word == other.word
+        return type(other) is type(self) and self.word == other.word
 
     def __hash__(self) -> int:
-        return hash((Permutation, self.word))
+        return hash((type(self), self.word))
 
     def __repr__(self) -> str:
-        return f"Permutation({list(self.word)})"
+        return f"{type(self).__name__}({list(self.word)})"
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.word) + "]"
 
-    def __mul__(self, other: Permutation) -> Permutation:
-        # composition convention: (p*q)(i) = p(q(i))
-        if not isinstance(other, Permutation):
+    def __mul__(self, other):
+        # composition convention: (p*q)(i) = p(q(i)), with p(-a) = -p(a)
+        if type(other) is not type(self):
             return NotImplemented
         if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(self.word[v - 1] for v in other.word)
-
-    def inverse(self) -> Permutation:
-        out = [0] * self.n
-        for i, v in enumerate(self.word, 1):
-            out[v - 1] = i
-        return Permutation(out)
-
-    def __pow__(self, k: int) -> Permutation:
-        base = self if k >= 0 else self.inverse()
-        result = Permutation.identity(self.n)
-        for _ in range(abs(k)):
-            result = base * result
-        return result
-
-    # -- statistics ---------------------------------------------------------
-
-    def descent_set(self) -> frozenset[int]:
-        """Positions i with p(i) > p(i+1) under ordinary integer order."""
+            raise ValueError(f"cannot compose {self._noun}s of different sizes")
         w = self.word
-        return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
+        return type(self)(w[v - 1] if v > 0 else -w[-v - 1] for v in other.word)
 
-    def des(self) -> int:
-        return len(self.descent_set())
-
-    def maj(self) -> int:
-        return sum(self.descent_set())
-
-    def inv(self) -> int:
-        w = self.word
-        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-    def sign(self) -> int:
-        return -1 if self.inv() % 2 else 1
-
-
-class SignedPermutation:
-    """An element of the hyperoctahedral group B_n in window notation."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: Iterable[int]):
-        word = tuple(word)
-        n = len(word)
-        if n == 0:
-            raise ValueError("a signed permutation needs at least one entry")
-        seen = set()
-        for v in word:
-            if not isinstance(v, int):
-                raise TypeError(f"entry {v!r} is not an integer")
-            if v == 0 or not 1 <= abs(v) <= n:
-                raise ValueError(f"value {v} out of range for size {n}")
-            if abs(v) in seen:
-                raise ValueError(f"absolute value {abs(v)} appears more than once")
-            seen.add(abs(v))
-        self.word = word
-
-    @classmethod
-    def identity(cls, n: int) -> SignedPermutation:
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def parse(cls, text: str) -> SignedPermutation:
-        """Parse "[-3,-2,4,1]"; an unsigned compact form is read as all-positive."""
-        return cls(_parse_word(text, signed=True))
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    def __call__(self, i: int) -> int:
-        # window lookup extended by p(-a) = -p(a)
-        if i < 0:
-            return -self.word[-i - 1]
-        return self.word[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignedPermutation) and self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash((SignedPermutation, self.word))
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation({list(self.word)})"
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.word) + "]"
-
-    def __mul__(self, other: SignedPermutation) -> SignedPermutation:
-        # (p*q)(i) = p(q(i)), using the signed extension for negative q(i)
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("cannot compose signed permutations of different sizes")
-        return SignedPermutation(self(v) for v in other.word)
-
-    def inverse(self) -> SignedPermutation:
+    def inverse(self):
         out = [0] * self.n
         for i, v in enumerate(self.word, 1):
             out[abs(v) - 1] = i if v > 0 else -i
-        return SignedPermutation(out)
+        return type(self)(out)
 
-    def __pow__(self, k: int) -> SignedPermutation:
+    def __pow__(self, k: int):
         base = self if k >= 0 else self.inverse()
-        result = SignedPermutation.identity(self.n)
+        result = self.identity(self.n)
         for _ in range(abs(k)):
             result = base * result
         return result
 
-    def absolute(self) -> Permutation:
-        """Entrywise absolute value, an element of S_n."""
-        return Permutation(abs(v) for v in self.word)
-
     # -- statistics ---------------------------------------------------------
 
     def descent_set(self) -> frozenset[int]:
-        """Positions i with p(i) > p(i+1) in the order -1 < ... < -n < 1 < ... < n."""
-        w = self.word
-        return frozenset(
-            i for i in range(1, len(w)) if b_order_key(w[i - 1]) > b_order_key(w[i])
-        )
+        """Positions i with p(i) > p(i+1), in the order -1 < ... < -n < 1 < ... < n
+        (integer order on unsigned words)."""
+        return frozenset(descent_positions(self.word, self.signed))
 
     def des(self) -> int:
-        return len(self.descent_set())
+        return len(descent_positions(self.word, self.signed))
 
     def maj(self) -> int:
-        return sum(self.descent_set())
+        return sum(descent_positions(self.word, self.signed))
 
     def neg_set(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.word, 1) if v < 0)
 
     def neg(self) -> int:
-        return len(self.neg_set())
+        return sum(1 for v in self.word if v < 0)
 
     def inv(self) -> int:
         """Inversions of the absolute word."""
-        return self.absolute().inv()
+        return abs_inv(self.word)
+
+    def sign(self) -> int:
+        """The group-theoretic sign, (-1) ** (inv(|p|) + neg(p))."""
+        return -1 if (self.inv() + self.neg()) % 2 else 1
+
+
+class Permutation(_PermutationBase):
+    """A permutation of {1..n} in one-line notation."""
+
+    __slots__ = ()
+
+
+class SignedPermutation(_PermutationBase):
+    """An element of the hyperoctahedral group B_n in window notation."""
+
+    __slots__ = ()
+    signed = True
+    _noun = "signed permutation"
+
+    def absolute(self) -> Permutation:
+        """Entrywise absolute value, an element of S_n."""
+        return Permutation(abs(v) for v in self.word)
 
     def fmaj(self) -> int:
         return 2 * self.maj() + self.neg()
 
     def fdes(self) -> int:
         return 2 * self.des() + (1 if self.word[0] < 0 else 0)
-
-    def sign(self) -> int:
-        """The group-theoretic sign, (-1) ** (inv(|p|) + neg(p))."""
-        return -1 if (self.inv() + self.neg()) % 2 else 1
 
     def stats(self) -> StatProfile:
         des_set = self.descent_set()
@@ -336,14 +298,7 @@ class Character(Enum):
     def of(self, p: Permutation | SignedPermutation) -> int:
         """Value at p, in {+1, -1}.
 
-        Unsigned permutations are treated as all-positive windows, so
-        NEG_PARITY is 1 on them and SIGN coincides with SIGN_ABS.
+        Unsigned permutations are all-positive windows, so NEG_PARITY is 1
+        on them and SIGN coincides with SIGN_ABS.
         """
-        if self is Character.TRIVIAL:
-            return 1
-        return self.of_stats(p.inv(), p.neg() if isinstance(p, SignedPermutation) else 0)
-
-
-def character_value(chi: Character, p: Permutation | SignedPermutation) -> int:
-    """Function form of Character.of."""
-    return chi.of(p)
+        return self.of_stats(p.inv(), p.neg())

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping
 
-from .perms import Character, Permutation, SignedPermutation, b_order_key
+from .perms import Character, Permutation, SignedPermutation, abs_inv, descent_positions
 
 _NAME_RE = re.compile(r"^(?:[tquyz]|x(?:0|[1-9][0-9]*)|y[1-9][0-9]*)$")
 _BASE_ORDER = {"t": 0, "q": 1, "u": 2, "y": 3, "z": 4}
@@ -444,23 +444,6 @@ class WeightSpec:
             raise ValueError(f"unknown q statistic {self.q_stat!r}")
 
 
-def _b_ranks(n: int) -> dict[int, int]:
-    """Rank of each of ±1..±n in the type-B order of ``b_order_key``."""
-    values = sorted([*range(-n, 0), *range(1, n + 1)], key=b_order_key)
-    return {v: i for i, v in enumerate(values)}
-
-
-def _abs_inv(word) -> int:
-    """Inversions of the absolute word: each entry meets the larger values
-    already seen, kept as the set bits of one integer."""
-    seen = inv = 0
-    for v in word:
-        v = abs(v)
-        inv += (seen >> v).bit_count()
-        seen |= 1 << v
-    return inv
-
-
 def enumerator(
     elements: Iterable[Permutation | SignedPermutation], spec: WeightSpec
 ) -> SparsePolynomial:
@@ -478,21 +461,15 @@ def enumerator(
     want_des = descent_vars or t_stat in ("des", "fdes") or q_stat is not None
     want_neg = q_stat == "fmaj" or neg_vars or chi in (Character.SIGN, Character.NEG_PARITY)
     want_inv = t_stat == "inv" or chi in (Character.SIGN, Character.SIGN_ABS)
-    ranks: dict[int, dict[int, int]] = {}
     counts: dict[tuple, int] = {}
     for p in elements:
         word = p.word
-        n = len(word)
-        if isinstance(p, SignedPermutation):
-            rank = ranks.get(n) or ranks.setdefault(n, _b_ranks(n))
-            r = [rank[v] for v in word]
-        elif flags:
+        signed = p.signed
+        if flags and not signed:
             raise ValueError("flag statistics need signed permutations")
-        else:
-            r = word
-        des = tuple([i for i in range(1, n) if r[i - 1] > r[i]]) if want_des else ()
+        des = descent_positions(word, signed) if want_des else ()
         neg = tuple([i for i, v in enumerate(word, 1) if v < 0]) if want_neg else ()
-        inv = _abs_inv(word) if want_inv else 0
+        inv = abs_inv(word) if want_inv else 0
         if t_stat == "inv":
             t = inv
         elif t_stat == "des":

@@ -1,0 +1,105 @@
+"""CLI output frozen byte for byte: exit code, stdout and stderr of every
+subcommand in every --format, against the recorded tests/golden/cli.json.
+
+The schema tests in test_cli.py say what the output means; this file says
+that a refactor changed none of it.  Re-record only for an intended output
+change, with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from arcperm.cli import main
+
+FIXTURE = Path(__file__).parent / "golden" / "cli.json"
+FORMATS = ("lines", "csv", "json")
+SETS = ("arc", "left-unimodal", "signed-arc", "b-arc", "sym", "hyp")
+STATS = ("des", "maj", "inv", "fmaj", "fdes", "neg")
+TABLE_SAMPLE = {("des", "arc"), ("inv", "b-arc"), ("fmaj", "hyp"), ("fdes", "sym")}
+MEMBERSHIP = {
+    "arc": ("12543", "2413"),
+    "left-unimodal": ("3214", "2413"),
+    "signed-arc": ("[2,-1,3]", "[-2,1,3]"),
+    "b-arc": ("[-2,3,-1]", "[5,2,-1,4,3]"),
+}
+
+
+def _cases():
+    for fmt in FORMATS:
+        for s in SETS:
+            yield ["enumerate", "--set", s, "--n", "3", "--format", fmt]
+        for perm in ("231", "[3,1,4,2]"):
+            yield ["stats", "--perm", perm, "--group", "A", "--format", fmt]
+        for perm in ("[2,-1,3]", "[-3,-2,4,1]", "[1,2,3]", "[-1]"):
+            yield ["stats", "--perm", perm, "--format", fmt]
+        for s, perms in MEMBERSHIP.items():
+            for perm in perms:
+                yield ["check", "--perm", perm, "--set", s, "--format", fmt]
+        for perm in ("231", "3142", "[4,3,2,1]"):
+            yield ["decompose", "--group", "A", "--perm", perm, "--format", fmt]
+        for perm in ("[-1]", "[2,-1,3]", "[-3,-2,4,1]"):
+            yield ["decompose", "--group", "B", "--perm", perm, "--format", fmt]
+        yield ["verify", "--formula", "all", "--n-max", "1" if fmt == "json" else "2",
+               "--format", fmt]
+        for formula in ("f_AB_fdes_fmaj", "negative-control"):
+            yield ["verify", "--formula", formula, "--n-max", "3", "--format", fmt]
+        # every stat on every set in one format, a sample in the others; the
+        # flag statistics and neg are usage errors on the unsigned sets
+        for s in SETS:
+            for stat in STATS:
+                if fmt == "lines" or (stat, s) in TABLE_SAMPLE:
+                    yield ["table", "--stat", stat, "--set", s, "--n", "3", "--format", fmt]
+        # errors: parse, validation, usage and guard
+        yield ["stats", "--perm", "[2,2]", "--format", fmt]
+        yield ["stats", "--perm", "[2,2]", "--group", "A", "--format", fmt]
+        yield ["stats", "--perm", "[-1,2]", "--group", "A", "--format", fmt]
+        yield ["stats", "--perm", "[1,2a]", "--format", fmt]
+        yield ["check", "--perm", "[3,1]", "--set", "arc", "--format", fmt]
+        yield ["decompose", "--group", "A", "--perm", "[0,1]", "--format", fmt]
+        yield ["decompose", "--group", "B", "--perm", "[1,-1]", "--format", fmt]
+        yield ["verify", "--formula", "nosuch", "--format", fmt]
+        yield ["verify", "--formula", "all", "--n-max", "0", "--format", fmt]
+        yield ["verify", "--formula", "all", "--n-max", "13", "--format", fmt]
+        yield ["enumerate", "--set", "arc", "--n", "13", "--format", fmt]
+        yield ["enumerate", "--set", "sym", "--n", "0", "--format", fmt]
+
+
+CASES = list(_cases())
+
+
+def _key(argv):
+    return " ".join(argv)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_fixture_covers_exactly_the_cases(golden):
+    assert sorted(golden) == sorted(_key(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_key)
+def test_cli_bytes(argv, golden):
+    assert _run(argv) == golden[_key(argv)]
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    record = {_key(argv): _run(argv) for argv in CASES}
+    FIXTURE.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(record)} cases, {FIXTURE.stat().st_size} bytes")

@@ -9,7 +9,6 @@ from arcperm.perms import (
     Permutation,
     SignedPermutation,
     b_order_key,
-    character_value,
 )
 from helpers import det, doubled_matrix, hyperoctahedral, signed_matrix, symmetric
 
@@ -158,9 +157,9 @@ def test_doubled_matrix_determinant_is_negation_parity():
 
 
 def test_character_examples():
-    assert character_value(Character.SIGN, SignedPermutation([-1])) == -1
-    assert character_value(Character.TRIVIAL, SignedPermutation.parse("[-3,2,-1]")) == 1
-    assert character_value(Character.NEG_PARITY, SignedPermutation.parse("[-3,-2,4,1]")) == 1
+    assert Character.SIGN.of(SignedPermutation([-1])) == -1
+    assert Character.TRIVIAL.of(SignedPermutation.parse("[-3,2,-1]")) == 1
+    assert Character.NEG_PARITY.of(SignedPermutation.parse("[-3,-2,4,1]")) == 1
 
 
 def test_character_product_identity():
@@ -205,3 +204,38 @@ def test_absolute():
     assert SignedPermutation.parse("[-3,-2,4,1]").absolute() == Permutation.parse("3241")
     assert SignedPermutation.parse("[2,-1,3]").absolute() == Permutation.parse("213")
     assert SignedPermutation.parse("[1,2,3]").absolute() == Permutation.identity(3)
+
+
+def test_positions_out_of_range_raise():
+    p = Permutation.parse("231")
+    q = SignedPermutation.parse("[2,-1,3]")
+    for bad in (0, 4, -4):
+        with pytest.raises(IndexError):
+            p(bad)
+        with pytest.raises(IndexError):
+            q(bad)
+    # negative positions follow p(-a) = -p(a) on unsigned words too
+    assert [p(-a) for a in (1, 2, 3)] == [-2, -3, -1]
+    assert [q(-a) for a in (1, 2, 3)] == [-2, 1, -3]
+
+
+def test_the_two_classes_stay_distinct():
+    p, q = Permutation.parse("213"), SignedPermutation.parse("213")
+    assert not isinstance(q, Permutation) and not isinstance(p, SignedPermutation)
+    assert p != q and hash(p) != hash(q)
+    assert (repr(p), repr(q)) == ("Permutation([2, 1, 3])", "SignedPermutation([2, 1, 3])")
+    with pytest.raises(TypeError):
+        p * q
+
+
+@given(st.permutations(list(range(1, 7))), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_shared_statistics_match_the_definitions(word, flips):
+    signed = SignedPermutation(-v if f else v for v, f in zip(word, flips))
+    for p in (Permutation(word), signed):
+        w = p.word
+        key = b_order_key if p.signed else int
+        n = len(w)
+        assert p.descent_set() == {i for i in range(1, n) if key(w[i - 1]) > key(w[i])}
+        assert p.inv() == sum(abs(w[i]) > abs(w[j]) for i in range(n) for j in range(i + 1, n))
+        assert p.neg_set() == {i for i, v in enumerate(w, 1) if v < 0}
+        assert p.sign() == (-1) ** (p.inv() + p.neg())
