@@ -72,12 +72,14 @@ def is_interval_on(values: Iterable[int], n: int) -> bool:
 
 def arc_violation(p: Permutation) -> str | None:
     n = p.n
-    prefix: set[int] = set()
-    for j, v in enumerate(p.word, 1):
-        prefix.add(v - 1)
-        if not is_cyclic_interval(prefix, n):
-            vals = sorted(x + 1 for x in prefix)
+    lo, size = p.word[0] - 1, 1  # the prefix is the residues lo..lo+size-1 mod n
+    for j, v in enumerate(p.word[1:], 2):
+        if v - 1 == (lo - 1) % n:
+            lo = v - 1
+        elif v - 1 != (lo + size) % n:
+            vals = sorted(p.word[:j])
             return f"prefix of length {j} has values {vals}, not a cyclic interval of 1..{n}"
+        size += 1
     return None
 
 
@@ -103,26 +105,25 @@ def is_left_unimodal(p: Permutation) -> bool:
 
 def signed_arc_violation(p: SignedPermutation) -> str | None:
     n = p.n
-    prefix: set[int] = set()
-    for i, v in enumerate(p.word, 1):
+    lo, size = abs(p.word[0]) - 1, 1  # as in arc_violation, on absolute values
+    for i, v in enumerate(p.word[1:-1], 2):
         a = abs(v)
-        if 1 < i < n:
-            if not is_cyclic_interval({x - 1 for x in prefix | {a}}, n):
-                vals = sorted(prefix | {a})
-                return (
-                    f"prefix of length {i} has absolute values {vals}, "
-                    f"not a cyclic interval of 1..{n}"
-                )
-            below = n if a == 1 else a - 1
-            above = 1 if a == n else a + 1
-            if (v > 0) != (below in prefix) or (v < 0) != (above in prefix):
-                forced = below in prefix
-                return (
-                    f"entry {v} at position {i} must be "
-                    f"{'positive' if forced else 'negative'}: "
-                    f"{below if forced else above} precedes it"
-                )
-        prefix.add(a)
+        at_top = a - 1 == (lo + size) % n  # then a-1 precedes it, else a+1 does
+        if a - 1 == (lo - 1) % n:
+            lo = a - 1
+        elif not at_top:
+            vals = sorted(abs(u) for u in p.word[:i])
+            return (
+                f"prefix of length {i} has absolute values {vals}, "
+                f"not a cyclic interval of 1..{n}"
+            )
+        size += 1
+        if (v > 0) != at_top:
+            neighbour = (n if a == 1 else a - 1) if at_top else (1 if a == n else a + 1)
+            return (
+                f"entry {v} at position {i} must be "
+                f"{'positive' if at_top else 'negative'}: {neighbour} precedes it"
+            )
     return None
 
 
@@ -136,16 +137,19 @@ def is_signed_arc(p: SignedPermutation) -> bool:
 
 def b_arc_violation(p: SignedPermutation) -> str | None:
     n = p.n
-    circle = CircleOn(n)
-    suffix: set[int] = set()
-    for j in range(n, 0, -1):
-        suffix.add(circle.index(p.word[j - 1]))
-        if not is_cyclic_interval(suffix, 2 * n):
-            vals = sorted(p.word[j - 1 :], key=circle.index)
+    index = CircleOn(n).index
+    lo, size = index(p.word[-1]), 1  # the suffix is the indices lo..lo+size-1 mod 2n
+    for j in range(n - 1, 0, -1):
+        i = index(p.word[j - 1])
+        if i == (lo - 1) % (2 * n):
+            lo = i
+        elif i != (lo + size) % (2 * n):
+            vals = sorted(p.word[j - 1 :], key=index)
             return (
                 f"suffix starting at position {j} has values {vals}, "
                 f"not an interval of the {2 * n}-point signed circle"
             )
+        size += 1
     return None
 
 

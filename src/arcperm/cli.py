@@ -59,6 +59,20 @@ class UsageError(ValueError):
     pass
 
 
+class _ParseError(UsageError):
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser  # the (sub)parser whose usage line goes with it
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors instead of exiting, so that ``main`` can report them
+    in the requested --format."""
+
+    def error(self, message):
+        raise _ParseError(self, message)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -301,7 +315,7 @@ def cmd_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arcperm",
         description="Exact combinatorics of arc permutations in types A and B.",
     )
@@ -354,20 +368,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _requested_format(argv) -> str | None:
+    """The --format value in argv, read without the full parse (and spelled
+    out: an abbreviation may be ambiguous in the full parse)."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--format")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return pre.parse_known_args(argv)[0].format
+    except _ParseError:
+        return None
+
+
+def _fail(exc: Exception, fmt: str | None) -> int:
+    print(json.dumps({"error": str(exc)}) if fmt == "json" else f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ParseError as exc:
+        if _requested_format(argv) == "json":
+            return _fail(exc, "json")
+        # argparse's own report: the usage line, then "prog: error: ..."
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
-        if args.format == "json":
-            print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, args.format)
 
 
 def run():

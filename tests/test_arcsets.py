@@ -4,6 +4,8 @@ import pytest
 
 from arcperm.arcsets import (
     CircleOn,
+    arc_violation,
+    b_arc_violation,
     generate_arc,
     generate_b_arc,
     generate_hyperoctahedral,
@@ -12,6 +14,7 @@ from arcperm.arcsets import (
     generate_symmetric,
     is_arc,
     is_b_arc,
+    is_cyclic_interval,
     is_interval_on,
     is_interval_zn,
     is_left_unimodal,
@@ -159,3 +162,63 @@ def test_size_guards():
         generate_symmetric(0)
     with pytest.raises(ValueError):
         generate_b_arc(-1)
+
+
+# -- the predicates track interval ends; these read the definitions literally,
+# testing every prefix or suffix set with is_cyclic_interval
+
+
+def _arc_reference(p):
+    n = p.n
+    for j in range(1, n + 1):
+        if not is_cyclic_interval({v - 1 for v in p.word[:j]}, n):
+            vals = sorted(p.word[:j])
+            return f"prefix of length {j} has values {vals}, not a cyclic interval of 1..{n}"
+    return None
+
+
+def _signed_arc_reference(p):
+    n = p.n
+    for i in range(2, n):
+        prefix = {abs(v) for v in p.word[:i - 1]}
+        v = p.word[i - 1]
+        a = abs(v)
+        if not is_cyclic_interval({x - 1 for x in prefix | {a}}, n):
+            vals = sorted(prefix | {a})
+            return (
+                f"prefix of length {i} has absolute values {vals}, "
+                f"not a cyclic interval of 1..{n}"
+            )
+        below = n if a == 1 else a - 1
+        above = 1 if a == n else a + 1
+        if (v > 0) != (below in prefix) or (v < 0) != (above in prefix):
+            forced = below in prefix
+            return (
+                f"entry {v} at position {i} must be "
+                f"{'positive' if forced else 'negative'}: "
+                f"{below if forced else above} precedes it"
+            )
+    return None
+
+
+def _b_arc_reference(p):
+    n = p.n
+    circle = CircleOn(n)
+    for j in range(n, 0, -1):
+        if not is_cyclic_interval({circle.index(v) for v in p.word[j - 1 :]}, 2 * n):
+            vals = sorted(p.word[j - 1 :], key=circle.index)
+            return (
+                f"suffix starting at position {j} has values {vals}, "
+                f"not an interval of the {2 * n}-point signed circle"
+            )
+    return None
+
+
+def test_predicates_match_the_set_definitions():
+    for n in range(1, 8):
+        for p in symmetric(n):
+            assert arc_violation(p) == _arc_reference(p)
+    for n in range(1, 6):
+        for p in hyperoctahedral(n):
+            assert signed_arc_violation(p) == _signed_arc_reference(p)
+            assert b_arc_violation(p) == _b_arc_reference(p)

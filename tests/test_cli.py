@@ -165,6 +165,21 @@ def test_errors_are_json_under_json_format(capsys):
     assert code == 2 and err.startswith("error: unknown formula")
 
 
+def test_parse_errors_are_json_under_json_format(capsys):
+    argv = ["verify", "--formula", "all", "--n-max", "x"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert "--n-max" in json.loads(err)["error"]
+    code, out, err = run(capsys, "nosuch", "--format=json")
+    assert code == 2 and out == "" and "nosuch" in json.loads(err)["error"]
+    # lines and csv keep argparse's own report: the usage, then the error
+    for fmt in ("lines", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: arcperm verify ")
+        assert "\narcperm verify: error: argument --n-max: " in err
+
+
 def test_verify_rejects_empty_range(capsys):
     for n_max in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--formula", "all", "--n-max", n_max)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from arcperm.arcsets import CircleOn, is_arc, is_b_arc, is_signed_arc
+from arcperm.arcsets import (
+    CircleOn,
+    generate_arc,
+    generate_b_arc,
+    generate_signed_arc,
+    is_arc,
+    is_b_arc,
+    is_signed_arc,
+)
 from arcperm.patterns import (
     arc_forbidden,
     avoids_all,
@@ -138,3 +146,20 @@ def test_characterizations_small():
         for p in hyperoctahedral(n):
             assert is_signed_arc(p) == avoids_all(p, signed_arc_forbidden())
             assert is_b_arc(p) == avoids_all(p, b_arc_forbidden())
+
+
+FAMILIES = {
+    "arc": (generate_arc, arc_forbidden),
+    "signed-arc": (generate_signed_arc, signed_arc_forbidden),
+    "b-arc": (generate_b_arc, b_arc_forbidden),
+}
+
+
+@pytest.mark.parametrize("n", (10, 12))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_members_avoid_their_list_past_exhaustive_sizes(family, n):
+    # one direction of each characterization, at sizes where the whole group
+    # is out of reach; only members are searched
+    generate, forbidden = FAMILIES[family]
+    patterns = forbidden()
+    assert all(avoids_all(p, patterns) for p in generate(n))
