@@ -153,14 +153,13 @@ def recompose_B(e: ExponentVectorB) -> SignedPermutation:
     return SignedPermutation(word)
 
 
-def maj_from_exponents(e: ExponentVectorA) -> int:
-    """maj of the recomposed permutation is the exponent sum."""
+def maj_from_exponents(e: ExponentVectorA | ExponentVectorB) -> int:
+    """maj (type A) or fmaj (type B) of the recomposed permutation is the
+    exponent sum."""
     return sum(e.k)
 
 
-def fmaj_from_exponents(e: ExponentVectorB) -> int:
-    """fmaj of the recomposed signed permutation is the exponent sum."""
-    return sum(e.k)
+fmaj_from_exponents = maj_from_exponents
 
 
 def is_arc_by_exponents(e: ExponentVectorA) -> bool:

@@ -58,6 +58,17 @@ def _tries(patterns: tuple) -> list[tuple[int, dict]]:
     return sorted(tries.items())
 
 
+# id -> (list, pattern types, tries) of each list a *_forbidden() builder
+# returned.  The entry holds the list, so its id is never reused; a hit
+# skips hashing every pattern and checking each one's type.
+_KNOWN: dict[int, tuple[tuple, set, list]] = {}
+
+
+def _register(pats: tuple) -> tuple:
+    _KNOWN[id(pats)] = (pats, {type(pat) for pat in pats}, _tries(pats))
+    return pats
+
+
 def find_occurrence(p, patterns) -> Occurrence | None:
     """First occurrence of any listed pattern, or None.
 
@@ -66,10 +77,14 @@ def find_occurrence(p, patterns) -> Occurrence | None:
     start no listed pattern), so the witness is the lexicographically first
     occurrence of the shortest matching length.
     """
-    patterns = tuple(patterns)
-    for pat in patterns:
-        if type(pat) is not type(p):
-            raise TypeError("permutation and patterns must be both unsigned or both signed")
+    known = _KNOWN.get(id(patterns))
+    if known is not None and known[0] is patterns:
+        _, kinds, tries = known
+    else:
+        patterns = tuple(patterns)
+        kinds, tries = {type(pat) for pat in patterns}, None
+    if kinds - {type(p)}:
+        raise TypeError("permutation and patterns must be both unsigned or both signed")
     if not isinstance(p, (Permutation, SignedPermutation)):
         raise TypeError(f"expected a permutation, got {type(p).__name__}")
     w = p.word
@@ -94,7 +109,7 @@ def find_occurrence(p, patterns) -> Occurrence | None:
                     return hit
         return None
 
-    for k, trie in _tries(patterns):
+    for k, trie in tries or _tries(patterns):
         if k > n:
             break
         hit = first(trie, k, 0, 0)
@@ -129,7 +144,7 @@ def arc_forbidden() -> tuple[Permutation, ...]:
     those with |first - second| = 2."""
     pats = [p for p in generate_symmetric(4) if abs(p.word[0] - p.word[1]) == 2]
     assert len(pats) == 8
-    return tuple(sorted(pats, key=lambda p: p.word))
+    return _register(tuple(sorted(pats, key=lambda p: p.word)))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +159,7 @@ def signed_arc_forbidden() -> tuple[SignedPermutation, ...]:
             for s_last in (1, -1):
                 pats.append(SignedPermutation((s_first * a, mid, s_last * c)))
     assert len(pats) == 24
-    return tuple(sorted(pats, key=lambda p: p.word))
+    return _register(tuple(sorted(pats, key=lambda p: p.word)))
 
 
 @lru_cache(maxsize=None)
@@ -158,4 +173,4 @@ def b_arc_forbidden() -> tuple[SignedPermutation, ...]:
         if circle.distance(p.word[1], p.word[2]) >= 2
     ]
     assert len(pats) == 24
-    return tuple(sorted(pats, key=lambda p: p.word))
+    return _register(tuple(sorted(pats, key=lambda p: p.word)))

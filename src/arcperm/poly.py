@@ -1,25 +1,30 @@
 """Exact sparse multivariate polynomials over the integers.
 
-The variable alphabet is closed: t, q, u, y, z, x0, x1, ..., y1, y2, ...
-(x0 is legal so that the convention "x0 maps to 1" can be expressed as a
-substitution).  A polynomial is a map from monomials to nonzero integer
-coefficients; monomials store only positive exponents, sorted in the fixed
-variable order t < q < u < y < z < x0 < x1 < ... < y1 < y2 < ..., so equal
-polynomials are structurally equal.  Printing and JSON list terms in graded
-order (total degree, then exponents in the variable order), stable across
-runs.
+The variable alphabet is t, q, u, y, z, x0, x1, ..., y1, y2, ... (x0 is
+legal so that the convention "x0 maps to 1" can be expressed as a
+substitution).  A polynomial is a dict from monomials to nonzero integer
+coefficients, so equal polynomials are structurally equal.
 
-Costs, for polynomials with T1 and T2 terms over monomials of at most v
-variables: a product is O(T1 * T2 * v), since the two sorted monomials of
-each pair of terms are merged in one linear pass; a substitution is one pass
-over the terms, O(T * v) when every binding is an integer; an exact division
-of a T-term polynomial by a D-term divisor takes O(R * D * log(R * D)) for R
-reduction steps, picking each leading term from a heap.
+A monomial is one int: each variable owns a 32-bit field of it, assigned on
+the variable's first use in the process (the alphabet is open), holding its
+exponent.  The top bit of a field is a guard that a valid key never sets, so
+exponents are at most 2**31 - 1 and a product of monomials is the sum of
+their keys: two fields below 2**31 add up to less than 2**32 and never carry
+into the next field.  Every key that product, power, substitution,
+``from_terms``, ``enumerator`` or ``exact_div`` builds is checked, and an
+exponent past 2**31 - 1 raises OverflowError; nothing wraps.
 
-The statistic-weighted ``enumerator`` makes one pass over its elements: each
-word is read once, at O(n) per element (inv, when asked for, adds n shifts
-and bit counts on an n-bit integer, O(n^2) bit work), and one monomial is
-built per distinct statistic key, not per element.
+Keys are decoded only at the edges (printing, JSON, ``variables``, the
+exponent vectors of ``exact_div``).  Printing and JSON list terms in graded
+order: total degree, then exponents in the variable order t < q < u < y < z
+< x0 < x1 < ... < y1 < y2 < ..., never in the order fields were assigned.
+
+Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
+additions; a substitution is one pass over the terms; an exact division of a
+T-term polynomial by a D-term divisor takes O(R * D * log(R * D)) for R
+reduction steps, picking each leading term from a heap.  The weighted
+``enumerator`` reads each word once, at O(n) per element (inv adds O(n^2)
+bit work), and builds one key per distinct statistic key, not per element.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
 from .perms import Character, Permutation, SignedPermutation, abs_inv, descent_positions
@@ -35,7 +41,13 @@ from .perms import Character, Permutation, SignedPermutation, abs_inv, descent_p
 _NAME_RE = re.compile(r"^(?:[tquyz]|x(?:0|[1-9][0-9]*)|y[1-9][0-9]*)$")
 _BASE_ORDER = {"t": 0, "q": 1, "u": 2, "y": 3, "z": 4}
 
-Monomial = tuple  # tuple of (name, exponent) pairs, canonical order, exps >= 1
+Monomial = int  # packed exponents, one 32-bit field per variable
+
+_WIDTH = 32
+_MAX = (1 << _WIDTH - 1) - 1  # largest exponent; the bit above it is the field's guard
+_NAMES: list[str] = []  # field index -> variable name
+_ORDER: list[tuple[int, int]] = []  # field index -> variable_key of its name
+_GUARD = 0  # the guard bits of every assigned field
 
 
 def check_variable(name: str) -> str:
@@ -53,51 +65,43 @@ def variable_key(name: str) -> tuple[int, int]:
     return (6, int(name[1:]))
 
 
-class _KeyCache(dict):
-    """Checked name -> variable_key, computed once per variable."""
+class _Shifts(dict):
+    """Checked name -> bit offset of its field, assigned on first use."""
 
     def __missing__(self, name):
-        key = self[name] = variable_key(check_variable(name))
-        return key
+        global _GUARD
+        order = variable_key(check_variable(name))
+        shift = self[name] = _WIDTH * len(_NAMES)
+        _NAMES.append(name)
+        _ORDER.append(order)
+        _GUARD |= (_MAX + 1) << shift
+        return shift
 
 
-_KEYS = _KeyCache()
+_SHIFTS = _Shifts()
 
 
-def _make_monomial(exponents: Mapping[str, int]) -> Monomial:
-    items = []
-    for name, exp in exponents.items():
-        _KEYS[name]  # raises ValueError outside the alphabet
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError(f"exponent {exp!r} of {name} must be a nonnegative integer")
-        if exp:
-            items.append((name, exp))
-    return tuple(sorted(items, key=lambda it: _KEYS[it[0]]))
+def _power(name: str, exp: int) -> Monomial:
+    """The key of name**exp."""
+    if exp > _MAX:
+        raise OverflowError(f"exponent {exp} of {name} exceeds {_MAX}")
+    return exp << _SHIFTS[name]
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two monomials: one merge pass over the two sorted tuples."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        name1, exp1 = m1[i]
-        name2, exp2 = m2[j]
-        if name1 == name2:
-            out.append((name1, exp1 + exp2))
-            i += 1
-            j += 1
-        elif _KEYS[name1] < _KEYS[name2]:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
+def _checked(terms: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The nonzero terms; OverflowError if a sum of keys set a guard bit."""
+    if reduce(or_, terms, 0) & _GUARD:
+        raise OverflowError(f"an exponent exceeds {_MAX}")
+    return {m: c for m, c in terms.items() if c}
+
+
+def _layout(polys: Iterable[SparsePolynomial]) -> tuple[list[str], list[int]]:
+    """Names and field shifts of the variables occurring in the polynomials,
+    in the variable order."""
+    occurring = reduce(or_, (mono for p in polys for mono in p._terms), 0)
+    fields = sorted((_ORDER[i], _NAMES[i], _WIDTH * i) for i in range(len(_NAMES))
+                    if occurring >> _WIDTH * i & _MAX)
+    return [name for _, name, _ in fields], [shift for *_, shift in fields]
 
 
 def _add_term(terms: dict[Monomial, int], mono: Monomial, coeff: int):
@@ -106,12 +110,6 @@ def _add_term(terms: dict[Monomial, int], mono: Monomial, coeff: int):
         terms[mono] = total
     else:
         terms.pop(mono, None)
-
-
-def _term_sort_key(item):
-    mono, _ = item
-    degree = sum(exp for _, exp in mono)
-    return (degree, tuple((_KEYS[name], exp) for name, exp in mono))
 
 
 class SparsePolynomial:
@@ -130,7 +128,13 @@ class SparsePolynomial:
     def from_terms(cls, terms: Iterable[tuple[Mapping[str, int], int]]) -> SparsePolynomial:
         acc: dict[Monomial, int] = {}
         for exponents, coeff in terms:
-            _add_term(acc, _make_monomial(exponents), coeff)
+            mono = 0
+            for name, exp in exponents.items():
+                _SHIFTS[name]  # raises ValueError outside the alphabet
+                if not isinstance(exp, int) or exp < 0:
+                    raise ValueError(f"exponent {exp!r} of {name} must be a nonnegative integer")
+                mono += _power(name, exp)
+            _add_term(acc, mono, coeff)
         return cls(acc)
 
     # -- structure -----------------------------------------------------------
@@ -149,24 +153,32 @@ class SparsePolynomial:
 
     def __hash__(self) -> int:
         # constant polynomials compare equal to ints, so hash like them
-        if not self._terms:
-            return hash(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return hash(self._terms[()])
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def variables(self) -> set[str]:
-        return {name for mono in self._terms for name, _ in mono}
+        return set(_layout([self])[0])
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self._terms.items(), key=_term_sort_key)
+    def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], int]]:
+        """(((name, exp), ...), coeff) per term, in graded order."""
+        names, shifts = _layout([self])
+        # At equal degree the graded order compares the (variable, exp) lists
+        # of nonzero exponents.  Where two vectors first differ, a 0 lets its
+        # list go on to a later variable, which compares larger, so a 0 is
+        # read as 2**31, above every exponent.
+        zero = _MAX + 1
+        rows = []
+        for mono, coeff in self._terms.items():
+            vec = [mono >> shift & _MAX for shift in shifts]
+            rows.append(((sum(vec), [e or zero for e in vec]), vec, coeff))
+        rows.sort(key=itemgetter(0))
+        return [(tuple((n, e) for n, e in zip(names, vec) if e), coeff) for _, vec, coeff in rows]
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; error if any variable occurs."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+        if self._terms.keys() <= {0}:
+            return self._terms.get(0, 0)
         raise ValueError(f"{self} is not constant")
 
     # -- ring operations ------------------------------------------------------
@@ -202,11 +214,13 @@ class SparsePolynomial:
         if other is NotImplemented:
             return NotImplemented
         terms: dict[Monomial, int] = {}
+        get = terms.get
+        right = list(other._terms.items())
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _merge_monomials(m1, m2)
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-        return SparsePolynomial({m: c for m, c in terms.items() if c})
+            for m2, c2 in right:
+                mono = m1 + m2
+                terms[mono] = get(mono, 0) + c1 * c2
+        return SparsePolynomial(_checked(terms))
 
     __rmul__ = __mul__
 
@@ -231,37 +245,39 @@ class SparsePolynomial:
         """Image under the ring homomorphism sending each bound variable to its
         binding; unbound variables stay themselves unless ``default`` is given.
 
-        One pass over the terms: integer (and constant) bindings fold into
-        the coefficient and the unbound variables keep their order, so a
-        substitution by constants costs O(T * v).  A term with polynomial
+        One pass over the terms, reading only the fields of variables with a
+        binding: integer (and constant) bindings fold into the coefficient
+        and the unbound fields stay in the key.  A term with polynomial
         bindings adds the product of their powers, each power computed once.
         """
         bound = {check_variable(name): _binding(value) for name, value in bindings.items()}
         if default is not None:
             default = _binding(default)
-        powers: dict[tuple[str, int], SparsePolynomial] = {}
+        targets = [(_SHIFTS[name], value) for name in _NAMES
+                   if (value := bound.get(name, default)) is not None]
+        powers: dict[tuple[int, int], SparsePolynomial] = {}
         terms: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
-            kept = []
+            kept = mono
             image = None
-            for name, exp in mono:
-                value = bound.get(name, default)
-                if value is None:
-                    kept.append((name, exp))
-                elif isinstance(value, int):
+            for shift, value in targets:
+                exp = mono >> shift & _MAX
+                if not exp:
+                    continue
+                kept -= exp << shift
+                if isinstance(value, int):
                     coeff *= value**exp
                 else:
-                    power = powers.get((name, exp))
+                    power = powers.get((shift, exp))
                     if power is None:
-                        power = powers[(name, exp)] = value**exp
+                        power = powers[(shift, exp)] = value**exp
                     image = power if image is None else image * power
-            kept = tuple(kept)
             if image is None:
                 _add_term(terms, kept, coeff)
             else:
                 for m, c in image._terms.items():
-                    _add_term(terms, _merge_monomials(kept, m), coeff * c)
-        return SparsePolynomial(terms)
+                    _add_term(terms, kept + m, coeff * c)
+        return SparsePolynomial(_checked(terms))
 
     # -- presentation ----------------------------------------------------------
 
@@ -290,13 +306,17 @@ class SparsePolynomial:
 
     def to_json(self) -> list[dict]:
         return [
-            {"coeff": str(coeff), "monomial": {name: exp for name, exp in mono}}
+            {"coeff": str(coeff), "monomial": dict(mono)}
             for mono, coeff in self.sorted_terms()
         ]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> SparsePolynomial:
         return cls.from_terms((term["monomial"], int(term["coeff"])) for term in data)
+
+    def __reduce__(self):
+        # keys depend on this process's field assignment; pickle the exponents
+        return (SparsePolynomial.from_terms, ([(dict(m), c) for m, c in self.sorted_terms()],))
 
 
 def _coerce(value) -> SparsePolynomial:
@@ -312,16 +332,15 @@ def _binding(value) -> SparsePolynomial | int:
     value = _coerce(value)
     if value is NotImplemented:
         raise TypeError("a binding must be a SparsePolynomial or an int")
-    return value.constant_value() if value._terms.keys() <= {()} else value
+    return value.constant_value() if value._terms.keys() <= {0} else value
 
 
 def const(c: int) -> SparsePolynomial:
-    return SparsePolynomial({(): c} if c else {})
+    return SparsePolynomial({0: c} if c else {})
 
 
 def var(name: str) -> SparsePolynomial:
-    check_variable(name)
-    return SparsePolynomial({((name, 1),): 1})
+    return SparsePolynomial({1 << _SHIFTS[check_variable(name)]: 1})
 
 
 def poly_product(factors: Iterable[SparsePolynomial | int]) -> SparsePolynomial:
@@ -366,25 +385,17 @@ def exact_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
     d = _coerce(d)
     if d.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    names = sorted(p.variables() | d.variables(), key=variable_key)
-    position = {name: i for i, name in enumerate(names)}
+    names, shifts = _layout([p, d])
 
     def to_vec(mono: Monomial) -> tuple[int, ...]:
-        out = [0] * len(names)
-        for name, exp in mono:
-            out[position[name]] = exp
-        return tuple(out)
+        return tuple(mono >> shift & _MAX for shift in shifts)
 
     def heap_key(vec: tuple[int, ...]):
         # heapq pops the smallest entry: negate the graded key (degree, vec)
         return (-sum(vec), tuple(-e for e in vec), vec)
 
     def from_vecs(vecs: dict[tuple[int, ...], int]) -> SparsePolynomial:
-        terms = {}
-        for vec, coeff in vecs.items():
-            mono = tuple((names[i], e) for i, e in enumerate(vec) if e)
-            terms[mono] = coeff
-        return SparsePolynomial(terms)
+        return SparsePolynomial({sum(map(_power, names, vec)): c for vec, c in vecs.items()})
 
     work = {to_vec(m): c for m, c in p._terms.items()}
     divisor = {to_vec(m): c for m, c in d._terms.items()}
@@ -452,8 +463,8 @@ def enumerator(
     One pass over the elements: each word is read once, and only the
     statistics the spec asks for are computed.  Elements are counted by
     (t exponent, q exponent, descent positions, negative positions), with
-    the character value folded into the count, and one monomial is built
-    per distinct key at the end.
+    the character value folded into the count, and one packed monomial is
+    built per distinct key at the end.
     """
     t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
     descent_vars, neg_vars = spec.descent_vars, spec.neg_vars
@@ -489,10 +500,7 @@ def enumerator(
     terms: dict[Monomial, int] = {}
     for (t, q, des, neg), coeff in counts.items():
         if coeff:
-            mono = [("t", t)] if t else []
-            if q:
-                mono.append(("q", q))
-            mono += [(f"x{i}", 1) for i in des]
-            mono += [(f"y{i}", 1) for i in neg]
-            terms[tuple(mono)] = coeff
+            mono = (_power("t", t) if t else 0) + (_power("q", q) if q else 0)
+            mono += sum(1 << _SHIFTS[f"x{i}"] for i in des)
+            terms[mono + sum(1 << _SHIFTS[f"y{i}"] for i in neg)] = coeff
     return SparsePolynomial(terms)

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from arcperm.poly import ExactDivisionError, SparsePolynomial, exact_div, var
 
-VARS = ["t", "q"] + [f"x{i}" for i in range(13)] + [f"y{i}" for i in range(1, 5)]
+# x40 and y33 sit far from the low indices, in fields assigned late
+VARS = ["t", "q"] + [f"x{i}" for i in range(13)] + ["x40"] + [f"y{i}" for i in range(1, 5)] + ["y33"]
 ALPHABET = ["t", "q", "u", "y", "z"] + VARS[2:]  # the variable order, smallest first
+LIMIT = 2**31 - 1  # the largest exponent a monomial can hold
 RANK = {name: i for i, name in enumerate(ALPHABET)}
 
 
@@ -120,16 +122,19 @@ def pair(data):
     return SparsePolynomial.from_terms(data), Ref.from_terms(data)
 
 
-def _terms(max_terms, max_vars=3, max_exp=3):
-    monomials = st.dictionaries(
-        st.sampled_from(VARS), st.integers(min_value=1, max_value=max_exp), max_size=max_vars
-    )
+def _terms(max_terms, max_vars=3, max_exp=3, exps=None):
+    if exps is None:
+        exps = st.integers(min_value=1, max_value=max_exp)
+    monomials = st.dictionaries(st.sampled_from(VARS), exps, max_size=max_vars)
     return st.lists(
         st.tuples(monomials, st.integers(min_value=-5, max_value=5)), max_size=max_terms
     )
 
 
 _data = _terms(5)
+# near half the limit (a product of two stays exact) or at most half of it
+_small_or_half = st.integers(1, 3) | st.integers(LIMIT // 2 - 3, LIMIT // 2)
+_near_limit = _small_or_half | st.integers(LIMIT // 2 + 1, LIMIT // 2 + 2) | st.integers(LIMIT - 2, LIMIT)
 _small = _terms(2, max_vars=2, max_exp=2)
 _ints = st.integers(min_value=-2, max_value=2)
 _names = st.sampled_from(VARS)
@@ -142,6 +147,30 @@ def test_ring_operations_match_reference(a, b, k):
     assert_same(pa + pb, ra + rb)
     assert_same(pa * pb, ra * rb)
     assert_same(pa**k, ra**k)
+
+
+@given(_terms(4, exps=_near_limit), _terms(4, exps=_near_limit))
+def test_products_near_the_exponent_limit_match_reference(a, b):
+    (pa, ra), (pb, rb) = pair(a), pair(b)
+    assert_same(pa + pb, ra + rb)
+    # any product of two terms past the limit raises, even one that cancels
+    too_big = any(
+        dict(m1).get(name, 0) + exp > LIMIT for m1 in ra.terms for m2 in rb.terms for name, exp in m2
+    )
+    if too_big:
+        with pytest.raises(OverflowError):
+            pa * pb
+    else:
+        assert_same(pa * pb, ra * rb)
+
+
+@settings(max_examples=60)
+@given(_terms(4, exps=_small_or_half), _terms(3, exps=_small_or_half))
+def test_exact_div_near_the_exponent_limit_inverts_product(a, d):
+    (pa, ra), (pd, _) = pair(a), pair(d)
+    if pd.is_zero:
+        return
+    assert_same(exact_div(pa * pd, pd), ra)
 
 
 @given(_data, st.dictionaries(_names, _ints, max_size=6))
