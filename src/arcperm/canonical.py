@@ -120,16 +120,8 @@ def decompose_B(p: SignedPermutation) -> ExponentVectorB:
         v = word[size - 1]
         k = size - v if v > 0 else 2 * size + v
         ks.append(k)
-        period, half = 2 * size, size
-
-        def orbit(j: int) -> int:
-            j %= period
-            return half - j if j < half else -(period - j)
-
-        word = [
-            orbit((half - u if u > 0 else period + u) - k)  # index of u, shifted back
-            for u in word
-        ]
+        cyc = _cycle_b_power_word(size - 1, size, -k)
+        word = [cyc[u - 1] if u > 0 else -cyc[-u - 1] for u in word]
         assert word[size - 1] == size
         word = word[: size - 1]
     return ExponentVectorB(p.n, tuple(reversed(ks)))

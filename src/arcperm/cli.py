@@ -53,6 +53,15 @@ _FORBIDDEN = {
     "signed-arc": signed_arc_forbidden,
     "b-arc": b_arc_forbidden,
 }
+_GROUPS = {"A": Permutation, "B": SignedPermutation}
+_UNSIGNED_STATS = ("des_set", "des", "maj", "inv", "sign")
+# per group: factorization both ways, its major index, exponent criterion
+_DECOMPOSE = {
+    "A": (canonical.decompose_A, canonical.recompose_A,
+          "maj", "arc_by_exponents", canonical.is_arc_by_exponents),
+    "B": (canonical.decompose_B, canonical.recompose_B,
+          "fmaj", "b_arc_by_exponents", canonical.is_b_arc_by_exponents),
+}
 
 
 class UsageError(ValueError):
@@ -81,6 +90,22 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
+def _render(args, payload, lines: list[str], csv: list[str]):
+    """Write one record in args.format: the payload as indented JSON (an
+    object in it with a ``to_json`` method is converted when it is reached),
+    else the lines or the csv rows."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, default=lambda obj: obj.to_json())
+    else:
+        text = "\n".join(csv if args.format == "csv" else lines)
+    _emit(text, args.out)
+
+
+def _key_value_csv(header: str, data: dict) -> list[str]:
+    return [f"{header},value"] + [f"{k},\"{v}\"" if isinstance(v, list) else f"{k},{v}"
+                                  for k, v in data.items()]
+
+
 def _guard(n: int, limit: int, force: bool, what: str):
     """Refuse n beyond the size guard unless forced; forcing warns on stderr."""
     if n > limit:
@@ -102,63 +127,28 @@ def _generate(set_name: str, n: int, force: bool):
     return _GENERATORS[set_name](n)
 
 
-def _parse_for_set(text: str, set_name: str):
-    if set_name in _SIGNED_SETS:
-        return SignedPermutation.parse(text)
-    return Permutation.parse(text)
-
-
 def cmd_enumerate(args) -> int:
-    items = _generate(args.set, args.n, args.force)
-    if args.format == "json":
-        payload = {
-            "set": args.set,
-            "n": args.n,
-            "items": [str(p) for p in items],
-            "count": len(items),
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        lines = ["index,permutation"]
-        lines += [f"{i},\"{p}\"" for i, p in enumerate(items, 1)]
-        lines.append(f"count,{len(items)}")
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [str(p) for p in items]
-        lines.append(f"count {len(items)}")
-        _emit("\n".join(lines), args.out)
+    items = [str(p) for p in _generate(args.set, args.n, args.force)]
+    count = len(items)
+    payload = {"set": args.set, "n": args.n, "items": items, "count": count}
+    csv = ["index,permutation"] + [f"{i},\"{p}\"" for i, p in enumerate(items, 1)]
+    _render(args, payload, items + [f"count {count}"], csv + [f"count,{count}"])
     return 0
 
 
 def cmd_stats(args) -> int:
-    if args.group == "A":
-        p = Permutation.parse(args.perm)
-        data = {
-            "des_set": sorted(p.descent_set()),
-            "des": p.des(),
-            "maj": p.maj(),
-            "inv": p.inv(),
-            "sign": p.sign(),
-        }
-    else:
-        p = SignedPermutation.parse(args.perm)
-        data = p.stats().as_dict()
-    if args.format == "json":
-        payload = {"perm": str(p), "group": args.group, **data}
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        lines = ["stat,value"] + [f"{k},\"{v}\"" if isinstance(v, list) else f"{k},{v}"
-                                  for k, v in data.items()]
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [f"perm {p}", f"group {args.group}"]
-        lines += [f"{k} {v}" for k, v in data.items()]
-        _emit("\n".join(lines), args.out)
+    p = _GROUPS[args.group].parse(args.perm)
+    data = p.stats().as_dict()
+    if not p.signed:
+        data = {key: data[key] for key in _UNSIGNED_STATS}
+    lines = [f"perm {p}", f"group {args.group}"] + [f"{k} {v}" for k, v in data.items()]
+    _render(args, {"perm": str(p), "group": args.group, **data}, lines,
+            _key_value_csv("stat", data))
     return 0
 
 
 def cmd_check(args) -> int:
-    p = _parse_for_set(args.perm, args.set)
+    p = (SignedPermutation if args.set in _SIGNED_SETS else Permutation).parse(args.perm)
     violation = _VIOLATIONS[args.set](p)
     witness = None
     if violation is not None and args.set in _FORBIDDEN:
@@ -169,73 +159,40 @@ def cmd_check(args) -> int:
                 "positions": list(occ.positions),
                 "values": list(occ.values),
             }
-    if args.format == "json":
-        payload = {
-            "perm": str(p),
-            "set": args.set,
-            "member": violation is None,
-            "definition_failure": violation,
-            "pattern_witness": witness,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = ["MEMBER" if violation is None else "NON-MEMBER"]
-        if violation is not None:
-            lines.append(f"reason: {violation}")
-        if witness is not None:
-            lines.append(
-                "pattern: {pattern} at positions {positions} with values {values}".format(
-                    **witness
-                )
-            )
-        _emit("\n".join(lines), args.out)
+    lines = ["MEMBER" if violation is None else "NON-MEMBER"]
+    if violation is not None:
+        lines.append(f"reason: {violation}")
+    if witness is not None:
+        lines.append(
+            "pattern: {pattern} at positions {positions} with values {values}".format(**witness)
+        )
+    payload = {
+        "perm": str(p),
+        "set": args.set,
+        "member": violation is None,
+        "definition_failure": violation,
+        "pattern_witness": witness,
+    }
+    _render(args, payload, lines, lines)  # no csv form: csv prints the lines
     return 0
 
 
 def cmd_decompose(args) -> int:
-    if args.group == "A":
-        p = Permutation.parse(args.perm)
-        e = canonical.decompose_A(p)
-        total = canonical.maj_from_exponents(e)
-        data = {
-            "group": "A",
-            "perm": str(p),
-            "k": list(e.k),
-            "sum": total,
-            "maj": p.maj(),
-            "consistent": total == p.maj(),
-            "arc_by_exponents": canonical.is_arc_by_exponents(e),
-            "recomposed": str(canonical.recompose_A(e)),
-        }
-        k_line = str(e)
-    else:
-        p = SignedPermutation.parse(args.perm)
-        e = canonical.decompose_B(p)
-        total = canonical.fmaj_from_exponents(e)
-        data = {
-            "group": "B",
-            "perm": str(p),
-            "k": list(e.k),
-            "sum": total,
-            "fmaj": p.fmaj(),
-            "consistent": total == p.fmaj(),
-            "b_arc_by_exponents": canonical.is_b_arc_by_exponents(e),
-            "recomposed": str(canonical.recompose_B(e)),
-        }
-        k_line = str(e)
-    if args.format == "json":
-        _emit(json.dumps(data, indent=2), args.out)
-    elif args.format == "csv":
-        lines = ["field,value"] + [f"{k},\"{v}\"" if isinstance(v, list) else f"{k},{v}"
-                                   for k, v in data.items()]
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = [f"group {data['group']}", f"perm {data['perm']}", k_line]
-        for key in data:
-            if key in ("group", "perm", "k"):
-                continue
-            lines.append(f"{key} {data[key]}")
-        _emit("\n".join(lines), args.out)
+    decompose, recompose, stat, criterion, is_member = _DECOMPOSE[args.group]
+    p = _GROUPS[args.group].parse(args.perm)
+    e = decompose(p)
+    total = canonical.maj_from_exponents(e)
+    major = getattr(p, stat)()
+    facts = {
+        "sum": total,
+        stat: major,
+        "consistent": total == major,
+        criterion: is_member(e),
+        "recomposed": str(recompose(e)),
+    }
+    data = {"group": args.group, "perm": str(p), "k": list(e.k), **facts}
+    lines = [f"group {args.group}", f"perm {p}", str(e)] + [f"{k} {v}" for k, v in facts.items()]
+    _render(args, data, lines, _key_value_csv("field", data))
     return 0
 
 
@@ -252,30 +209,23 @@ def cmd_verify(args) -> int:
     # every formula is checked by enumerating an arc family up to n-max
     _guard(args.n_max, ARC_FAMILY_LIMIT, args.force, "the arc families")
     rows = formulas.verify_many(names, range(1, args.n_max + 1))
-    mismatched = sum(1 for r in rows if r.status == formulas.MISMATCH)
-    if args.format == "json":
-        _emit(json.dumps([r.to_json() for r in rows], indent=2), args.out)
-    elif args.format == "csv":
-        lines = ["formula,n,status,note"]
-        lines += [f"{r.formula},{r.n},{r.status},\"{r.note}\"" for r in rows]
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = []
-        for r in rows:
-            line = f"{r.formula} n={r.n} {r.status}"
-            if r.note and r.status != formulas.EQUAL:
-                line += f" ({r.note})"
-            lines.append(line)
-            if r.status == formulas.MISMATCH and r.diff is not None:
-                lines.append(f"  diff: {r.diff}")
-        counts = {s: sum(1 for r in rows if r.status == s)
-                  for s in (formulas.EQUAL, formulas.MISMATCH, formulas.OUT_OF_STATED_RANGE)}
-        lines.append(
-            "summary: {EQUAL} EQUAL, {MISMATCH} MISMATCH, "
-            "{OUT_OF_STATED_RANGE} OUT_OF_STATED_RANGE".format(**counts)
-        )
-        _emit("\n".join(lines), args.out)
-    return 1 if mismatched else 0
+    lines = []
+    for r in rows:
+        line = f"{r.formula} n={r.n} {r.status}"
+        if r.note and r.status != formulas.EQUAL:
+            line += f" ({r.note})"
+        lines.append(line)
+        if r.status == formulas.MISMATCH and r.diff is not None:
+            lines.append(f"  diff: {r.diff}")
+    counts = {s: sum(1 for r in rows if r.status == s)
+              for s in (formulas.EQUAL, formulas.MISMATCH, formulas.OUT_OF_STATED_RANGE)}
+    lines.append(
+        "summary: {EQUAL} EQUAL, {MISMATCH} MISMATCH, "
+        "{OUT_OF_STATED_RANGE} OUT_OF_STATED_RANGE".format(**counts)
+    )
+    csv = ["formula,n,status,note"] + [f"{r.formula},{r.n},{r.status},\"{r.note}\"" for r in rows]
+    _render(args, rows, lines, csv)
+    return 1 if counts[formulas.MISMATCH] else 0
 
 
 def cmd_table(args) -> int:
@@ -291,26 +241,17 @@ def cmd_table(args) -> int:
         note = "inv computed on the absolute word"
     ordered = dict(sorted(counts.items()))
     total = sum(ordered.values())
-    if args.format == "json":
-        payload = {
-            "set": args.set,
-            "stat": args.stat,
-            "n": args.n,
-            "note": note,
-            "counts": {str(k): v for k, v in ordered.items()},
-            "total": total,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        lines = ["value,count"] + [f"{k},{v}" for k, v in ordered.items()]
-        _emit("\n".join(lines), args.out)
-    else:
-        lines = []
-        if note:
-            lines.append(f"# {note}")
-        lines += [f"{k} {v}" for k, v in ordered.items()]
-        lines.append(f"total {total}")
-        _emit("\n".join(lines), args.out)
+    payload = {
+        "set": args.set,
+        "stat": args.stat,
+        "n": args.n,
+        "note": note,
+        "counts": {str(k): v for k, v in ordered.items()},
+        "total": total,
+    }
+    lines = [f"# {note}"] if note else []
+    lines += [f"{k} {v}" for k, v in ordered.items()] + [f"total {total}"]
+    _render(args, payload, lines, ["value,count"] + [f"{k},{v}" for k, v in ordered.items()])
     return 0
 
 

@@ -322,12 +322,18 @@ class VerifyRow:
     note: str = ""
 
     def to_json(self) -> dict:
+        rhs = self.rhs.to_json()
+        # the two sides of an EQUAL row are one polynomial: render it once
+        if self.status == EQUAL:
+            lhs = rhs
+        else:
+            lhs = None if self.lhs is None else self.lhs.to_json()
         return {
             "formula": self.formula,
             "n": self.n,
             "status": self.status,
-            "lhs": None if self.lhs is None else self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
+            "lhs": lhs,
+            "rhs": rhs,
             "diff": None if self.diff is None else self.diff.to_json(),
             "note": self.note or None,
         }

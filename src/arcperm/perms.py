@@ -69,6 +69,11 @@ def descent_positions(word, signed: bool) -> tuple[int, ...]:
     return tuple([i for i in range(1, len(word)) if word[i - 1] > word[i]])
 
 
+def neg_positions(word) -> tuple[int, ...]:
+    """Positions i with word[i-1] < 0."""
+    return tuple([i for i, v in enumerate(word, 1) if v < 0])
+
+
 def abs_inv(word) -> int:
     """Inversions of the absolute word: each entry meets the larger values
     already seen, kept as the set bits of one integer."""
@@ -182,10 +187,10 @@ class _PermutationBase:
         return sum(descent_positions(self.word, self.signed))
 
     def neg_set(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.word, 1) if v < 0)
+        return frozenset(neg_positions(self.word))
 
     def neg(self) -> int:
-        return sum(1 for v in self.word if v < 0)
+        return len(neg_positions(self.word))
 
     def inv(self) -> int:
         """Inversions of the absolute word."""
@@ -194,6 +199,30 @@ class _PermutationBase:
     def sign(self) -> int:
         """The group-theoretic sign, (-1) ** (inv(|p|) + neg(p))."""
         return -1 if (self.inv() + self.neg()) % 2 else 1
+
+    def stats(self) -> StatProfile:
+        """Every statistic at once; an unsigned permutation is its all-positive
+        window, so its neg_set is empty, fmaj = 2 maj and fdes = 2 des."""
+        word = self.word
+        des = descent_positions(word, self.signed)
+        neg = neg_positions(word)
+        maj = sum(des)
+        inv = abs_inv(word)
+        sign_abs = -1 if inv % 2 else 1
+        neg_parity = -1 if len(neg) % 2 else 1
+        return StatProfile(
+            des_set=frozenset(des),
+            des=len(des),
+            maj=maj,
+            inv=inv,
+            neg_set=frozenset(neg),
+            neg=len(neg),
+            fmaj=2 * maj + len(neg),
+            fdes=2 * len(des) + (word[0] < 0),
+            sign=sign_abs * neg_parity,
+            sign_abs=sign_abs,
+            neg_parity=neg_parity,
+        )
 
 
 class Permutation(_PermutationBase):
@@ -219,32 +248,10 @@ class SignedPermutation(_PermutationBase):
     def fdes(self) -> int:
         return 2 * self.des() + (1 if self.word[0] < 0 else 0)
 
-    def stats(self) -> StatProfile:
-        des_set = self.descent_set()
-        neg_set = self.neg_set()
-        maj = sum(des_set)
-        neg = len(neg_set)
-        inv = self.inv()
-        sign_abs = -1 if inv % 2 else 1
-        neg_parity = -1 if neg % 2 else 1
-        return StatProfile(
-            des_set=des_set,
-            des=len(des_set),
-            maj=maj,
-            inv=inv,
-            neg_set=neg_set,
-            neg=neg,
-            fmaj=2 * maj + neg,
-            fdes=2 * len(des_set) + (1 if self.word[0] < 0 else 0),
-            sign=sign_abs * neg_parity,
-            sign_abs=sign_abs,
-            neg_parity=neg_parity,
-        )
-
 
 @dataclass(frozen=True)
 class StatProfile:
-    """All statistics of one signed permutation, bundled for table/JSON output."""
+    """All statistics of one permutation, bundled for table/JSON output."""
 
     des_set: frozenset[int]
     des: int
@@ -259,19 +266,8 @@ class StatProfile:
     neg_parity: int
 
     def as_dict(self) -> dict:
-        return {
-            "des_set": sorted(self.des_set),
-            "des": self.des,
-            "maj": self.maj,
-            "inv": self.inv,
-            "neg_set": sorted(self.neg_set),
-            "neg": self.neg,
-            "fmaj": self.fmaj,
-            "fdes": self.fdes,
-            "sign": self.sign,
-            "sign_abs": self.sign_abs,
-            "neg_parity": self.neg_parity,
-        }
+        """The fields in order, with the two sets as sorted lists."""
+        return {k: sorted(v) if isinstance(v, frozenset) else v for k, v in vars(self).items()}
 
 
 class Character(Enum):

@@ -36,7 +36,8 @@ from functools import reduce
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
-from .perms import Character, Permutation, SignedPermutation, abs_inv, descent_positions
+from .perms import (Character, Permutation, SignedPermutation, abs_inv, descent_positions,
+                    neg_positions)
 
 _NAME_RE = re.compile(r"^(?:[tquyz]|x(?:0|[1-9][0-9]*)|y[1-9][0-9]*)$")
 _BASE_ORDER = {"t": 0, "q": 1, "u": 2, "y": 3, "z": 4}
@@ -479,7 +480,7 @@ def enumerator(
         if flags and not signed:
             raise ValueError("flag statistics need signed permutations")
         des = descent_positions(word, signed) if want_des else ()
-        neg = tuple([i for i, v in enumerate(word, 1) if v < 0]) if want_neg else ()
+        neg = neg_positions(word) if want_neg else ()
         inv = abs_inv(word) if want_inv else 0
         if t_stat == "inv":
             t = inv

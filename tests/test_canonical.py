@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from arcperm.arcsets import is_arc, is_b_arc
+from arcperm.arcsets import generate_b_arc, is_arc, is_b_arc
 from arcperm.canonical import (
     ExponentVectorA,
     ExponentVectorB,
@@ -85,12 +85,12 @@ def test_round_trip_and_statistics_a():
 
 
 def test_round_trip_and_statistics_b():
-    for n in range(1, 5):
-        for p in hyperoctahedral(n):
-            e = decompose_B(p)
-            assert recompose_B(e) == p
-            assert fmaj_from_exponents(e) == p.fmaj()
-            assert is_b_arc_by_exponents(e) == is_b_arc(p)
+    small = itertools.chain.from_iterable(hyperoctahedral(n) for n in range(1, 5))
+    for p in itertools.chain(small, generate_b_arc(10)):
+        e = decompose_B(p)
+        assert recompose_B(e) == p
+        assert fmaj_from_exponents(e) == p.fmaj()
+        assert is_b_arc_by_exponents(e) == is_b_arc(p)
 
 
 def test_exponent_criteria():

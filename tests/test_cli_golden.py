@@ -2,7 +2,7 @@
 subcommand in every --format, against the recorded tests/golden/cli.json.
 
 The schema tests in test_cli.py say what the output means; this file says
-that a refactor changed none of it.  Re-record only for an intended output
+that a refactor changed none of it, on stdout and through --out.  Re-record only for an intended output
 change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -94,8 +94,14 @@ def test_fixture_covers_exactly_the_cases(golden):
 
 
 @pytest.mark.parametrize("argv", CASES, ids=_key)
-def test_cli_bytes(argv, golden):
-    assert _run(argv) == golden[_key(argv)]
+def test_cli_bytes(argv, golden, tmp_path):
+    want = golden[_key(argv)]
+    assert _run(argv) == want
+    if want["stdout"]:
+        # --out writes the same bytes to the file and nothing to stdout
+        out = tmp_path / "out.txt"
+        assert _run([*argv, "--out", str(out)]) == {**want, "stdout": ""}
+        assert out.read_text(encoding="utf-8") == want["stdout"]
 
 
 if __name__ == "__main__":

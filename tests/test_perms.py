@@ -239,3 +239,9 @@ def test_shared_statistics_match_the_definitions(word, flips):
         assert p.inv() == sum(abs(w[i]) > abs(w[j]) for i in range(n) for j in range(i + 1, n))
         assert p.neg_set() == {i for i, v in enumerate(w, 1) if v < 0}
         assert p.sign() == (-1) ** (p.inv() + p.neg())
+        s = p.stats()
+        assert (s.des_set, s.des, s.maj) == (p.descent_set(), p.des(), p.maj())
+        assert (s.inv, s.neg_set, s.neg, s.sign) == (p.inv(), p.neg_set(), p.neg(), p.sign())
+        assert s.sign == s.sign_abs * s.neg_parity
+        if p.signed:
+            assert (s.fmaj, s.fdes) == (p.fmaj(), p.fdes())
