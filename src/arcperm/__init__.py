@@ -6,6 +6,7 @@ import types as _types
 
 from .arcsets import (
     CircleOn,
+    Family,
     generate_arc,
     generate_b_arc,
     generate_hyperoctahedral,

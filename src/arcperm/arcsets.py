@@ -9,15 +9,20 @@ signs), and B-arc permutations (every suffix is an interval of the signed
 Each predicate is backed by a ``*_violation`` function that returns a
 human-readable description of the first definition failure, or None; the
 CLI uses these directly for diagnostics.
+
+``Family(name, n)`` holds each family's growth rule as a layered graph of
+interval states (``family_moves``): the generators list the words from it,
+and ``poly.enumerator`` walks it without building a word.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
-from .perms import Permutation, SignedPermutation
+from .perms import Permutation, SignedPermutation, b_order_key
 
 SYMMETRIC_LIMIT = 9
 HYPEROCTAHEDRAL_LIMIT = 7
@@ -158,7 +163,189 @@ def is_b_arc(p: SignedPermutation) -> bool:
     return b_arc_violation(p) is None
 
 
-# -- generators --------------------------------------------------------------
+# -- growth rules and families -------------------------------------------------
+#
+# Each family grows its words one entry at a time, left to right except for
+# B-arc, which grows right to left.  A rule gives the first entries and,
+# from a state, the (next state, value) moves in the generator's order.  The
+# state is the interval the placed entries occupy; it fixes which values may
+# come next.  ``family_moves`` runs a rule once per (family, n) and records
+# every move with the statistics it adds, and ``Family`` reads those tables
+# both to list the words and to walk the enumerator.
+
+
+def _arc_rule(n: int):
+    # state (lo, size): the prefix occupies the residues lo..lo+size-1 mod n;
+    # the lower-end extension comes before the upper-end one
+    def step(state, position):
+        lo, size = state
+        below, above = (lo - 1) % n, (lo + size) % n
+        moves = [((below, size + 1), below + 1)]
+        if above != below:
+            moves.append(((lo, size + 1), above + 1))
+        return moves
+
+    return [((v - 1, 1), v) for v in range(1, n + 1)], step
+
+
+def _left_unimodal_rule(n: int):
+    # state (lo, hi): the prefix occupies the values lo..hi; this is the arc
+    # rule with the extensions that wrap around skipped
+    def step(state, position):
+        lo, hi = state
+        moves = []
+        if lo > 1:
+            moves.append(((lo - 1, hi), lo - 1))
+        if hi < n:
+            moves.append(((lo, hi + 1), hi + 1))
+        return moves
+
+    return [((v, v), v) for v in range(1, n + 1)], step
+
+
+def _signed_arc_rule(n: int):
+    # the arc rule on absolute values; an interior entry is positive exactly
+    # when it extends the upper end (then |p(i)|-1 precedes it), and the
+    # first and last entries take either sign
+    starts, arc_step = _arc_rule(n)
+
+    def step(state, position):
+        moves = []
+        for after, a in arc_step(state, position):
+            if position == n:
+                moves += [(after, a), (after, -a)]
+            else:
+                moves.append((after, a if after[0] == state[0] else -a))
+        return moves
+
+    return [(state, s * v) for state, v in starts for s in (1, -1)], step
+
+
+def _b_arc_rule(n: int):
+    # state (lo, size): the suffix occupies the circle indices lo..lo+size-1
+    # mod 2n; starting points follow the circle order 1..n,-1..-n, and each
+    # earlier entry extends the low end first, then the high end
+    point = CircleOn(n).point
+
+    def step(state, position):
+        lo, size = state
+        below, above = (lo - 1) % (2 * n), (lo + size) % (2 * n)
+        return [((below, size + 1), point(below)), ((lo, size + 1), point(above))]
+
+    return [((i, 1), point(i)) for i in range(2 * n)], step
+
+
+_RULES = {
+    "arc": _arc_rule,
+    "left-unimodal": _left_unimodal_rule,
+    "signed-arc": _signed_arc_rule,
+    "b-arc": _b_arc_rule,
+}
+FAMILY_NAMES = tuple(_RULES)
+
+
+# One entry placed: (target, value, position, descent, inv).  target is the
+# index of the state it leads to in the next layer, value the entry,
+# position its 1-based position, descent the descent position it completes
+# (0 if none) and inv the inversions of the absolute word it completes.
+Move = tuple[int, int, int, int, int]
+
+
+@lru_cache(maxsize=64)
+def family_moves(name: str, n: int) -> tuple[tuple[tuple[Move, ...], ...], ...]:
+    """The growth of a family as a layered graph of n layers.
+
+    ``layers[k][s]`` lists the moves out of state s of layer k, in the
+    generator's order; layer 0 has one state, the empty word, and its moves
+    place the first entry.  A state is the rule's state, the set of placed
+    absolute values and the last entry placed: everything a later move or
+    statistic reads.  Descents compare in the order -1 < ... < -n < 1 < ... < n
+    (integer order on unsigned words), as ``perms.descent_positions`` does.
+    """
+    starts, step = _RULES[name](n)
+    leftward = name == "b-arc"
+    ids = {(None, 0, None): 0}
+    layers = []
+    for position in range(n, 0, -1) if leftward else range(1, n + 1):
+        following: dict = {}
+        layer = []
+        for state, placed, last in ids:
+            moves = []
+            for after, v in starts if state is None else step(state, position):
+                a = abs(v)
+                if last is None:
+                    descent = 0
+                elif leftward:  # v goes before last
+                    descent = position if b_order_key(v) > b_order_key(last) else 0
+                else:  # v goes after last
+                    descent = position - 1 if b_order_key(last) > b_order_key(v) else 0
+                # the absolute values v passes: smaller ones after it, larger before
+                passed = placed & ((1 << a) - 1) if leftward else placed >> a
+                target = following.setdefault((after, placed | 1 << a, v), len(following))
+                moves.append((target, v, position, descent, passed.bit_count()))
+            layer.append(tuple(moves))
+        layers.append(tuple(layer))
+        ids = following
+    return tuple(layers)
+
+
+class Family:
+    """One arc family at size n, as a lazy value.
+
+    ``len`` is the closed-form size; iterating yields exactly
+    ``generate_<name>(n)``, in the same order; ``moves()`` is the growth
+    graph that ``poly.enumerator`` walks instead of the words.
+    """
+
+    __slots__ = ("name", "n")
+
+    def __init__(self, name: str, n: int):
+        if name not in _RULES:
+            raise ValueError(f"unknown family {name!r}; choose from {', '.join(_RULES)}")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("n must be positive")
+        self.name, self.n = name, n
+
+    def __repr__(self) -> str:
+        return f"Family({self.name!r}, {self.n})"
+
+    @property
+    def signed(self) -> bool:
+        return self.name in ("signed-arc", "b-arc")
+
+    def __len__(self) -> int:
+        n = self.n
+        if self.name == "arc":
+            return n * 2 ** (n - 2) if n > 1 else 1
+        if self.name == "left-unimodal":
+            return 2 ** (n - 1)
+        return n * 2**n
+
+    def moves(self):
+        return family_moves(self.name, self.n)
+
+    def __iter__(self):
+        words = [((), 0)]
+        for layer in self.moves():
+            if self.name == "b-arc":
+                words = [((v,) + w, target) for w, s in words for target, v, _, _, _ in layer[s]]
+            else:
+                words = [(w + (v,), target) for w, s in words for target, v, _, _, _ in layer[s]]
+        words = [w for w, _ in words]
+        if self.name == "signed-arc":
+            # The generator's order has the two free signs innermost, the
+            # first entry's outside the last's, but the walk chooses the
+            # first entry's sign first.  So keep the words that start
+            # positive; each run of last-sign choices (two, or one at n = 1)
+            # is followed by the same run with the first entry negated.
+            positive = [w for w in words if w[0] > 0]
+            run = 2 if self.n > 1 else 1
+            words = []
+            for i in range(0, len(positive), run):
+                chunk = positive[i:i + run]
+                words += chunk + [(-w[0], *w[1:]) for w in chunk]
+        cls = SignedPermutation if self.signed else Permutation
+        return map(cls, words)
 
 
 def generate_arc(n: int) -> list[Permutation]:
@@ -167,20 +354,7 @@ def generate_arc(n: int) -> list[Permutation]:
     The order is deterministic: starting values ascending, then at each step
     the lower-end extension before the upper-end one.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    # states: (word, lo, size) with the prefix occupying residues lo..lo+size-1
-    states = [((v,), v - 1, 1) for v in range(1, n + 1)]
-    for _ in range(n - 1):
-        grown = []
-        for word, lo, size in states:
-            below = (lo - 1) % n
-            above = (lo + size) % n
-            grown.append((word + (below + 1,), below, size + 1))
-            if above != below:
-                grown.append((word + (above + 1,), lo, size + 1))
-        states = grown
-    return [Permutation(word) for word, _, _ in states]
+    return list(Family("arc", n))
 
 
 def generate_left_unimodal(n: int) -> list[Permutation]:
@@ -190,44 +364,14 @@ def generate_left_unimodal(n: int) -> list[Permutation]:
     This is ``generate_arc`` with the extensions that wrap around skipped,
     so the elements come in the same order as in the arc family.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    # states: (word, lo, hi) with the prefix occupying the values lo..hi
-    states = [((v,), v, v) for v in range(1, n + 1)]
-    for _ in range(n - 1):
-        grown = []
-        for word, lo, hi in states:
-            if lo > 1:
-                grown.append((word + (lo - 1,), lo - 1, hi))
-            if hi < n:
-                grown.append((word + (hi + 1,), lo, hi + 1))
-        states = grown
-    return [Permutation(word) for word, _, _ in states]
+    return list(Family("left-unimodal", n))
 
 
 def generate_signed_arc(n: int) -> list[SignedPermutation]:
     """All signed arc permutations: each arc permutation decorated with its
-    forced interior signs and free signs at the first and last positions."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return [SignedPermutation((1,)), SignedPermutation((-1,))]
-    out = []
-    for sigma in generate_arc(n):
-        w = sigma.word
-        interior = []
-        prefix: set[int] = set()
-        for i, a in enumerate(w, 1):
-            if 1 < i < n:
-                below = n if a == 1 else a - 1
-                interior.append(a if below in prefix else -a)
-            prefix.add(a)
-        for s_first in (1, -1):
-            for s_last in (1, -1):
-                out.append(
-                    SignedPermutation((s_first * w[0], *interior, s_last * w[-1]))
-                )
-    return out
+    forced interior signs and free signs at the first and last positions
+    (first-entry sign outer, last-entry sign inner)."""
+    return list(Family("signed-arc", n))
 
 
 def generate_b_arc(n: int) -> list[SignedPermutation]:
@@ -236,21 +380,7 @@ def generate_b_arc(n: int) -> list[SignedPermutation]:
     Starting points follow the circle order 1..n,-1..-n; each earlier entry
     extends the suffix interval at the low end first, then at the high end.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    circle = CircleOn(n)
-    size2n = 2 * n
-    # states: (word, lo, size) with the suffix occupying circle indices lo..lo+size-1
-    states = [((circle.point(i),), i, 1) for i in range(size2n)]
-    for _ in range(n - 1):
-        grown = []
-        for word, lo, size in states:
-            below = (lo - 1) % size2n
-            above = (lo + size) % size2n
-            grown.append(((circle.point(below),) + word, below, size + 1))
-            grown.append(((circle.point(above),) + word, lo, size + 1))
-        states = grown
-    return [SignedPermutation(word) for word, _, _ in states]
+    return list(Family("b-arc", n))
 
 
 def generate_symmetric(n: int, limit: int = SYMMETRIC_LIMIT) -> list[Permutation]:

@@ -1,11 +1,15 @@
-"""Closed-form enumerators for the arc families, with brute-force verifiers.
+"""Closed-form enumerators for the arc families, with verifiers.
 
 Every rational display is implemented in cleared polynomial form; the one
 genuine denominator (the fdes/fmaj enumerator on B-arc permutations) is
 realized through exact division with a remainder-zero assertion.  The
 registry pairs each closed form with the matching statistic weights and
-generated set, and ``verify`` reports EQUAL / MISMATCH /
-OUT_OF_STATED_RANGE rows with difference polynomials.
+family, and ``verify`` reports EQUAL / MISMATCH / OUT_OF_STATED_RANGE rows
+with difference polynomials.  The truth side is ``enumerator`` on an
+``arcsets.Family``: a transfer-matrix walk over the family's growth states,
+checked against brute force in tier-1.  It yields the same polynomial as
+the brute-force sum over every word, so a row's note still calls its rhs
+the brute-force value.
 
 Two univariate specializations are only evaluated from n = 3 on, because
 their printed forms carry the factor (1+t)^(n-3) or (1+t^2)^(n-3); below
@@ -20,14 +24,10 @@ nonzero difference as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from .arcsets import (
-    generate_arc,
-    generate_b_arc,
-    generate_left_unimodal,
-    generate_signed_arc,
-)
+from .arcsets import FAMILY_NAMES, Family
 from .perms import Character
 from .poly import (
     SparsePolynomial,
@@ -290,12 +290,7 @@ EQUAL = "EQUAL"
 MISMATCH = "MISMATCH"
 OUT_OF_STATED_RANGE = "OUT_OF_STATED_RANGE"
 
-_FAMILIES = {
-    "arc": generate_arc,
-    "left-unimodal": generate_left_unimodal,
-    "signed-arc": generate_signed_arc,
-    "b-arc": generate_b_arc,
-}
+_FAMILIES = {name: partial(Family, name) for name in FAMILY_NAMES}
 
 
 @dataclass(frozen=True)
@@ -475,11 +470,14 @@ def formula_names(include_hidden: bool = False) -> list[str]:
 
 
 def verify_formula(name, ns, set_cache: dict | None = None) -> list[VerifyRow]:
-    """Compare closed form against the brute-force enumerator for each n.
+    """Compare closed form against the enumerator for each n.
 
-    Rows outside the claimed range are marked OUT_OF_STATED_RANGE and never
-    fail; when the formula is still evaluable there, both sides and their
-    difference are included as evidence.
+    The truth side walks the family's growth states (a transfer-matrix
+    walk, checked against brute force in tier-1); ``set_cache`` keeps one
+    ``Family`` per (family, n) across calls.  Rows outside the claimed range
+    are marked OUT_OF_STATED_RANGE and never fail; when the formula is still
+    evaluable there, both sides and their difference are included as
+    evidence.
     """
     entry = REGISTRY[name] if isinstance(name, str) else name
     if set_cache is None:

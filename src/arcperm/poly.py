@@ -23,8 +23,12 @@ Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
 additions; a substitution is one pass over the terms; an exact division of a
 T-term polynomial by a D-term divisor takes O(R * D * log(R * D)) for R
 reduction steps, picking each leading term from a heap.  The weighted
-``enumerator`` reads each word once, at O(n) per element (inv adds O(n^2)
-bit work), and builds one key per distinct statistic key, not per element.
+``enumerator`` over an ``arcsets.Family`` is a transfer-matrix walk over the
+family's O(n^2) growth states, checked against brute force in tier-1: each
+of the O(n^2) moves shifts one state's term map by one key and a sign, so
+the cost is moves times terms per state and no word is built.  Over any
+other iterable it reads each word once, at O(n) per element (inv adds
+O(n^2) bit work), and builds one key per distinct statistic key.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from functools import reduce
 from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
+from .arcsets import Family
 from .perms import (Character, Permutation, SignedPermutation, abs_inv, descent_positions,
                     neg_positions)
 
@@ -461,15 +466,20 @@ def enumerator(
 ) -> SparsePolynomial:
     """Sum of weight monomials over the given permutations.
 
-    One pass over the elements: each word is read once, and only the
-    statistics the spec asks for are computed.  Elements are counted by
-    (t exponent, q exponent, descent positions, negative positions), with
-    the character value folded into the count, and one packed monomial is
-    built per distinct key at the end.
+    Given an ``arcsets.Family``, this walks the family's growth graph
+    (``_walk``) and never builds a word.  Any other iterable takes one pass:
+    each word is read once, and only the statistics the spec asks for are
+    computed.  Elements are counted by (t exponent, q exponent, descent
+    positions, negative positions), with the character value folded into
+    the count, and one packed monomial is built per distinct key at the end.
     """
     t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
     descent_vars, neg_vars = spec.descent_vars, spec.neg_vars
     flags = t_stat == "fdes" or q_stat == "fmaj" or neg_vars
+    if isinstance(elements, Family):
+        if flags and not elements.signed:
+            raise ValueError("flag statistics need signed permutations")
+        return _walk(elements, spec)
     want_des = descent_vars or t_stat in ("des", "fdes") or q_stat is not None
     want_neg = q_stat == "fmaj" or neg_vars or chi in (Character.SIGN, Character.NEG_PARITY)
     want_inv = t_stat == "inv" or chi in (Character.SIGN, Character.SIGN_ABS)
@@ -505,3 +515,64 @@ def enumerator(
             mono += sum(1 << _SHIFTS[f"x{i}"] for i in des)
             terms[mono + sum(1 << _SHIFTS[f"y{i}"] for i in neg)] = coeff
     return SparsePolynomial(terms)
+
+
+def _walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
+    """The enumerator as a transfer-matrix walk over the family's growth.
+
+    Every statistic the spec can ask for is a sum of per-move parts: a
+    descent the move completes adds 1 to des, 2 to fdes, its position to
+    maj, twice that to fmaj and x_position; a negative entry adds 1 to fmaj
+    and y_position, and 1 to fdes at position 1; inv adds the move's
+    inversions.  Characters read only the parities of inv and neg, so each
+    move contributes a sign.  So a layer is one {packed monomial: coeff}
+    map per state, and a move shifts its state's map by one key and a sign.
+    The work is (moves) x (terms per state) instead of (elements) x n.
+    """
+    t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
+    descent_vars, neg_vars = spec.descent_vars, spec.neg_vars
+
+    def weigh(move) -> tuple[int, Monomial, int]:
+        target, value, position, descent, inv = move
+        neg = value < 0
+        if t_stat == "inv":
+            t = inv
+        elif t_stat == "des":
+            t = descent > 0
+        elif t_stat == "fdes":
+            t = 2 * (descent > 0) + (neg and position == 1)
+        else:
+            t = 0
+        if q_stat == "maj":
+            q = descent
+        elif q_stat == "fmaj":
+            q = 2 * descent + neg
+        else:
+            q = 0
+        key = (_power("t", t) if t else 0) + (_power("q", q) if q else 0)
+        if descent_vars and descent:
+            key += 1 << _SHIFTS[f"x{descent}"]
+        if neg_vars and neg:
+            key += 1 << _SHIFTS[f"y{position}"]
+        return target, key, 1 if chi is None else chi.of_stats(inv, neg)
+
+    states: dict[int, dict[Monomial, int]] = {0: {0: 1}}  # the empty word
+    for layer in family.moves():
+        following: dict[int, dict[Monomial, int]] = {}
+        for state, terms in states.items():
+            items = terms.items()
+            for target, key, sign in map(weigh, layer[state]):
+                acc = following.get(target)
+                if acc is None:
+                    following[target] = {m + key: sign * c for m, c in items}
+                    continue
+                get = acc.get
+                for m, c in items:
+                    m += key
+                    acc[m] = get(m, 0) + sign * c
+        states = following
+    total: dict[Monomial, int] = {}
+    for terms in states.values():
+        for m, c in terms.items():
+            total[m] = total.get(m, 0) + c
+    return SparsePolynomial(_checked(total))

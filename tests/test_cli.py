@@ -2,7 +2,7 @@
 
 import json
 
-from arcperm.cli import main
+from arcperm.cli import VERIFY_LIMIT, main
 
 
 def run(capsys, *argv):
@@ -149,12 +149,13 @@ def test_verify_unknown_formula(capsys):
 
 
 def test_verify_guard_and_force(capsys):
-    code, out, err = run(capsys, "verify", "--formula", "f_L_des_set", "--n-max", "13")
+    n = VERIFY_LIMIT + 1
+    code, out, err = run(capsys, "verify", "--formula", "f_L_des_set", "--n-max", str(n))
     assert code == 2 and out == ""
     assert "guard" in err and "--force" in err
-    code, out, err = run(capsys, "verify", "--formula", "f_L_des_set", "--n-max", "13", "--force")
+    code, out, err = run(capsys, "verify", "--formula", "f_L_des_set", "--n-max", str(n), "--force")
     assert code == 0 and "warning" in err
-    assert "summary: 13 EQUAL, 0 MISMATCH, 0 OUT_OF_STATED_RANGE" in out
+    assert f"summary: {n} EQUAL, 0 MISMATCH, 0 OUT_OF_STATED_RANGE" in out
 
 
 def test_errors_are_json_under_json_format(capsys):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from arcperm.cli import main
+from arcperm.cli import VERIFY_LIMIT, main
 
 FIXTURE = Path(__file__).parent / "golden" / "cli.json"
 FORMATS = ("lines", "csv", "json")
@@ -65,7 +65,7 @@ def _cases():
         yield ["decompose", "--group", "B", "--perm", "[1,-1]", "--format", fmt]
         yield ["verify", "--formula", "nosuch", "--format", fmt]
         yield ["verify", "--formula", "all", "--n-max", "0", "--format", fmt]
-        yield ["verify", "--formula", "all", "--n-max", "13", "--format", fmt]
+        yield ["verify", "--formula", "all", "--n-max", str(VERIFY_LIMIT + 1), "--format", fmt]
         yield ["enumerate", "--set", "arc", "--n", "13", "--format", fmt]
         yield ["enumerate", "--set", "sym", "--n", "0", "--format", fmt]
 

@@ -1,0 +1,132 @@
+"""Differential tests: the transfer-matrix walk against the word loop.
+
+``enumerator(Family(f, n), spec)`` walks the family's growth graph;
+``enumerator(generate_f(n), spec)`` reads every word.  The two must give
+the same polynomial, compared by ``str`` and ``to_json``.  The word loop is
+itself checked against a per-element reference in test_enumerator_oracle.
+"""
+
+import hashlib
+
+import pytest
+
+from arcperm.arcsets import (
+    FAMILY_NAMES,
+    Family,
+    generate_arc,
+    generate_b_arc,
+    generate_left_unimodal,
+    generate_signed_arc,
+)
+from arcperm.formulas import EQUAL, REGISTRY, verify_formula
+from arcperm.poly import WeightSpec, enumerator
+from helpers import hyperoctahedral, symmetric
+from test_enumerator_oracle import SPECS, assert_same, needs_flags
+
+GENERATORS = {
+    "arc": generate_arc,
+    "left-unimodal": generate_left_unimodal,
+    "signed-arc": generate_signed_arc,
+    "b-arc": generate_b_arc,
+}
+
+# sha256 over repr([list(word) for word in family]) for n = 1..10, recorded
+# from the generators before they read the growth tables: the order is part
+# of the contract (``arcperm enumerate`` prints it)
+ORDER_DIGESTS = {
+    "arc": "ad042b6e6dadbb53e75ec1714fbda5aa7ce68f98531a80829dcdd37200be2da5",
+    "left-unimodal": "f9182a8901308163703bcd4fc4745a82ba3914d9cc48f53e6e9d52afce650d5f",
+    "signed-arc": "af6381b7abd2dc1d4c551c552bc73056ce517b13ae01e7536f1bc88fccf4dd9e",
+    "b-arc": "b4d72d90f724c1135f0c01a2bbb993aec07270d05ae36ab2beefeea5b1d6a23f",
+}
+
+
+def walk_and_words(family, n, spec):
+    """Both sides, or ("ValueError", message) for a side that raises."""
+    sides = []
+    for elements in (Family(family, n), GENERATORS[family](n)):
+        try:
+            sides.append(enumerator(elements, spec))
+        except ValueError as exc:
+            sides.append(("ValueError", str(exc)))
+    return sides
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_entries_walk_equals_word_loop(name):
+    entry = REGISTRY[name]
+    for n in range(1, 10):
+        walked, looped = walk_and_words(entry.family, n, entry.weights)
+        assert_same(walked, looped)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_every_spec_on_every_family(family):
+    signed = family in ("signed-arc", "b-arc")
+    for n in range(1, 6):
+        for spec in SPECS:
+            walked, looped = walk_and_words(family, n, spec)
+            if needs_flags(spec) and not signed:
+                want = ("ValueError", "flag statistics need signed permutations")
+                assert walked == looped == want, (n, spec)
+            else:
+                assert_same(walked, looped)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_edge_sizes_are_whole_groups(n):
+    # At n <= 2 position 1 is the last position or next to it, every sign is
+    # free, and each family is all of S_n or B_n: the walk must match the
+    # word loop over the whole group, which shares no code with the tables.
+    for spec in SPECS:
+        for family in ("signed-arc", "b-arc"):
+            assert_same(enumerator(Family(family, n), spec), enumerator(hyperoctahedral(n), spec))
+        if not needs_flags(spec):
+            for family in ("arc", "left-unimodal"):
+                assert_same(enumerator(Family(family, n), spec), enumerator(symmetric(n), spec))
+
+
+def test_edge_size_values():
+    fdes_fmaj = WeightSpec(t_stat="fdes", q_stat="fmaj")
+    assert str(enumerator(Family("signed-arc", 1), fdes_fmaj)) == "1 + t*q"
+    assert str(enumerator(Family("b-arc", 1), WeightSpec(neg_vars=True))) == "1 + y1"
+    # all 8 elements of B_2; see docs/DECISIONS.md section 1
+    assert str(enumerator(Family("signed-arc", 2), fdes_fmaj)) == (
+        "1 + 2*t*q + t*q^2 + t^2*q^2 + 2*t^2*q^3 + t^3*q^4")
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_iteration_is_the_generator(family):
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        fam = Family(family, n)
+        words = list(fam)
+        assert words == GENERATORS[family](n)
+        assert len(fam) == len(words) == len(set(words))
+        digest.update(repr([list(p.word) for p in words]).encode())
+    assert digest.hexdigest() == ORDER_DIGESTS[family]
+
+
+def test_family_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="positive"):
+        Family("arc", 0)
+    with pytest.raises(ValueError, match="unknown family"):
+        Family("sym", 3)
+    with pytest.raises(ValueError, match="positive"):
+        generate_b_arc(-1)
+
+
+# the identities in t, q and a character only: their output grows
+# polynomially in n, so the walk verifies them far past n = 12
+TQ_IDENTITIES = [
+    name for name, entry in REGISTRY.items()
+    if not (entry.hidden or entry.weights.descent_vars or entry.weights.neg_vars)
+]
+
+
+def test_tq_identities_verify_past_the_old_exhaustive_limit():
+    # about 1.3 s on a 2-vCPU VM; the word loop would read 20 * 2**20 b-arc words
+    assert len(TQ_IDENTITIES) == 16
+    for name in TQ_IDENTITIES:
+        rows = verify_formula(name, [20])
+        assert [(r.n, r.status) for r in rows] == [(20, EQUAL)], name
