@@ -91,12 +91,49 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2, default=lambda obj: obj.to_json())`` byte
+    for byte; TypeError for a float, a non-str key or no ``to_json``.  A list
+    met again at one depth (an EQUAL row's lhs and rhs) repeats its first text."""
+    out, memo = [], {}  # memo: (id, depth) -> (text, list); holding the list keeps its id unique
+
+    def write(obj, depth: int, encode=json.encoder.encode_basestring_ascii):
+        if isinstance(obj, str):
+            out.append(encode(obj))
+        elif obj is None or isinstance(obj, int):  # bool is an int: test it first
+            out.append("null" if obj is None else "true" if obj is True
+                       else "false" if obj is False else int.__repr__(obj))
+        elif isinstance(obj, (list, tuple)):
+            key = id(obj), depth
+            if key not in memo:
+                start, sep = len(out), "\n" + "  " * (depth + 1)
+                for i, item in enumerate(obj):
+                    out.append(("," if i else "[") + sep)
+                    write(item, depth + 1)
+                out.append(sep[:-2] + "]" if obj else "[]")
+                memo[key] = "".join(out[start:]), obj
+                del out[start:]
+            out.append(memo[key][0])
+        elif isinstance(obj, dict):
+            sep = "\n" + "  " * (depth + 1)
+            for i, (name, value) in enumerate(obj.items()):  # encode(name) rejects non-str
+                out.append(("," if i else "{") + sep + encode(name) + ": ")
+                write(value, depth + 1)
+            out.append(sep[:-2] + "}" if obj else "{}")
+        elif hasattr(obj, "to_json"):
+            write(obj.to_json(), depth)
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    write(payload, 0)
+    return "".join(out)
+
+
 def _render(args, payload, lines: list[str], csv: list[str]):
-    """Write one record in args.format: the payload as indented JSON (an
-    object in it with a ``to_json`` method is converted when it is reached),
+    """Write one record in args.format: the payload as JSON (see ``_dumps``),
     else the lines or the csv rows."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, default=lambda obj: obj.to_json())
+        text = _dumps(payload)
     else:
         text = "\n".join(csv if args.format == "csv" else lines)
     _emit(text, args.out)

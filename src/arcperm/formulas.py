@@ -318,7 +318,7 @@ class VerifyRow:
 
     def to_json(self) -> dict:
         rhs = self.rhs.to_json()
-        # the two sides of an EQUAL row are one polynomial: render it once
+        # an EQUAL row's sides share one term list, which the CLI formats once
         if self.status == EQUAL:
             lhs = rhs
         else:
@@ -489,7 +489,7 @@ def verify_formula(name, ns, set_cache: dict | None = None) -> list[VerifyRow]:
             set_cache[key] = _FAMILIES[entry.family](n)
         rhs = enumerator(set_cache[key], entry.weights)
         lhs = entry.build(n) if n >= entry.evaluable_from else None
-        diff = None if lhs is None else lhs - rhs
+        diff = None if lhs is None else const(0) if lhs == rhs else lhs - rhs
         if not entry.claimed(n):
             note = f"stated validity is {entry.claim_text}"
             if entry.note:

@@ -207,13 +207,16 @@ class SparsePolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            _add_term(terms, mono, -coeff)
+        return SparsePolynomial(terms)
 
     def __rsub__(self, other) -> SparsePolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> SparsePolynomial:
         other = _coerce(other)

@@ -6,14 +6,21 @@ that a refactor changed none of it, on stdout and through --out.  Re-record only
 change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+and replay the fixture without pytest (on any supported Python) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
+which lists each case that differs and exits 1 if any does.
 """
 
 import contextlib
+import functools
 import io
 import json
+import sys
+import tempfile
 from pathlib import Path
-
-import pytest
 
 from arcperm.cli import VERIFY_LIMIT, main
 
@@ -47,6 +54,9 @@ def _cases():
             yield ["decompose", "--group", "B", "--perm", perm, "--format", fmt]
         yield ["verify", "--formula", "all", "--n-max", "1" if fmt == "json" else "2",
                "--format", fmt]
+        if fmt == "json":
+            # EQUAL rows, whose lhs and rhs are one shared term list
+            yield ["verify", "--formula", "all", "--n-max", "4", "--format", fmt]
         for formula in ("f_AB_fdes_fmaj", "negative-control"):
             yield ["verify", "--formula", formula, "--n-max", "3", "--format", fmt]
         # every stat on every set in one format, a sample in the others; the
@@ -84,18 +94,24 @@ def _run(argv):
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-@pytest.fixture(scope="module")
-def golden():
+@functools.cache
+def _golden() -> dict:
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-def test_fixture_covers_exactly_the_cases(golden):
-    assert sorted(golden) == sorted(_key(argv) for argv in CASES)
+def pytest_generate_tests(metafunc):
+    # parametrized here rather than by decorator, so that the module imports
+    # without pytest for the --check replay
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", CASES, ids=_key)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=_key)
-def test_cli_bytes(argv, golden, tmp_path):
-    want = golden[_key(argv)]
+def test_fixture_covers_exactly_the_cases():
+    assert sorted(_golden()) == sorted(_key(argv) for argv in CASES)
+
+
+def test_cli_bytes(argv, tmp_path):
+    want = _golden()[_key(argv)]
     assert _run(argv) == want
     if want["stdout"]:
         # --out writes the same bytes to the file and nothing to stdout
@@ -104,7 +120,35 @@ def test_cli_bytes(argv, golden, tmp_path):
         assert out.read_text(encoding="utf-8") == want["stdout"]
 
 
+def _check() -> int:
+    """Replay every case as test_cli_bytes does; 1 if any case differs."""
+    golden = _golden()
+    keys = {_key(argv) for argv in CASES}
+    bad = [f"{key}: {'missing from' if key in keys else 'not a case of'} the fixture"
+           for key in sorted(keys ^ golden.keys())]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.txt"
+        for argv in CASES:
+            want = golden.get(_key(argv))
+            if want is None:
+                continue
+            if _run(argv) != want:
+                bad.append(f"{_key(argv)}: stdout, stderr or exit code differs")
+            elif want["stdout"] and (_run([*argv, "--out", str(out)]) != {**want, "stdout": ""}
+                                     or out.read_text(encoding="utf-8") != want["stdout"]):
+                bad.append(f"{_key(argv)}: --out differs")
+    for line in bad:
+        print(line)
+    print(f"replayed {len(CASES)} cases on Python {sys.version.split()[0]}: "
+          f"{len(bad)} differ")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        raise SystemExit(_check())
+    if sys.argv[1:]:
+        raise SystemExit(f"usage: {sys.argv[0]} [--check]")
     FIXTURE.parent.mkdir(exist_ok=True)
     record = {_key(argv): _run(argv) for argv in CASES}
     FIXTURE.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n", encoding="utf-8")

@@ -147,6 +147,9 @@ def test_ring_operations_match_reference(a, b, k):
     assert_same(pa + pb, ra + rb)
     assert_same(pa * pb, ra * rb)
     assert_same(pa**k, ra**k)
+    neg_b = Ref({m: -c for m, c in rb.terms.items()})
+    assert_same(pa - pb, ra + neg_b)
+    assert_same(k - pb, Ref({frozenset(): k}) + neg_b)
 
 
 @given(_terms(4, exps=_near_limit), _terms(4, exps=_near_limit))
