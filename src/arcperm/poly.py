@@ -26,15 +26,19 @@ reduction steps, picking each leading term from a heap.  The weighted
 ``enumerator`` over an ``arcsets.Family`` is a transfer-matrix walk over the
 family's O(n^2) growth states, checked against brute force in tier-1: each
 of the O(n^2) moves shifts one state's term map by one key and a sign, so
-the cost is moves times terms per state and no word is built.  Over any
-other iterable it reads each word once, at O(n) per element (inv adds
-O(n^2) bit work), and builds one key per distinct statistic key.
+the cost is moves times terms per state and no word is built.  In t, q and a
+character only, a state is one int with a fixed-width slot per term, and a
+move is one big-int shift and add.  Over any other iterable it reads each
+word once, at O(n) per element (inv adds O(n^2) bit work), and builds one
+key per distinct statistic key.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
+import struct
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
@@ -528,14 +532,25 @@ def _walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
     maj, twice that to fmaj and x_position; a negative entry adds 1 to fmaj
     and y_position, and 1 to fdes at position 1; inv adds the move's
     inversions.  Characters read only the parities of inv and neg, so each
-    move contributes a sign.  So a layer is one {packed monomial: coeff}
-    map per state, and a move shifts its state's map by one key and a sign.
-    The work is (moves) x (terms per state) instead of (elements) x n.
+    move contributes a sign.  So a layer holds one value per state, and a
+    move adds its state's value, shifted by its weight and times its sign,
+    to its target: a {packed monomial: coeff} map with x or y variables,
+    else one int (``_packed_walk``).  The work is (moves) x (size of a value)
+    instead of (elements) x n.
     """
+    layers = _weighed(family, spec)
+    if spec.descent_vars or spec.neg_vars:
+        return _dict_walk(layers)
+    return _packed_walk(layers)
+
+
+def _weighed(family: Family, spec: WeightSpec) -> list:
+    """``family.moves()`` with each move as (target, t, q, xy, sign), xy the
+    key of its x and y variables."""
     t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
     descent_vars, neg_vars = spec.descent_vars, spec.neg_vars
 
-    def weigh(move) -> tuple[int, Monomial, int]:
+    def weigh(move) -> tuple[int, int, int, Monomial, int]:
         target, value, position, descent, inv = move
         neg = value < 0
         if t_stat == "inv":
@@ -552,19 +567,23 @@ def _walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
             q = 2 * descent + neg
         else:
             q = 0
-        key = (_power("t", t) if t else 0) + (_power("q", q) if q else 0)
-        if descent_vars and descent:
-            key += 1 << _SHIFTS[f"x{descent}"]
+        xy = 1 << _SHIFTS[f"x{descent}"] if descent_vars and descent else 0
         if neg_vars and neg:
-            key += 1 << _SHIFTS[f"y{position}"]
-        return target, key, 1 if chi is None else chi.of_stats(inv, neg)
+            xy += 1 << _SHIFTS[f"y{position}"]
+        return target, t, q, xy, 1 if chi is None else chi.of_stats(inv, neg)
 
+    return [[list(map(weigh, moves)) for moves in layer] for layer in family.moves()]
+
+
+def _dict_walk(layers: list) -> SparsePolynomial:
+    """The walk with one {packed monomial: coeff} map per state."""
     states: dict[int, dict[Monomial, int]] = {0: {0: 1}}  # the empty word
-    for layer in family.moves():
+    for layer in layers:
         following: dict[int, dict[Monomial, int]] = {}
         for state, terms in states.items():
             items = terms.items()
-            for target, key, sign in map(weigh, layer[state]):
+            for target, t, q, xy, sign in layer[state]:
+                key = (_power("t", t) if t else 0) + (_power("q", q) if q else 0) + xy
                 acc = following.get(target)
                 if acc is None:
                     following[target] = {m + key: sign * c for m, c in items}
@@ -579,3 +598,62 @@ def _walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
         for m, c in terms.items():
             total[m] = total.get(m, 0) + c
     return SparsePolynomial(_checked(total))
+
+
+def _packed_walk(layers: list) -> SparsePolynomial:
+    """The walk with one int per state: t^a q^b is its W-bit slot
+    a * (Dq + 1) + b, an exact evaluation at powers of 2^W.  A first pass over
+    the moves finds Dt and Dq, the largest exponents on any path, and W from
+    the number of paths, which bounds every coefficient (docs/DECISIONS.md §6).
+    """
+    reach = {0: (1, 0, 0)}  # state -> (paths into it, largest t, largest q)
+    for layer in layers:
+        following: dict[int, tuple[int, int, int]] = {}
+        for state, (paths, top_t, top_q) in reach.items():
+            for target, t, q, _, _ in layer[state]:
+                p, a, b = following.get(target, (0, 0, 0))
+                t += top_t
+                q += top_q
+                following[target] = (p + paths, a if a > t else t, b if b > q else q)
+        reach = following
+    _, top_t, top_q = map(max, zip(*reach.values()))
+    stride, width = top_q + 1, _slot_width(sum(p for p, _, _ in reach.values()))
+    states = {0: 1}
+    for layer in layers:
+        following = {}
+        for state, value in states.items():
+            for target, t, q, _, sign in layer[state]:
+                part = value << (t * stride + q) * width
+                acc = following.get(target)
+                if acc is None:
+                    following[target] = part if sign > 0 else -part
+                else:
+                    following[target] = acc + part if sign > 0 else acc - part
+        states = following
+    coeffs = _unpack(sum(states.values()), (top_t + 1) * stride, width)
+    ts, qs = _SHIFTS["t"], _SHIFTS["q"]
+    return SparsePolynomial(_checked({(i // stride << ts) + (i % stride << qs): c
+                                      for i, c in enumerate(coeffs) if c}))
+
+
+def _slot_width(paths: int) -> int:
+    """Whole bytes of bits for any coefficient of size <= paths, and a spare."""
+    return 8 * ((paths.bit_length() + 2 + 7) // 8)
+
+
+_CASTS = {8 * struct.calcsize(code): code for code in "BHIQ"}
+
+
+def _unpack(packed: int, slots: int, width: int) -> list[int]:
+    """The balanced ``width``-bit slots of ``packed``, lowest first, read in
+    linear time; OverflowError if the top slot is outside [-2^(width-1),
+    2^(width-1)).  Half a slot added to each slot makes every slot a digit."""
+    size = width // 8
+    half = 1 << width - 1
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    data = (packed + offset).to_bytes(size * slots, "little")
+    if width in _CASTS and sys.byteorder == "little":
+        digits = memoryview(data).cast(_CASTS[width])
+    else:
+        digits = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    return [d - half for d in digits]

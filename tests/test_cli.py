@@ -2,7 +2,8 @@
 
 import json
 
-from arcperm.cli import VERIFY_LIMIT, main
+from arcperm.cli import VERIFY_LIMIT, VERIFY_TQ_LIMIT, main
+from arcperm.formulas import REGISTRY, formula_names
 
 
 def run(capsys, *argv):
@@ -156,6 +157,27 @@ def test_verify_guard_and_force(capsys):
     code, out, err = run(capsys, "verify", "--formula", "f_L_des_set", "--n-max", str(n), "--force")
     assert code == 0 and "warning" in err
     assert f"summary: {n} EQUAL, 0 MISMATCH, 0 OUT_OF_STATED_RANGE" in out
+    # an identity in t, q and a character only has its own, larger guard
+    code, out, err = run(capsys, "verify", "--formula", "f_A_maj", "--n-max", str(n))
+    assert code == 0 and err == ""
+    assert f"summary: {n - 1} EQUAL, 0 MISMATCH, 1 OUT_OF_STATED_RANGE" in out
+    n = VERIFY_TQ_LIMIT + 1
+    code, out, err = run(capsys, "verify", "--formula", "f_A_maj", "--n-max", str(n))
+    assert code == 2 and out == ""
+    assert err == f"error: n={n} exceeds the guard {VERIFY_TQ_LIMIT} for f_A_maj (use --force)\n"
+
+
+def test_verify_guard_names_every_identity_over_its_limit(capsys):
+    n = VERIFY_TQ_LIMIT + 1
+    code, out, err = run(capsys, "verify", "--formula", "all", "--n-max", str(n))
+    assert code == 2 and out == ""
+    xy, tq = [], []
+    for name in formula_names():
+        weights = REGISTRY[name].weights
+        (xy if weights.descent_vars or weights.neg_vars else tq).append(name)
+    assert len(xy) == 8 and len(tq) == 16
+    assert err == (f"error: n={n} exceeds the guard {VERIFY_LIMIT} for {', '.join(xy)}; "
+                   f"the guard {VERIFY_TQ_LIMIT} for {', '.join(tq)} (use --force)\n")
 
 
 def test_errors_are_json_under_json_format(capsys):

@@ -4,12 +4,15 @@
 ``enumerator(generate_f(n), spec)`` reads every word.  The two must give
 the same polynomial, compared by ``str`` and ``to_json``.  The word loop is
 itself checked against a per-element reference in test_enumerator_oracle.
+Specs in t, q and a character only walk one packed int per state; that walk
+is checked against the dict walk, which keeps a term map per state.
 """
 
 import hashlib
 
 import pytest
 
+from arcperm import poly
 from arcperm.arcsets import (
     FAMILY_NAMES,
     Family,
@@ -19,7 +22,8 @@ from arcperm.arcsets import (
     generate_signed_arc,
 )
 from arcperm.formulas import EQUAL, REGISTRY, verify_formula
-from arcperm.poly import WeightSpec, enumerator
+from arcperm.poly import (WeightSpec, _dict_walk, _packed_walk, _slot_width, _unpack, _weighed,
+                          enumerator)
 from helpers import hyperoctahedral, symmetric
 from test_enumerator_oracle import SPECS, assert_same, needs_flags
 
@@ -125,8 +129,60 @@ TQ_IDENTITIES = [
 
 
 def test_tq_identities_verify_past_the_old_exhaustive_limit():
-    # about 1.3 s on a 2-vCPU VM; the word loop would read 20 * 2**20 b-arc words
+    # about 0.8 s on a 2-vCPU VM with the packed walk (4.5 s with the dict
+    # walk); the word loop would read 30 * 2**30 b-arc words
     assert len(TQ_IDENTITIES) == 16
     for name in TQ_IDENTITIES:
-        rows = verify_formula(name, [20])
-        assert [(r.n, r.status) for r in rows] == [(20, EQUAL)], name
+        rows = verify_formula(name, [30])
+        assert [(r.n, r.status) for r in rows] == [(30, EQUAL)], name
+
+
+# -- the packed walk (one int per state) against the dict walk -----------------
+
+XY_FREE = [spec for spec in SPECS if not (spec.descent_vars or spec.neg_vars)]
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_packed_walk_equals_dict_walk(family):
+    signed = family in ("signed-arc", "b-arc")
+    for n in range(1, 10):
+        for spec in XY_FREE:
+            if needs_flags(spec) and not signed:
+                continue
+            layers = _weighed(Family(family, n), spec)
+            assert_same(_packed_walk(layers), _dict_walk(layers))
+
+
+def test_tq_specs_take_the_packed_walk(monkeypatch):
+    monkeypatch.setattr(poly, "_dict_walk", None)  # calling it raises TypeError
+    for name in TQ_IDENTITIES:
+        entry = REGISTRY[name]
+        enumerator(Family(entry.family, 6), entry.weights)
+
+
+@pytest.mark.parametrize("name", TQ_IDENTITIES)
+def test_tq_identities_on_each_side_of_every_width_change(name):
+    # the slot width grows with the family's size; check each side of every
+    # step up to 48-bit slots, read by memoryview.cast (8, 16, 32) and by
+    # int.from_bytes slices (24, 40, 48)
+    family = REGISTRY[name].family
+    widths = {n: _slot_width(len(Family(family, n))) for n in range(1, 40)}
+    sizes = sorted({m for n in range(2, 40) if widths[n - 1] < widths[n] <= 48 for m in (n - 1, n)})
+    assert {widths[n] for n in sizes} == {8, 16, 24, 32, 40, 48}
+    rows = verify_formula(name, sizes)
+    assert [(r.n, r.status) for r in rows] == [(n, EQUAL) for n in sizes]
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 64, 72])
+def test_unpack_reads_balanced_slots_and_refuses_the_rest(width):
+    half = 1 << width - 1
+
+    def pack(values):
+        return sum(c << i * width for i, c in enumerate(values))
+
+    for values in ([-half, half - 1, 0, -1, 1], [-half] * 5, [half - 1] * 5):
+        assert _unpack(pack(values), len(values), width) == values
+    # one past either end, and a top slot of half with the rest 0
+    for out_of_range in (pack([-half] * 5) - 1, pack([half - 1] * 5) + 1, half << 4 * width):
+        with pytest.raises(OverflowError):
+            _unpack(out_of_range, 5, width)
