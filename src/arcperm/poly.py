@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import heapq
 import re
-import struct
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
@@ -467,6 +465,11 @@ class WeightSpec:
         if self.q_stat not in (None, "maj", "fmaj"):
             raise ValueError(f"unknown q statistic {self.q_stat!r}")
 
+    @property
+    def packs(self) -> bool:
+        """No x or y variables: the walk keeps one int per state."""
+        return not (self.descent_vars or self.neg_vars)
+
 
 def enumerator(
     elements: Iterable[Permutation | SignedPermutation], spec: WeightSpec
@@ -539,9 +542,7 @@ def _walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
     instead of (elements) x n.
     """
     layers = _weighed(family, spec)
-    if spec.descent_vars or spec.neg_vars:
-        return _dict_walk(layers)
-    return _packed_walk(layers)
+    return _packed_walk(layers) if spec.packs else _dict_walk(layers)
 
 
 def _weighed(family: Family, spec: WeightSpec) -> list:
@@ -637,11 +638,9 @@ def _packed_walk(layers: list) -> SparsePolynomial:
 
 
 def _slot_width(paths: int) -> int:
-    """Whole bytes of bits for any coefficient of size <= paths, and a spare."""
-    return 8 * ((paths.bit_length() + 2 + 7) // 8)
-
-
-_CASTS = {8 * struct.calcsize(code): code for code in "BHIQ"}
+    """Whole bytes of bits for a balanced slot that holds any coefficient of
+    size <= paths: |c| <= paths < 2^bit_length(paths) <= 2^(W-1)."""
+    return 8 * ((paths.bit_length() + 1 + 7) // 8)
 
 
 def _unpack(packed: int, slots: int, width: int) -> list[int]:
@@ -652,8 +651,4 @@ def _unpack(packed: int, slots: int, width: int) -> list[int]:
     half = 1 << width - 1
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
     data = (packed + offset).to_bytes(size * slots, "little")
-    if width in _CASTS and sys.byteorder == "little":
-        digits = memoryview(data).cast(_CASTS[width])
-    else:
-        digits = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
-    return [d - half for d in digits]
+    return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]

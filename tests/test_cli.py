@@ -173,8 +173,7 @@ def test_verify_guard_names_every_identity_over_its_limit(capsys):
     assert code == 2 and out == ""
     xy, tq = [], []
     for name in formula_names():
-        weights = REGISTRY[name].weights
-        (xy if weights.descent_vars or weights.neg_vars else tq).append(name)
+        (tq if REGISTRY[name].weights.packs else xy).append(name)
     assert len(xy) == 8 and len(tq) == 16
     assert err == (f"error: n={n} exceeds the guard {VERIFY_LIMIT} for {', '.join(xy)}; "
                    f"the guard {VERIFY_TQ_LIMIT} for {', '.join(tq)} (use --force)\n")

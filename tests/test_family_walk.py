@@ -124,7 +124,7 @@ def test_family_rejects_bad_arguments():
 # polynomially in n, so the walk verifies them far past n = 12
 TQ_IDENTITIES = [
     name for name, entry in REGISTRY.items()
-    if not (entry.hidden or entry.weights.descent_vars or entry.weights.neg_vars)
+    if not entry.hidden and entry.weights.packs
 ]
 
 
@@ -139,7 +139,7 @@ def test_tq_identities_verify_past_the_old_exhaustive_limit():
 
 # -- the packed walk (one int per state) against the dict walk -----------------
 
-XY_FREE = [spec for spec in SPECS if not (spec.descent_vars or spec.neg_vars)]
+XY_FREE = [spec for spec in SPECS if spec.packs]
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
@@ -163,8 +163,7 @@ def test_tq_specs_take_the_packed_walk(monkeypatch):
 @pytest.mark.parametrize("name", TQ_IDENTITIES)
 def test_tq_identities_on_each_side_of_every_width_change(name):
     # the slot width grows with the family's size; check each side of every
-    # step up to 48-bit slots, read by memoryview.cast (8, 16, 32) and by
-    # int.from_bytes slices (24, 40, 48)
+    # step up to 48-bit slots
     family = REGISTRY[name].family
     widths = {n: _slot_width(len(Family(family, n))) for n in range(1, 40)}
     sizes = sorted({m for n in range(2, 40) if widths[n - 1] < widths[n] <= 48 for m in (n - 1, n)})
