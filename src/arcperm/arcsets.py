@@ -292,9 +292,10 @@ def family_moves(name: str, n: int) -> tuple[tuple[tuple[Move, ...], ...], ...]:
 class Family:
     """One arc family at size n, as a lazy value.
 
-    ``len`` is the closed-form size; iterating yields exactly
-    ``generate_<name>(n)``, in the same order; ``moves()`` is the growth
-    graph that ``poly.enumerator`` walks instead of the words.
+    ``size`` is the closed-form size at any n, and ``len`` while it fits a
+    machine int; iterating yields exactly ``generate_<name>(n)``, in the same
+    order; ``moves()`` is the growth graph that ``poly.enumerator`` walks
+    instead of the words.
     """
 
     __slots__ = ("name", "n")
@@ -313,13 +314,20 @@ class Family:
     def signed(self) -> bool:
         return self.name in ("signed-arc", "b-arc")
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of elements, exact at any n."""
         n = self.n
         if self.name == "arc":
             return n * 2 ** (n - 2) if n > 1 else 1
         if self.name == "left-unimodal":
             return 2 ** (n - 1)
         return n * 2**n
+
+    def __len__(self) -> int:
+        # Python refuses a len past sys.maxsize: OverflowError from n = 58 on
+        # the signed families, n = 60 on arc; ``size`` has no limit
+        return self.size
 
     def moves(self):
         return family_moves(self.name, self.n)

@@ -30,6 +30,7 @@ from .arcsets import (
 )
 from .patterns import arc_forbidden, b_arc_forbidden, find_occurrence, signed_arc_forbidden
 from .perms import Permutation, SignedPermutation
+from .poly import SparsePolynomial
 
 ARC_FAMILY_LIMIT = 12  # enumerate and table list every element
 # verify walks each family's growth: identities with descent- or neg-set
@@ -89,16 +90,19 @@ class _Parser(argparse.ArgumentParser):
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)  # the newline apart: text + "\n" would copy the text
+            if not text.endswith("\n"):
+                handle.write("\n")
     else:
         print(text)
 
 
 def _dumps(payload) -> str:
     """``json.dumps(payload, indent=2, default=lambda obj: obj.to_json())`` byte
-    for byte; TypeError for a float, a non-str key or no ``to_json``.  A list
-    met again at one depth (an EQUAL row's lhs and rhs) repeats its first text."""
-    out, memo = [], {}  # memo: (id, depth) -> (text, list); holding the list keeps its id unique
+    for byte; TypeError for a float, a non-str key or no ``to_json``.  A
+    polynomial writes its own text (``SparsePolynomial.json_text``), once per
+    object and depth: an EQUAL row's lhs and rhs are one polynomial."""
+    out, memo = [], {}  # memo: (id, depth) -> (text, polynomial); holding it keeps its id unique
 
     def write(obj, depth: int, encode=json.encoder.encode_basestring_ascii):
         if isinstance(obj, str):
@@ -106,17 +110,17 @@ def _dumps(payload) -> str:
         elif obj is None or isinstance(obj, int):  # bool is an int: test it first
             out.append("null" if obj is None else "true" if obj is True
                        else "false" if obj is False else int.__repr__(obj))
-        elif isinstance(obj, (list, tuple)):
+        elif isinstance(obj, SparsePolynomial):
             key = id(obj), depth
             if key not in memo:
-                start, sep = len(out), "\n" + "  " * (depth + 1)
-                for i, item in enumerate(obj):
-                    out.append(("," if i else "[") + sep)
-                    write(item, depth + 1)
-                out.append(sep[:-2] + "]" if obj else "[]")
-                memo[key] = "".join(out[start:]), obj
-                del out[start:]
+                memo[key] = obj.json_text(depth), obj
             out.append(memo[key][0])
+        elif isinstance(obj, (list, tuple)):
+            sep = "\n" + "  " * (depth + 1)
+            for i, item in enumerate(obj):
+                out.append(("," if i else "[") + sep)
+                write(item, depth + 1)
+            out.append(sep[:-2] + "]" if obj else "[]")
         elif isinstance(obj, dict):
             sep = "\n" + "  " * (depth + 1)
             for i, (name, value) in enumerate(obj.items()):  # encode(name) rejects non-str
@@ -273,7 +277,7 @@ def cmd_verify(args) -> int:
         "{OUT_OF_STATED_RANGE} OUT_OF_STATED_RANGE".format(**counts)
     )
     csv = ["formula,n,status,note"] + [f"{r.formula},{r.n},{r.status},\"{r.note}\"" for r in rows]
-    _render(args, rows, lines, csv)
+    _render(args, [r.record() for r in rows], lines, csv)
     return 1 if counts[formulas.MISMATCH] else 0
 
 

@@ -316,22 +316,23 @@ class VerifyRow:
     diff: SparsePolynomial | None
     note: str = ""
 
-    def to_json(self) -> dict:
-        rhs = self.rhs.to_json()
-        # an EQUAL row's sides share one term list, which the CLI formats once
-        if self.status == EQUAL:
-            lhs = rhs
-        else:
-            lhs = None if self.lhs is None else self.lhs.to_json()
+    def record(self) -> dict:
+        """The row's JSON schema with its polynomials as objects: ``to_json``
+        converts them, the CLI writes their text.  An EQUAL row's lhs is its
+        rhs, so the CLI formats its terms once."""
         return {
             "formula": self.formula,
             "n": self.n,
             "status": self.status,
-            "lhs": lhs,
-            "rhs": rhs,
-            "diff": None if self.diff is None else self.diff.to_json(),
+            "lhs": self.rhs if self.status == EQUAL else self.lhs,
+            "rhs": self.rhs,
+            "diff": self.diff,
             "note": self.note or None,
         }
+
+    def to_json(self) -> dict:
+        return {key: value.to_json() if isinstance(value, SparsePolynomial) else value
+                for key, value in self.record().items()}
 
 
 def _ge(low: int) -> Callable[[int], bool]:

@@ -18,6 +18,8 @@ Keys are decoded only at the edges (printing, JSON, ``variables``, the
 exponent vectors of ``exact_div``).  Printing and JSON list terms in graded
 order: total degree, then exponents in the variable order t < q < u < y < z
 < x0 < x1 < ... < y1 < y2 < ..., never in the order fields were assigned.
+``str``, ``to_json``, pickling and ``json_text`` share one decode
+(``_graded``), which reads each key once.
 
 Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
 additions; a substitution is one pass over the terms; an exact division of a
@@ -30,7 +32,10 @@ the cost is moves times terms per state and no word is built.  In t, q and a
 character only, a state is one int with a fixed-width slot per term, and a
 move is one big-int shift and add.  Over any other iterable it reads each
 word once, at O(n) per element (inv adds O(n^2) bit work), and builds one
-key per distinct statistic key.
+key per distinct statistic key.  Output reads the k fields of each of T
+terms once, O(T * k), and sorts the terms on one int key each; ``json_text``
+then builds each term's text from a few fixed pieces and one cached
+``"name": exp`` entry per nonzero exponent, with no per-term dict.
 """
 
 from __future__ import annotations
@@ -168,19 +173,31 @@ class SparsePolynomial:
     def variables(self) -> set[str]:
         return set(_layout([self])[0])
 
-    def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], int]]:
-        """(((name, exp), ...), coeff) per term, in graded order."""
+    def _graded(self) -> tuple[list[str], list[tuple[int, list[int], int]]]:
+        """The occurring variables in variable order, and (key, exponents,
+        coeff) per term in graded order, the exponents in variable order.
+
+        At equal degree the graded order compares the (variable, exp) lists
+        of nonzero exponents.  Where two vectors first differ, a 0 lets its
+        list go on to a later variable, which compares larger, so a 0 is
+        read as 2**31, above every exponent.  The key is one int: the degree,
+        then one 32-bit field per exponent, the first variable's highest.
+        """
         names, shifts = _layout([self])
-        # At equal degree the graded order compares the (variable, exp) lists
-        # of nonzero exponents.  Where two vectors first differ, a 0 lets its
-        # list go on to a later variable, which compares larger, so a 0 is
-        # read as 2**31, above every exponent.
         zero = _MAX + 1
         rows = []
         for mono, coeff in self._terms.items():
             vec = [mono >> shift & _MAX for shift in shifts]
-            rows.append(((sum(vec), [e or zero for e in vec]), vec, coeff))
+            key = sum(vec)
+            for e in vec:
+                key = key << _WIDTH | (e or zero)
+            rows.append((key, vec, coeff))
         rows.sort(key=itemgetter(0))
+        return names, rows
+
+    def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], int]]:
+        """(((name, exp), ...), coeff) per term, in graded order."""
+        names, rows = self._graded()
         return [(tuple((n, e) for n, e in zip(names, vec) if e), coeff) for _, vec, coeff in rows]
 
     def constant_value(self) -> int:
@@ -321,6 +338,24 @@ class SparsePolynomial:
             for mono, coeff in self.sorted_terms()
         ]
 
+    def json_text(self, depth: int = 0) -> str:
+        """``json.dumps(self.to_json(), indent=2)`` as it reads nested
+        ``depth`` levels deep, byte for byte, built from the graded decode
+        without the term dicts."""
+        if not self._terms:
+            return "[]"
+        names, rows = self._graded()
+        term, entry, field = ("\n" + "  " * (depth + i) for i in (1, 2, 3))
+        head = term + "{" + entry + '"coeff": "'
+        middle = '",' + entry + '"monomial": '
+        pieces = [_Pieces(f',{field}"{name}": ') for name in names]
+        texts = []
+        for _, vec, coeff in rows:
+            mono = "".join([piece[e] for piece, e in zip(pieces, vec) if e])
+            mono = "{" + mono[1:] + entry + "}" if mono else "{}"
+            texts.append(head + str(coeff) + middle + mono + term + "}")
+        return "[" + ",".join(texts) + term[:-2] + "]"
+
     @classmethod
     def from_json(cls, data: list[dict]) -> SparsePolynomial:
         return cls.from_terms((term["monomial"], int(term["coeff"])) for term in data)
@@ -328,6 +363,19 @@ class SparsePolynomial:
     def __reduce__(self):
         # keys depend on this process's field assignment; pickle the exponents
         return (SparsePolynomial.from_terms, ([(dict(m), c) for m, c in self.sorted_terms()],))
+
+
+class _Pieces(dict):
+    """Exponent -> the text of one exponent entry of a JSON monomial, built
+    on first use."""
+
+    def __init__(self, head: str):
+        super().__init__()
+        self.head = head
+
+    def __missing__(self, exp: int) -> str:
+        text = self[exp] = self.head + str(exp)
+        return text
 
 
 def _coerce(value) -> SparsePolynomial:

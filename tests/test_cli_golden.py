@@ -1,5 +1,7 @@
 """CLI output frozen byte for byte: exit code, stdout and stderr of every
 subcommand in every --format, against the recorded tests/golden/cli.json.
+One case is too large to record (3.56 MB): ``verify --formula all --n-max 8
+--format json`` is checked against ``json.dumps`` of the rows' ``to_json``.
 
 The schema tests in test_cli.py say what the output means; this file says
 that a refactor changed none of it, on stdout and through --out.  Re-record only for an intended output
@@ -7,7 +9,8 @@ change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and replay the fixture without pytest (on any supported Python) with
+and replay the fixture and the json.dumps case without pytest (on any
+supported Python) with
 
     PYTHONPATH=src python tests/test_cli_golden.py --check
 
@@ -22,6 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from arcperm import formulas
 from arcperm.cli import VERIFY_LIMIT, main
 
 FIXTURE = Path(__file__).parent / "golden" / "cli.json"
@@ -120,6 +124,22 @@ def test_cli_bytes(argv, tmp_path):
         assert out.read_text(encoding="utf-8") == want["stdout"]
 
 
+VERIFY_JSON = ["verify", "--formula", "all", "--n-max", "8", "--format", "json"]
+
+
+def _verify_json_differs(out: Path) -> bool:
+    """Whether VERIFY_JSON, written to ``out``, differs from json.dumps."""
+    rows = formulas.verify_many(formulas.formula_names(), range(1, 9))
+    want = json.dumps([r.to_json() for r in rows], indent=2) + "\n"
+    if _run([*VERIFY_JSON, "--out", str(out)]) != {"code": 0, "stdout": "", "stderr": ""}:
+        return True
+    return out.read_text(encoding="utf-8") != want
+
+
+def test_verify_json_matches_json_dumps(tmp_path):
+    assert not _verify_json_differs(tmp_path / "verify.json")
+
+
 def _check() -> int:
     """Replay every case as test_cli_bytes does; 1 if any case differs."""
     golden = _golden()
@@ -137,9 +157,11 @@ def _check() -> int:
             elif want["stdout"] and (_run([*argv, "--out", str(out)]) != {**want, "stdout": ""}
                                      or out.read_text(encoding="utf-8") != want["stdout"]):
                 bad.append(f"{_key(argv)}: --out differs")
+        if _verify_json_differs(out):
+            bad.append(f"{_key(VERIFY_JSON)}: differs from the json.dumps reference")
     for line in bad:
         print(line)
-    print(f"replayed {len(CASES)} cases on Python {sys.version.split()[0]}: "
+    print(f"replayed {len(CASES) + 1} cases on Python {sys.version.split()[0]}: "
           f"{len(bad)} differ")
     return 1 if bad else 0
 

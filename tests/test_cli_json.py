@@ -1,13 +1,16 @@
 """The CLI's JSON writer against ``json.dumps(obj, indent=2, default=...)``:
-the same text for every payload it accepts, and TypeError for the rest."""
+the same text for every payload it accepts, and TypeError for the rest.
+Polynomials are written from their own text (``SparsePolynomial.json_text``),
+compared here with ``json.dumps`` of their ``to_json`` at every depth."""
 
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcperm import cli, formulas
+from arcperm.poly import SparsePolynomial, const
 
 
 class Box:
@@ -62,6 +65,43 @@ def test_shared_containers_at_any_depth(data):
 def test_bools_are_not_ints():
     obj = [True, 1, False, 0, None]
     assert cli._dumps(obj) == reference(obj) == "[\n  true,\n  1,\n  false,\n  0,\n  null\n]"
+
+
+LIMIT = 2**31 - 1  # the largest exponent; a 0 sorts as 2**31
+# x2 sorts before x10, which string order would swap; the base variables sort
+# t < q < u < y < z, before every indexed one
+NAMES = st.sampled_from(["t", "q", "u", "y", "z", "x0", "x2", "x10", "x40", "y1", "y10"])
+EXPONENTS = st.integers(1, 3) | st.integers(LIMIT - 2, LIMIT)
+COEFFS = (st.integers(-5, 5) | st.integers(2**64, 2**200)
+          | st.integers(-(2**200), -(2**64)))
+POLYNOMIALS = st.lists(st.tuples(st.dictionaries(NAMES, EXPONENTS, max_size=4), COEFFS),
+                       max_size=8).map(SparsePolynomial.from_terms)
+
+
+@settings(max_examples=300)
+@example(SparsePolynomial())
+@example(const(-7))
+@example(const(2**70))
+@example(SparsePolynomial.from_terms([({"x2": 1}, 1), ({"x10": 1}, 2), ({"y": 1}, 3),
+                                      ({"t": 1}, -4), ({"x2": LIMIT, "y1": LIMIT}, 5)]))
+@given(POLYNOMIALS)
+def test_polynomial_text_matches_json_dumps(poly):
+    flat = json.dumps(poly.to_json(), indent=2)
+    nested = poly
+    for depth in range(4):
+        assert poly.json_text(depth) == flat.replace("\n", "\n" + "  " * depth)
+        assert cli._dumps(nested) == reference(nested)
+        nested = [nested]
+
+
+@settings(max_examples=100)
+@given(POLYNOMIALS, POLYNOMIALS)
+def test_polynomials_met_twice(a, b):
+    # the memo keys on the object and the depth: one polynomial at one depth
+    # and at several, and an equal but distinct one, keep their own text
+    twin = SparsePolynomial.from_json(a.to_json())
+    payload = {"lhs": a, "rhs": a, "twin": twin, "deeper": [a, {"again": a, "b": b}], "b": b}
+    assert cli._dumps(payload) == reference(payload)
 
 
 def test_verify_rows_n_max_8():

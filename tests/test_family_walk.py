@@ -9,6 +9,7 @@ is checked against the dict walk, which keeps a term map per state.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -118,6 +119,20 @@ def test_family_rejects_bad_arguments():
         Family("sym", 3)
     with pytest.raises(ValueError, match="positive"):
         generate_b_arc(-1)
+
+
+@pytest.mark.parametrize("n", [57, 58, 60])
+def test_size_is_exact_past_a_machine_int(n):
+    sizes = {"arc": n * 2 ** (n - 2), "left-unimodal": 2 ** (n - 1),
+             "signed-arc": n * 2**n, "b-arc": n * 2**n}
+    for family, size in sizes.items():
+        fam = Family(family, n)
+        assert fam.size == size
+        if size <= sys.maxsize:
+            assert len(fam) == size
+        else:  # n = 58 and 60 on the signed families, n = 60 on arc
+            with pytest.raises(OverflowError):
+                len(fam)
 
 
 # the identities in t, q and a character only: their output grows

@@ -101,18 +101,24 @@ def test_enumerator_at_the_limit():
 
 
 _RENDER = """
-import json, pickle, sys
+import contextlib, io, json, pickle, sys
 from arcperm import poly
 order = sys.argv[1:]
 for name in order:
     poly.var(name)
 assert poly._NAMES == order, poly._NAMES
+from arcperm import cli
 from arcperm.formulas import REGISTRY, f_As_des_neg_inv, verify_formula
 out = {"pickle": pickle.dumps(f_As_des_neg_inv(4)).hex()}
 for name in REGISTRY:
     for row in verify_formula(name, range(1, 7)):
         sides = (row.lhs, row.rhs, row.diff)
         out[f"{name} {row.n}"] = [str(p) for p in sides] + [json.dumps(row.to_json())]
+for formula in ("all", "negative-control"):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli.main(["verify", "--formula", formula, "--n-max", "6", "--format", "json"])
+    out[f"cli {formula}"] = stdout.getvalue()
 print(json.dumps(out))
 """
 
@@ -130,6 +136,7 @@ def test_field_order_never_reaches_the_output():
     default = _render()
     reversed_first_use = _render("y5", "x3", "q", "t")
     assert len(default) > 100
+    assert len(default["cli all"]) > 500_000  # the CLI's JSON bytes, every identity to n = 6
     assert reversed_first_use == default
     # a pickle carries exponents, not keys, so it loads right in any process
     assert pickle.loads(bytes.fromhex(reversed_first_use["pickle"])) == f_As_des_neg_inv(4)
