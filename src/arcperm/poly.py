@@ -22,7 +22,10 @@ order: total degree, then exponents in the variable order t < q < u < y < z
 (``_graded``), which reads each key once.
 
 Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
-additions; a substitution is one pass over the terms; an exact division of a
+additions.  In one variable, a product (or ``poly_product`` of many) whose
+degree + 1 slots are no more than the term pairs is instead one int with a
+slot per exponent: T1 + T2 shifts and adds of C big-int work, decoded once.
+A substitution is one pass over the terms; an exact division of a
 T-term polynomial by a D-term divisor takes O(R * D * log(R * D)) for R
 reduction steps, picking each leading term from a heap.  The weighted
 ``enumerator`` over an ``arcsets.Family`` is a transfer-matrix walk over the
@@ -44,8 +47,9 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, compress
 from operator import itemgetter, or_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .arcsets import Family
 from .perms import (Character, Permutation, SignedPermutation, abs_inv, descent_positions,
@@ -241,14 +245,11 @@ class SparsePolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, int] = {}
-        get = terms.get
-        right = list(other._terms.items())
-        for m1, c1 in self._terms.items():
-            for m2, c2 in right:
-                mono = m1 + m2
-                terms[mono] = get(mono, 0) + c1 * c2
-        return SparsePolynomial(_checked(terms))
+        if len(self._terms) > 1 < len(other._terms):  # one term only shifts the other's keys
+            packed = _packed_product((self, other))
+            if packed is not None:
+                return packed
+        return _dict_product(self, other)
 
     __rmul__ = __mul__
 
@@ -403,7 +404,62 @@ def var(name: str) -> SparsePolynomial:
 
 
 def poly_product(factors: Iterable[SparsePolynomial | int]) -> SparsePolynomial:
-    return reduce(lambda a, b: a * b, factors, const(1))
+    factors = [_coerce(f) for f in factors]
+    if any(f is NotImplemented for f in factors):
+        raise TypeError("a factor must be a SparsePolynomial or an int")
+    packed = _packed_product(factors)
+    return reduce(_dict_product, factors, const(1)) if packed is None else packed
+
+
+def _dict_product(a: SparsePolynomial, b: SparsePolynomial) -> SparsePolynomial:
+    """The product term by term: one key addition per pair of terms."""
+    terms: dict[Monomial, int] = {}
+    get = terms.get
+    right = list(b._terms.items())
+    for m1, c1 in a._terms.items():
+        for m2, c2 in right:
+            mono = m1 + m2
+            terms[mono] = get(mono, 0) + c1 * c2
+    return SparsePolynomial(_checked(terms))
+
+
+def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | None:
+    """The product of factors in at most one variable by Kronecker
+    substitution, or None for the dict product (docs/DECISIONS.md §7).  None
+    past the exponent limit, so that the dict product raises OverflowError,
+    and when the box of degree + 1 slots is larger than the number of term
+    pairs the dict product must touch, counted with the Cauchy-Davenport
+    bound |A + B| >= |A| + |B| - 1 on each partial product.  The product of
+    the factors' L1 norms bounds every coefficient and sets the slot width.
+    """
+    occurring = shift = degree = touched = reach = 0
+    bound = 1
+    for f in factors:
+        terms = f._terms
+        occurring |= reduce(or_, terms, 0)
+        shift = max(occurring.bit_length() - 1, 0) // _WIDTH * _WIDTH
+        if occurring >> shift << shift != occurring:
+            return None  # more than one variable
+        degree += max(terms, default=0)
+        touched += reach * len(terms)
+        reach = reach + len(terms) - 1 if reach else len(terms)
+        bound *= sum(map(abs, terms.values()))
+    degree >>= shift
+    if degree > _MAX:
+        return None
+    if not bound:
+        return SparsePolynomial()
+    if degree >= touched:
+        return None
+    width = _slot_width(bound)
+    acc = 1
+    for f in factors:
+        total = 0
+        for m, c in f._terms.items():
+            part = acc << (m >> shift) * width
+            total += part if c == 1 else -part if c == -1 else part * c
+        acc = total
+    return _from_slots(acc, width, 1, degree + 1, 0, shift)
 
 
 def q_bracket(n: int, base: SparsePolynomial | int) -> SparsePolynomial:
@@ -679,10 +735,20 @@ def _packed_walk(layers: list) -> SparsePolynomial:
                 else:
                     following[target] = acc + part if sign > 0 else acc - part
         states = following
-    coeffs = _unpack(sum(states.values()), (top_t + 1) * stride, width)
-    ts, qs = _SHIFTS["t"], _SHIFTS["q"]
-    return SparsePolynomial(_checked({(i // stride << ts) + (i % stride << qs): c
-                                      for i, c in enumerate(coeffs) if c}))
+    return _from_slots(sum(states.values()), width, top_t + 1, stride, _SHIFTS["t"], _SHIFTS["q"])
+
+
+def _from_slots(packed: int, width: int, rows: int, stride: int, row_shift: int,
+                shift: int) -> SparsePolynomial:
+    """The polynomial whose term at slot i of ``packed`` has exponent
+    i // stride in the field at ``row_shift`` and i % stride in the one at
+    ``shift``, with the balanced ``width``-bit slot as its coefficient."""
+    if max(rows, stride) - 1 > _MAX:
+        raise OverflowError(f"an exponent exceeds {_MAX}")
+    coeffs = _unpack(packed, rows * stride, width)
+    keys = chain.from_iterable(range(row, row + (stride << shift), 1 << shift)
+                               for row in range(0, rows << row_shift, 1 << row_shift))
+    return SparsePolynomial(dict(compress(zip(keys, coeffs), coeffs)))
 
 
 def _slot_width(paths: int) -> int:

@@ -23,8 +23,9 @@ from arcperm.arcsets import (
     generate_signed_arc,
 )
 from arcperm.formulas import EQUAL, REGISTRY, verify_formula
-from arcperm.poly import (WeightSpec, _dict_walk, _packed_walk, _slot_width, _unpack, _weighed,
-                          enumerator)
+from arcperm import poly
+from arcperm.poly import (WeightSpec, _dict_walk, _from_slots, _packed_walk, _slot_width, _unpack,
+                          _weighed, enumerator, var)
 from helpers import hyperoctahedral, symmetric
 from test_enumerator_oracle import SPECS, assert_same, needs_flags
 
@@ -200,3 +201,23 @@ def test_unpack_reads_balanced_slots_and_refuses_the_rest(width):
     for out_of_range in (pack([-half] * 5) - 1, pack([half - 1] * 5) + 1, half << 4 * width):
         with pytest.raises(OverflowError):
             _unpack(out_of_range, 5, width)
+
+
+def test_slots_map_to_rows_and_columns(monkeypatch):
+    t, q = var("t"), var("q")
+    shifts = poly._SHIFTS["t"], poly._SHIFTS["q"]
+    # slot i holds t^(i // 3) q^(i % 3): 1 - 2q^2 + 5tq in a 2 x 3 box
+    packed = sum(c << 8 * i for i, c in enumerate([1, 0, -2, 0, 5, 0]))
+    assert _from_slots(packed, 8, 2, 3, *shifts) == 1 - 2 * q**2 + 5 * t * q
+    assert _from_slots(packed, 8, 1, 6, 0, shifts[1]) == 1 - 2 * q**2 + 5 * q**4
+
+    # a field's range past the exponent limit raises before a slot is read
+    def no_decode(*args):
+        raise AssertionError("slots were read")
+
+    monkeypatch.setattr(poly, "_unpack", no_decode)
+    for rows, stride in ((2**31 + 1, 1), (1, 2**31 + 1)):
+        with pytest.raises(OverflowError):
+            _from_slots(0, 8, rows, stride, *shifts)
+    with pytest.raises(AssertionError, match="slots were read"):
+        _from_slots(0, 8, 2**31, 1, *shifts)  # exponents up to 2**31 - 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from arcperm import poly
 from arcperm.arcsets import generate_signed_arc
 from arcperm.formulas import (
     EQUAL,
@@ -32,6 +33,7 @@ from arcperm.formulas import (
 )
 from arcperm.perms import Character
 from arcperm.poly import WeightSpec, const, enumerator, poly_product, var
+from test_poly_oracle import packed_spy
 
 T = var("t")
 Q = var("q")
@@ -115,6 +117,24 @@ def test_substitution_coherence():
         assert f_AB_des_set(n) == n * poly_product(
             1 + _x(i) for i in range(1, n)
         ) + 2 * f_A_des_set(n)
+
+
+# The 15 builds of the benchmark's closed-forms-large workload.
+LARGE_BUILDS = [
+    ("f_AB_fdes_fmaj", 16), ("f_As_des_neg_inv", 8), ("f_sign_des_set", 10), ("f_A_inv_des", 11),
+    ("f_AB_des_set", 11), ("f_As_fdes_fmaj", 20), ("f_A_des_maj", 26),
+] + [(f"f_{fam}_character_fmaj.{chi.value}", 24) for fam in ("As", "AB") for chi in Character]
+
+
+def test_large_builds_match_the_dict_product(monkeypatch):
+    """The packed univariate product decodes real-size products as the
+    dict product computes them, term for term."""
+    with packed_spy() as taken:
+        packed = {(name, n): str(REGISTRY[name].build(n)) for name, n in LARGE_BUILDS}
+    assert sum(taken) >= 16  # two packed products in each character build at least
+    monkeypatch.setattr(poly, "_packed_product", lambda factors: None)
+    for (name, n), text in packed.items():
+        assert str(REGISTRY[name].build(n)) == text, (name, n)
 
 
 def test_even_sign_variant_matches_substituted_form():

@@ -8,12 +8,15 @@ order from an explicit list of the alphabet.
 """
 
 import json
+from contextlib import contextmanager
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcperm.poly import ExactDivisionError, SparsePolynomial, exact_div, var
+from arcperm import poly
+from arcperm.poly import ExactDivisionError, SparsePolynomial, const, exact_div, poly_product, var
 
 # x40 and y33 sit far from the low indices, in fields assigned late
 VARS = ["t", "q"] + [f"x{i}" for i in range(13)] + ["x40"] + [f"y{i}" for i in range(1, 5)] + ["y33"]
@@ -236,3 +239,143 @@ def test_exact_div_error_remainder():
         exact_div(q, 1 - q)
     assert str(info.value.remainder) == str(remainder) == "1"
     assert str(info.value) == "division is not exact; remainder 1"
+
+
+# -- the packed univariate product ----------------------------------------------
+
+
+@contextmanager
+def packed_spy():
+    """Records, per call of the packed-product helper, whether it computed
+    the product (True) or left it to the dict product (False)."""
+    original = poly._packed_product
+    taken = []
+
+    def spy(factors):
+        result = original(factors)
+        taken.append(result is not None)
+        return result
+
+    poly._packed_product = spy
+    try:
+        yield taken
+    finally:
+        poly._packed_product = original
+
+
+# signed coefficients, some past 64 bits so that slots get wider than a word
+_nonzero = st.integers(-9, 9).filter(bool) | st.integers(-(2**70), 2**70).filter(bool)
+
+
+def _dense(name):
+    """Every exponent from 0 to the degree, each with a nonzero coefficient."""
+    return st.lists(_nonzero, min_size=2, max_size=12).map(
+        lambda coeffs: [({name: e} if e else {}, c) for e, c in enumerate(coeffs)])
+
+
+_dense_pair = st.sampled_from(["t", "q"]).flatmap(lambda name: st.tuples(_dense(name), _dense(name)))
+
+
+@given(_dense_pair)
+def test_dense_univariate_products_are_packed(operands):
+    (pa, ra), (pb, rb) = map(pair, operands)
+    with packed_spy() as taken:
+        got = pa * pb
+    assert taken == [True]
+    assert_same(got, ra * rb)
+
+
+def _factor(name):
+    return st.one_of(
+        _dense(name).map(lambda data: ("poly", data)),
+        _nonzero.map(lambda c: ("int", c)),
+        _nonzero.map(lambda c: ("const", c)),
+    )
+
+
+_factors = st.sampled_from(["t", "q"]).flatmap(lambda name: st.lists(_factor(name), min_size=2, max_size=6))
+
+
+@given(_factors, st.none() | st.integers(0, 6), st.booleans())
+def test_univariate_poly_product_is_packed(factors, zero_at, zero_as_int):
+    if zero_at is not None:
+        factors.insert(zero_at, ("int" if zero_as_int else "const", 0))
+    got_factors, want = [], Ref({frozenset(): 1})
+    for kind, data in factors:
+        if kind == "poly":
+            p, r = pair(data)
+        else:
+            p, r = data if kind == "int" else const(data), Ref({frozenset(): data})
+        got_factors.append(p)
+        want = want * r
+    with packed_spy() as taken:
+        got = poly_product(got_factors)
+    assert taken == [True]
+    assert_same(got, want)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_binomial_chains_meet_their_bound(sign):
+    """(1 + sign * q)^k as a chain of k factors: its absolute coefficients
+    sum to 2^k, the product of the L1 norms that sets the slot width, and k
+    runs across the width steps up to 80 bits."""
+    q = var("q")
+    for k in range(2, 72):
+        with packed_spy() as taken:
+            got = poly_product([1 + sign * q] * k)
+        assert taken == [True]
+        want = SparsePolynomial.from_terms(
+            ({"q": j} if j else {}, sign**j * comb(k, j)) for j in range(k + 1))
+        assert got == want
+        assert sum(abs(c) for _, c in got.sorted_terms()) == 2**k
+
+
+@pytest.mark.parametrize("factors, value", [
+    ([127, 1], 127), ([-1, 127], -127), ([-128, 1], -128), ([2**63 - 1, -1], 1 - 2**63),
+])
+def test_a_coefficient_equal_to_the_bound(factors, value):
+    """A product of constants has one coefficient, the L1 bound itself; 127
+    is the top of an 8-bit slot's balanced range."""
+    with packed_spy() as taken:
+        got = poly_product(factors)
+    assert taken == [True]
+    assert got == const(value)
+    assert poly._slot_width(127) == 8
+
+
+def no_box(paths):
+    raise AssertionError("a packed box was built")
+
+
+def test_a_zero_factor_builds_no_box(monkeypatch):
+    q = var("q")
+    monkeypatch.setattr(poly, "_slot_width", no_box)
+    with packed_spy() as taken:
+        assert poly_product([1 + q, 0, 1 + q + q**2]).is_zero
+        assert poly_product([1 + q, const(0)]).is_zero
+    assert taken == [True, True]
+
+
+def test_sparse_boxes_stay_on_the_dict_product(monkeypatch):
+    q = var("q")
+    monkeypatch.setattr(poly, "_slot_width", no_box)
+    # 31 terms, in a box of 3 * 10**7 + 1 slots
+    with packed_spy() as taken:
+        got = poly_product([1 + q**10**6] * 30)
+    assert taken == [False]
+    assert got == SparsePolynomial.from_terms(
+        ({"q": 10**6 * j} if j else {}, comb(30, j)) for j in range(31))
+    assert got == (1 + q**10**6) ** 30
+    # the rule's edge: a box of as many slots as the dict product touches
+    # term pairs is packed, one slot more is not
+    monkeypatch.undo()
+    with packed_spy() as taken:
+        assert (1 + q) * (1 + q**2) == 1 + q + q**2 + q**3
+        assert (1 + q) * (1 + q**3) == 1 + q + q**3 + q**4
+    assert taken == [True, False]
+    # in a chain, (1 + q)^2 has at least 2 + 2 - 1 terms: 2*2 + 3*2 = 10 pairs
+    for k, packs in ((7, True), (8, False)):
+        with packed_spy() as taken:
+            got = poly_product([1 + q, 1 + q, 1 + q**k])
+        assert taken == [packs]
+        assert got == (1 + 2 * q + q**2) * (1 + q**k)

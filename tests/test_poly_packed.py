@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from arcperm import poly
 from arcperm.formulas import f_As_des_neg_inv
 from arcperm.perms import Permutation
-from arcperm.poly import ExactDivisionError, SparsePolynomial, WeightSpec, enumerator, exact_div, var
+from arcperm.poly import (ExactDivisionError, SparsePolynomial, WeightSpec, enumerator, exact_div,
+                          poly_product, var)
+from test_poly_oracle import no_box
 
 LIMIT = 2**31 - 1
 X, Y, Q = var("x40"), var("y33"), var("q")
@@ -31,7 +34,7 @@ def test_from_terms_at_the_limit():
         mono(x40=-1)
 
 
-def test_product_at_the_limit():
+def test_product_at_the_limit(monkeypatch):
     below = mono(x40=LIMIT - 1, y33=LIMIT, q=5)
     # every field, the neighbours of the full one included, keeps its value
     assert (below * X).to_json() == [
@@ -41,6 +44,21 @@ def test_product_at_the_limit():
         below * X * X
     with pytest.raises(OverflowError):
         (1 + Y) * mono(y33=LIMIT)
+
+    # univariate products in one call: the degree, not a box, meets the limit
+    monkeypatch.setattr(poly, "_slot_width", no_box)
+    half = mono(q=LIMIT // 2)
+    top = poly_product([1 + Q, half + 1, half + 1])
+    assert top == 1 + Q + 2 * half + 2 * half * Q + half * half + half * half * Q
+    assert str(top).endswith(f"q^{LIMIT}")
+    for factors in ([1 + Q + Q**2, half + 1, half + Q], [1 + Q] * 2 + [half, half + Q], [Q**2, half, half, 1]):
+        with pytest.raises(OverflowError):
+            poly_product(factors)
+    # 2**32 term pairs: enough for a box past the limit, but the degree
+    # check comes first, and the dict product raises at its first step
+    dense = SparsePolynomial.from_terms(({"q": e}, 1) for e in range(2**16))
+    with pytest.raises(OverflowError):
+        poly_product([mono(q=LIMIT), dense, dense])
 
 
 def test_power_at_the_limit():
