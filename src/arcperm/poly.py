@@ -22,12 +22,18 @@ order: total degree, then exponents in the variable order t < q < u < y < z
 (``_graded``), which reads each key once.
 
 Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
-additions.  In one variable, a product (or ``poly_product`` of many) whose
-degree + 1 slots are no more than the term pairs is instead one int with a
-slot per exponent: T1 + T2 shifts and adds of C big-int work, decoded once.
-A substitution is one pass over the terms; an exact division of a
-T-term polynomial by a D-term divisor takes O(R * D * log(R * D)) for R
-reduction steps, picking each leading term from a heap.  The weighted
+additions.  In at most two variables, a product (or ``poly_product`` of
+many) whose box, the summed spans of its rows (one row per exponent of the
+outer variable), has no more slots than the term pairs is instead one int
+per row with a slot per exponent of the inner variable: a row of an operand
+with no gaps is one big-int multiply per row of the other, any other row a
+shift and add per term, and the rows are decoded once.  A substitution is
+one pass over the terms.  An exact division by a divisor in one variable,
+of a dividend in at most one more, is one big-int division per row of the
+dividend plus a check that the slots held every coefficient; otherwise, or
+when that fails, dividing a T-term polynomial by a D-term divisor takes
+O(R * D * log(R * D)) for R reduction steps, picking each leading term from
+a heap.  The weighted
 ``enumerator`` over an ``arcsets.Family`` is a transfer-matrix walk over the
 family's O(n^2) growth states, checked against brute force in tier-1: each
 of the O(n^2) moves shifts one state's term map by one key and a sign, so
@@ -45,10 +51,11 @@ from __future__ import annotations
 
 import heapq
 import re
+import struct
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress
-from operator import itemgetter, or_
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, or_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .arcsets import Family
@@ -256,6 +263,12 @@ class SparsePolynomial:
     def __pow__(self, k: int) -> SparsePolynomial:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent {k!r} must be a nonnegative integer")
+        if len(self._terms) == 1:  # k times the key, which no field carries out of in range
+            ((mono, coeff),) = self._terms.items()
+            fields = range(0, mono.bit_length() or 1, _WIDTH)
+            if max(mono >> shift & _MAX for shift in fields) * k > _MAX:
+                raise OverflowError(f"an exponent exceeds {_MAX}")
+            return SparsePolynomial({mono * k: coeff**k})
         result = const(1)
         base = self
         while k:
@@ -424,42 +437,140 @@ def _dict_product(a: SparsePolynomial, b: SparsePolynomial) -> SparsePolynomial:
 
 
 def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | None:
-    """The product of factors in at most one variable by Kronecker
-    substitution, or None for the dict product (docs/DECISIONS.md §7).  None
-    past the exponent limit, so that the dict product raises OverflowError,
-    and when the box of degree + 1 slots is larger than the number of term
-    pairs the dict product must touch, counted with the Cauchy-Davenport
-    bound |A + B| >= |A| + |B| - 1 on each partial product.  The product of
-    the factors' L1 norms bounds every coefficient and sets the slot width.
+    """The product of factors in at most two variables by Kronecker
+    substitution, or None for the dict product (docs/DECISIONS.md §7).
+
+    The product keeps one int per exponent of the outer variable (t before
+    q in the variable order), each packing the inner one at x = 2^W from the
+    row's lowest exponent; one variable is the one-row case.  None past the
+    exponent limit, so that the dict product raises OverflowError, and when
+    the box, the sum of the product's row spans, is larger than the number
+    of term pairs the dict product must touch, counted with the
+    Cauchy-Davenport bound |A + B| >= |A| + |B| - 1 (which holds over Z^2)
+    on each partial product.  The product of the factors' L1 norms bounds
+    every coefficient and sets the slot width.
     """
-    occurring = shift = degree = touched = reach = 0
+    fields = _fields(reduce(or_, [reduce(or_, f._terms, 0) for f in factors], 0))
+    if len(fields) > 2:
+        return None
+    if len(fields) == 2 and _ORDER[fields[0] // _WIDTH] > _ORDER[fields[1] // _WIDTH]:
+        fields.reverse()
+    inner = fields[-1] if fields else 0
+    outer = fields[0] if len(fields) == 2 else None
+    rows = []
+    touched = reach = 0
     bound = 1
     for f in factors:
         terms = f._terms
-        occurring |= reduce(or_, terms, 0)
-        shift = max(occurring.bit_length() - 1, 0) // _WIDTH * _WIDTH
-        if occurring >> shift << shift != occurring:
-            return None  # more than one variable
-        degree += max(terms, default=0)
+        rows.append((-len(terms), _rows(f, outer, inner)))
         touched += reach * len(terms)
         reach = reach + len(terms) - 1 if reach else len(terms)
         bound *= sum(map(abs, terms.values()))
-    degree >>= shift
-    if degree > _MAX:
+    # the factor with the most terms is packed whole, the others applied to it
+    rows = [r for _, r in sorted(rows, key=itemgetter(0)) if r]
+    spans = [{0: (0, 0)}]  # outer exponent -> lowest and highest inner one
+    for r in rows:
+        spans.append(_spans(spans[-1], r))
+    # the nonzero factors' degrees, as the dict product meets them
+    if max(spans[-1]) > _MAX or max([top for _, top in spans[-1].values()]) > _MAX:
         return None
     if not bound:
         return SparsePolynomial()
-    if degree >= touched:
+    if sum([top - low + 1 for low, top in spans[-1].values()]) > touched:
         return None
     width = _slot_width(bound)
-    acc = 1
-    for f in factors:
-        total = 0
-        for m, c in f._terms.items():
-            part = acc << (m >> shift) * width
-            total += part if c == 1 else -part if c == -1 else part * c
-        acc = total
-    return _from_slots(acc, width, 1, degree + 1, 0, shift)
+    acc = {j: _pack(row, width) for j, row in rows[0].items()}
+    for r, before, after in zip(rows[1:], spans[1:], spans[2:]):
+        acc = _times(acc, before, r, after, width)
+    return _from_rows({k: (low, acc[k], top - low + 1) for k, (low, top) in spans[-1].items()},
+                      width, outer, inner)
+
+
+def _from_rows(rows: dict[int, tuple[int, int, int]], width: int, outer: int | None,
+               inner: int) -> SparsePolynomial:
+    """The polynomial whose row k, given as (lowest exponent, packed int,
+    slots), has the balanced ``width``-bit slot j of its int as the
+    coefficient of outer^k inner^(lowest + j)."""
+    parts = [_from_slots(packed, width, 1, slots, 0, inner, (k and k << outer) + (low << inner))
+             for k, (low, packed, slots) in rows.items()]
+    if len(parts) == 1:
+        return parts[0]
+    return SparsePolynomial(dict(chain.from_iterable(part._terms.items() for part in parts)))
+
+
+def _fields(occurring: int) -> list[int]:
+    """The shifts of the fields in which ``occurring``, an OR of keys, has a
+    nonzero exponent, lowest first; reading stops after a third."""
+    fields: list[int] = []
+    while occurring and len(fields) < 3:
+        shift = ((occurring & -occurring).bit_length() - 1) // _WIDTH * _WIDTH
+        fields.append(shift)
+        occurring &= -1 << shift + _WIDTH
+    return fields
+
+
+def _rows(p: SparsePolynomial, outer: int | None, inner: int) -> dict[int, list[tuple[int, int]]]:
+    """The terms of p by their exponent in the field at ``outer`` (all in
+    row 0 when it is None), each row a list of (exponent in the field at
+    ``inner``, coeff), lowest first."""
+    items = sorted(p._terms.items())  # within a row, key order is inner order
+    if outer is None:  # every key lies in the inner field
+        return {0: [(mono >> inner, coeff) for mono, coeff in items]} if items else {}
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for mono, coeff in items:
+        rows.setdefault(mono >> outer & _MAX, []).append((mono >> inner & _MAX, coeff))
+    return rows
+
+
+def _spans(spans: dict[int, tuple[int, int]],
+           rows: dict[int, list[tuple[int, int]]]) -> dict[int, tuple[int, int]]:
+    """The lowest and highest inner exponent of each row of a product, from
+    those of its first operand and the rows of its second."""
+    out: dict[int, tuple[int, int]] = {}
+    for i, (low, top) in spans.items():
+        for j, row in rows.items():
+            lo, hi = low + row[0][0], top + row[-1][0]
+            old = out.get(i + j)
+            if old is not None:
+                lo, hi = min(lo, old[0]), max(hi, old[1])
+            out[i + j] = lo, hi
+    return out
+
+
+def _pieces(row: list[tuple[int, int]], width: int) -> list[tuple[int, int]]:
+    """The row as (lowest exponent, packed int) pieces: the whole row when it
+    has no gaps, else each term (e, c) alone."""
+    if len(row) > 1 and row[-1][0] - row[0][0] == len(row) - 1:
+        return [(row[0][0], _pack(row, width))]
+    return row
+
+
+def _times(acc: dict[int, int], before: dict[int, tuple[int, int]],
+           rows: dict[int, list[tuple[int, int]]], after: dict[int, tuple[int, int]],
+           width: int) -> dict[int, int]:
+    """The packed rows of a product, from the packed rows of its first
+    operand and the rows of its second, each packed row starting at its
+    lowest exponent in ``before`` (the operand's spans) or ``after`` (the
+    product's).  A row of the second operand with no gaps is one big-int
+    multiply; any other row is applied term by term, a +-1 coefficient as a
+    shift alone."""
+    pieces = [(j, _pieces(row, width)) for j, row in rows.items()]
+    out = dict.fromkeys(after, 0)
+    for i, value in acc.items():
+        low_i = before[i][0]
+        for j, row in pieces:
+            k = i + j
+            total = out[k]
+            base = low_i - after[k][0]
+            for low, v in row:
+                if v == 1:
+                    total += value << (base + low) * width
+                elif v == -1:
+                    total -= value << (base + low) * width
+                else:
+                    total += value * v << (base + low) * width
+            out[k] = total
+    return out
 
 
 def q_bracket(n: int, base: SparsePolynomial | int) -> SparsePolynomial:
@@ -467,12 +578,13 @@ def q_bracket(n: int, base: SparsePolynomial | int) -> SparsePolynomial:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bracket size {n!r} must be a nonnegative integer")
     base = _coerce(base)
-    total = SparsePolynomial()
+    terms: dict[Monomial, int] = {}
     power = const(1)
     for _ in range(n):
-        total = total + power
+        for mono, coeff in power._terms.items():
+            _add_term(terms, mono, coeff)
         power = power * base
-    return total
+    return SparsePolynomial(terms)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -486,9 +598,74 @@ class ExactDivisionError(ArithmeticError):
 def exact_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
     """Exact quotient p / d in the polynomial ring.
 
-    Runs the single-divisor reduction in a graded order; when d divides p
-    every leading coefficient step is an exact integer division, and a
-    nonzero final remainder proves non-divisibility (ExactDivisionError).
+    When d lies in one variable and p in at most one more, the quotient is
+    found row by row (``_row_quotient``); otherwise, and whenever that
+    fails, the heap reduction decides (``_heap_div``).
+    """
+    d = _coerce(d)
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    try:
+        quotient = _row_quotient(p, d)
+    except OverflowError:  # a coefficient outside its slot; exponents never grow here
+        quotient = None
+    return _heap_div(p, d) if quotient is None else quotient
+
+
+def _row_quotient(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial | None:
+    """p / d for d in one variable (the inner one) by rows of p in the
+    other, or None to leave the division to the heap reduction
+    (docs/DECISIONS.md §7).
+
+    Each row P_i, packed at x = 2^W from its lowest exponent, is divided by
+    D packed the same way; a nonzero integer remainder means D does not
+    divide P_i.  The quotient Q' is the balanced decode of the integer
+    quotients, so D(2^W) Q'(2^W) = P(2^W) row by row.  That is D Q' = P
+    coefficientwise when W holds every coefficient of both sides: of P, and
+    of D Q', which L1(D) max|Q'| bounds.  W comes from L1(D) L1(P), which
+    passes the check for D = +-1 +- q^k, whose quotients' coefficients are
+    signed partial sums of P's; for another D a quotient past it fails the
+    check and the heap reduction runs.  As for products, the box (D's span
+    and the spans of P's rows) may hold no more slots than p and d have term
+    pairs.
+    """
+    fields = _fields(reduce(or_, d._terms, 0))
+    if len(fields) != 1:
+        return None
+    inner = fields[0]
+    others = [shift for shift in _fields(reduce(or_, p._terms, 0)) if shift != inner]
+    if len(others) > 1:
+        return None
+    outer = others[0] if others else None
+    (divisor,) = _rows(d, outer, inner).values()
+    d_low, d_top = divisor[0][0], divisor[-1][0]
+    rows = _rows(p, outer, inner)
+    box = d_top - d_low + 1 + sum(row[-1][0] - row[0][0] + 1 for row in rows.values())
+    if box > len(p._terms) * len(d._terms):
+        return None
+    d_l1 = sum(map(abs, d._terms.values()))
+    width = _slot_width(d_l1 * sum(map(abs, p._terms.values())))
+    packed_divisor = _pack(divisor, width)
+    quotients = {}
+    for i, row in rows.items():
+        low, slots = row[0][0] - d_low, row[-1][0] - row[0][0] - (d_top - d_low) + 1
+        if low < 0 or slots < 1:
+            return None
+        quotient, remainder = divmod(_pack(row, width), packed_divisor)
+        if remainder:
+            return None
+        quotients[i] = low, quotient, slots
+    result = _from_rows(quotients, width, outer, inner)
+    largest = max(max(map(abs, p._terms.values()), default=0),
+                  d_l1 * max(map(abs, result._terms.values()), default=0))
+    return None if largest >> width - 1 else result
+
+
+def _heap_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
+    """Exact quotient p / d by the single-divisor reduction in a graded
+    order; when d divides p every leading coefficient step is an exact
+    integer division, and a nonzero final remainder proves
+    non-divisibility (ExactDivisionError).
 
     Leading terms come off a heap keyed on the graded order, so R steps
     with a D-term divisor cost O(R * D * log(R * D)).  A monomial is pushed
@@ -497,9 +674,6 @@ def exact_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
     sound because every term a step adds lies below the current leading
     term, so a popped monomial never comes back.
     """
-    d = _coerce(d)
-    if d.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
     names, shifts = _layout([p, d])
 
     def to_vec(mono: Monomial) -> tuple[int, ...]:
@@ -739,15 +913,17 @@ def _packed_walk(layers: list) -> SparsePolynomial:
 
 
 def _from_slots(packed: int, width: int, rows: int, stride: int, row_shift: int,
-                shift: int) -> SparsePolynomial:
-    """The polynomial whose term at slot i of ``packed`` has exponent
-    i // stride in the field at ``row_shift`` and i % stride in the one at
-    ``shift``, with the balanced ``width``-bit slot as its coefficient."""
+                shift: int, key: Monomial = 0) -> SparsePolynomial:
+    """The polynomial whose term at slot i of ``packed`` has the key ``key``
+    plus exponent i // stride in the field at ``row_shift`` and i % stride in
+    the one at ``shift``, with the balanced ``width``-bit slot as its
+    coefficient.  OverflowError when the box's rows or stride pass the
+    exponent limit; the caller keeps ``key`` plus the box within it."""
     if max(rows, stride) - 1 > _MAX:
         raise OverflowError(f"an exponent exceeds {_MAX}")
     coeffs = _unpack(packed, rows * stride, width)
     keys = chain.from_iterable(range(row, row + (stride << shift), 1 << shift)
-                               for row in range(0, rows << row_shift, 1 << row_shift))
+                               for row in range(key, key + (rows << row_shift), 1 << row_shift))
     return SparsePolynomial(dict(compress(zip(keys, coeffs), coeffs)))
 
 
@@ -757,12 +933,47 @@ def _slot_width(paths: int) -> int:
     return 8 * ((paths.bit_length() + 1 + 7) // 8)
 
 
+def _offset(slots: int, size: int) -> int:
+    """Half a slot in each of ``slots`` slots of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+# slot size in bytes -> the struct code of a little-endian unsigned int that size
+_DIGITS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(terms: list[tuple[int, int]], width: int) -> int:
+    """The int with coefficient c in the balanced ``width``-bit slot e - e0
+    for each (e, c) of ``terms``, e0 the first and lowest e: ``_unpack``'s
+    inverse, in linear time.  OverflowError if a coefficient does not fit."""
+    size, half, low = width // 8, 1 << width - 1, terms[0][0]
+    slots = terms[-1][0] - low + 1
+    if slots == len(terms):
+        digits = list(map(add, map(itemgetter(1), terms), repeat(half)))
+    else:
+        digits = [half] * slots
+        for e, c in terms:
+            digits[e - low] = c + half
+    code = _DIGITS.get(size)
+    if not code:
+        data = b"".join([digit.to_bytes(size, "little") for digit in digits])
+    else:
+        try:
+            data = struct.pack(f"<{slots}{code}", *digits)
+        except struct.error:
+            raise OverflowError(f"a coefficient does not fit a {width}-bit slot") from None
+    return int.from_bytes(data, "little") - _offset(slots, size)
+
+
 def _unpack(packed: int, slots: int, width: int) -> list[int]:
     """The balanced ``width``-bit slots of ``packed``, lowest first, read in
     linear time; OverflowError if the top slot is outside [-2^(width-1),
     2^(width-1)).  Half a slot added to each slot makes every slot a digit."""
     size = width // 8
-    half = 1 << width - 1
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-    data = (packed + offset).to_bytes(size * slots, "little")
-    return [int.from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]
+    data = (packed + _offset(slots, size)).to_bytes(size * slots, "little")
+    code = _DIGITS.get(size)
+    if code:
+        digits = struct.unpack(f"<{slots}{code}", data)
+    else:
+        digits = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    return list(map(sub, digits, repeat(1 << width - 1)))

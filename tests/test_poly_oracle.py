@@ -379,3 +379,250 @@ def test_sparse_boxes_stay_on_the_dict_product(monkeypatch):
             got = poly_product([1 + q, 1 + q, 1 + q**k])
         assert taken == [packs]
         assert got == (1 + 2 * q + q**2) * (1 + q**k)
+
+
+# -- the row-packed (t, q) product ----------------------------------------------
+
+
+def _rectangle():
+    """Every exponent pair of a rectangle from t^0 q^0, each with a nonzero
+    coefficient; a one-row or one-column rectangle lies in q or t alone."""
+    def terms(shape):
+        rows, cols = shape
+        cells = [({name: e for name, e in (("t", a), ("q", b)) if e}) for a in range(rows)
+                 for b in range(cols)]
+        return st.lists(_nonzero, min_size=len(cells), max_size=len(cells)).map(
+            lambda coeffs: list(zip(cells, coeffs)))
+    return st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(terms)
+
+
+@given(_rectangle(), _rectangle())
+def test_dense_bivariate_products_are_packed(a, b):
+    (pa, ra), (pb, rb) = pair(a), pair(b)
+    with packed_spy() as taken:
+        got = pa * pb
+    assert taken == ([True] if len(a) > 1 < len(b) else [])
+    assert_same(got, ra * rb)
+
+
+_tq_factor = st.one_of(
+    _rectangle().map(lambda data: ("poly", data)),
+    _nonzero.map(lambda c: ("int", c)),
+    _nonzero.map(lambda c: ("const", c)),
+)
+
+
+@given(st.lists(_tq_factor, min_size=2, max_size=5), st.none() | st.integers(0, 5), st.booleans())
+def test_bivariate_poly_product_is_packed(factors, zero_at, zero_as_int):
+    if zero_at is not None:
+        factors.insert(zero_at, ("int" if zero_as_int else "const", 0))
+    got_factors, want = [], Ref({frozenset(): 1})
+    for kind, data in factors:
+        if kind == "poly":
+            p, r = pair(data)
+        else:
+            p, r = data if kind == "int" else const(data), Ref({frozenset(): data})
+        got_factors.append(p)
+        want = want * r
+    with packed_spy() as taken:
+        got = poly_product(got_factors)
+    assert taken == [True]
+    assert_same(got, want)
+
+
+def test_a_row_that_cancels_between_nonzero_rows():
+    t, q = var("t"), var("q")
+    for factors, text in (([1 + t * q, 1 - t * q], "1 - t^2*q^2"),
+                          ([1 + t * q + t**2, 1 - t * q + t**2], "1 + 2*t^2 - t^2*q^2 + t^4"),
+                          ([1 + t * q, 1 - t * q, 1 + t**2 * q**2], "1 - t^4*q^4")):
+        with packed_spy() as taken:
+            got = poly_product(factors)
+        assert taken == [True]
+        assert str(got) == text
+    with packed_spy() as taken:
+        assert (1 + t * q) * (1 - t * q) == 1 - t**2 * q**2
+    assert taken == [True]
+
+
+@pytest.mark.parametrize("field", ["t", "q"])
+def test_bivariate_degrees_past_the_limit_size_no_box(monkeypatch, field):
+    t, q = var("t"), var("q")
+    other = q if field == "t" else t
+    half = SparsePolynomial.from_terms([({field: LIMIT // 2 + 1}, 1)])
+    monkeypatch.setattr(poly, "_slot_width", no_box)
+    for factors in ([1 + other * half, 1 + half], [1 + other * half, 1 + other, other + half],
+                    [other + half, other, 1 + half]):
+        with packed_spy() as taken, pytest.raises(OverflowError):
+            poly_product(factors)
+        assert taken == [False]
+    with pytest.raises(OverflowError):
+        (1 + other * half) * (other + half)
+    # exactly at the limit the product is packed and exact
+    monkeypatch.undo()
+    below = SparsePolynomial.from_terms([({field: LIMIT // 2}, 1)])
+    one = SparsePolynomial.from_terms([({field: 1}, 1)])
+    with packed_spy() as taken:
+        got = poly_product([1 + other * below, 1 + other * below * one])
+    assert taken == [True]
+    assert str(got).endswith(f"{field}^{LIMIT}" if field == "q" else f"t^{LIMIT}*q^2")
+
+
+def test_bivariate_sparse_boxes_stay_on_the_dict_product(monkeypatch):
+    t, q = var("t"), var("q")
+    # the box is the sum of the row spans: 1, 2 and 1 slots against 4 term pairs
+    with packed_spy() as taken:
+        assert (1 + t * q) * (1 + t * q**2) == 1 + t * q + t * q**2 + t**2 * q**3
+        assert (1 + t * q) * (1 + t * q**3) == 1 + t * q + t * q**3 + t**2 * q**4
+    assert taken == [True, False]
+    # tilted rows cost their own spans, not the rectangle around them
+    with packed_spy() as taken:
+        got = poly_product([1 + t * q**5, 1 + t * q**5, 1 + t * q**5])
+    assert taken == [True]
+    assert got == 1 + 3 * t * q**5 + 3 * t**2 * q**10 + t**3 * q**15
+    monkeypatch.setattr(poly, "_slot_width", no_box)
+    with packed_spy() as taken:
+        got = poly_product([1 + t * q**10**6, 1 + q**10**6] * 3)
+    assert taken == [False]
+    assert got == ((1 + t * q**10**6) * (1 + q**10**6)) ** 3
+
+
+# -- the row-wise exact division ------------------------------------------------
+
+
+@contextmanager
+def row_spy():
+    """Records, per call of the row division, whether it found the quotient
+    (True) or left the division to the heap reduction (False), which a
+    coefficient past its slot does by raising OverflowError."""
+    original = poly._row_quotient
+    taken = []
+
+    def spy(p, d):
+        try:
+            result = original(p, d)
+        except OverflowError:
+            taken.append(False)
+            raise
+        taken.append(result is not None)
+        return result
+
+    poly._row_quotient = spy
+    try:
+        yield taken
+    finally:
+        poly._row_quotient = original
+
+
+_q_divisor = st.lists(st.tuples(st.integers(0, 5), _nonzero), min_size=1, max_size=4).map(
+    lambda terms: [({"q": e} if e else {}, c) for e, c in terms])
+_binomial_divisor = st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+                              st.integers(1, 4)).map(lambda s: [({}, s[0]), ({"q": s[2]}, s[1])])
+# dense (t, q) rectangles, whose boxes pass, and sparse terms in t and q
+_tq_dividend = st.one_of(_rectangle(), _terms(6, max_vars=2, exps=st.integers(1, 4)).map(
+    lambda data: [({n: e for n, e in m.items() if n in "tq"}, c) for m, c in data]))
+
+
+@settings(max_examples=80)
+@given(_tq_dividend, st.one_of(_q_divisor, _binomial_divisor))
+def test_row_division_of_multiples_matches_the_heap(a, d):
+    (pa, ra), (pd, _) = pair(a), pair(d)
+    if pd.is_zero or pd.variables() != {"q"}:
+        return
+    product = pa * pd
+    got = exact_div(product, pd)
+    assert_same(got, ra)
+    assert got == poly._heap_div(product, pd)
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(st.integers(1, 2**70), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]).map(lambda sizes: (shape, sizes))),
+    st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_row_division_by_one_plus_or_minus_q_needs_no_heap(rectangle, c0, s):
+    """d = c0 (1 + s q): the quotient's coefficients are signed partial sums
+    of the dividend's, so the slot chosen from L1(d) L1(p) always holds them.
+    Signs s^b in each row keep p = a d from cancelling, so its box passes."""
+    (rows, cols), sizes = rectangle
+    data = [({name: e for name, e in (("t", a), ("q", b)) if e}, s**b * size)
+            for (a, b), size in zip(((a, b) for a in range(rows) for b in range(cols)), sizes)]
+    (pa, ra), pd = pair(data), c0 * (1 + s * var("q"))
+    with row_spy() as taken:
+        got = exact_div(pa * pd, pd)
+    assert taken == [True]
+    assert_same(got, ra)
+
+
+@settings(max_examples=80)
+@given(_tq_dividend, st.one_of(_q_divisor, _binomial_divisor))
+def test_row_division_refuses_as_the_heap_does(p_data, d):
+    (pp, _), (pd, _) = pair(p_data), pair(d)
+    if pd.is_zero or pd.variables() != {"q"}:
+        return
+    try:
+        want = poly._heap_div(pp, pd)
+    except ExactDivisionError as error:
+        with pytest.raises(ExactDivisionError) as info:
+            exact_div(pp, pd)
+        assert str(info.value.remainder) == str(error.remainder)
+        assert info.value.remainder == error.remainder
+    else:
+        assert exact_div(pp, pd) == want
+
+
+def test_a_narrow_slot_falls_back_to_the_heap(monkeypatch):
+    from arcperm.formulas import f_AB_fdes_fmaj
+
+    t, q = var("t"), var("q")
+    big = 2**40
+    quotients = [(1 + big * q) * (1 + t), big - t * q - big * t**2 * q**3]
+    cases = [(d * quotient, d, quotient) for d, quotient in zip([1 - q, 1 + q**2], quotients)]
+    with row_spy() as taken:
+        assert [exact_div(p, d) for p, d, _ in cases] == [want for *_, want in cases]
+    assert taken == [True, True]
+    # coefficients 1 and -1, quotient the partial sums 1, 2, ..., 200, ..., 1:
+    # the dividend fits an 8-bit slot and the quotient does not
+    tent = SparsePolynomial.from_terms([({"q": j} if j else {}, 1 if j < 200 else -1)
+                                        for j in range(400)])
+    peak = exact_div(tent, 1 - q)
+    assert max(c for _, c in peak.sorted_terms()) == 200
+    closed_form = f_AB_fdes_fmaj(10)
+    original = poly._slot_width
+    monkeypatch.setattr(poly, "_slot_width", lambda paths: original(paths) - 8)
+    with row_spy() as taken:
+        assert [exact_div(p, d) for p, d, _ in cases] == [want for *_, want in cases]
+        assert exact_div(tent, 1 - q) == peak
+        assert exact_div(closed_form * (1 - q), 1 - q) == closed_form
+    # each has a coefficient past the narrow slot: the dividend's, or the
+    # quotient's, which only the check on D Q' sees
+    assert taken[:3] == [False, False, False]
+
+
+# -- powers and q-brackets of one term -----------------------------------------
+
+
+@pytest.mark.parametrize("base", ["q", "-q", "-q^2", "t*q", "2", "0"])
+def test_one_term_powers_and_brackets_match_reference(base, monkeypatch):
+    t, q = var("t"), var("q")
+    rt, rq = Ref({frozenset([("t", 1)]): 1}), Ref({frozenset([("q", 1)]): 1})
+    minus = Ref({frozenset(): -1})
+    p, r = {"q": (q, rq), "-q": (-q, minus * rq), "-q^2": (-(q**2), minus * rq * rq),
+            "t*q": (t * q, rt * rq), "2": (const(2), Ref({frozenset(): 2})),
+            "0": (const(0), Ref({}))}[base]
+    for n in range(51):
+        assert_same(p**n, r**n)
+        assert_same(poly.q_bracket(n, p), sum((r**i for i in range(n)), Ref({})))
+    if base != "0":  # one key times n: no product is taken
+        monkeypatch.setattr(poly, "_dict_product", no_box)
+        monkeypatch.setattr(poly, "_packed_product", no_box)
+        assert p**50 == SparsePolynomial.from_terms([({name: e * 50 for name, e in mono}, c**50)
+                                                     for mono, c in p.sorted_terms()])
+
+
+def test_one_term_powers_past_the_limit():
+    t, q = var("t"), var("q")
+    assert str(q**LIMIT) == f"q^{LIMIT}"
+    assert str((t * q**2) ** (LIMIT // 2)) == f"t^{LIMIT // 2}*q^{LIMIT - 1}"
+    for base, k in ((q, LIMIT + 1), (q**2, LIMIT // 2 + 1), (t * q**2, LIMIT // 2 + 1),
+                    (-3 * t**LIMIT, 2), (t**2 * q, 2**40)):
+        with pytest.raises(OverflowError):
+            base**k
