@@ -57,29 +57,41 @@ def _need(n: int, low: int):
         raise ValueError(f"formula requires n >= {low}, got {n}")
 
 
+def _layered(m, left, head, right=None, scale=1) -> SparsePolynomial:
+    """scale·∏_{i=1}^{m} left(i) + Σ_{j=1}^{m−1} head(j)·∏_{i<j} left(i)·∏_{i=j+2}^{m} right(i).
+
+    The printed shape of the descent-set forms: head j spans layers j and
+    j + 1, and right defaults to left.  The left prefix is carried from one
+    j to the next (docs/DECISIONS.md §8).
+    """
+    right = right or left
+    lefts = [left(i) for i in range(1, m + 1)]
+    total = poly_product([scale, *lefts])
+    prefix = const(1)
+    for j in range(1, m):
+        total = total + head(j) * prefix * poly_product(right(i) for i in range(j + 2, m + 1))
+        prefix = prefix * lefts[j - 1]
+    return total
+
+
 # -- arc permutations ---------------------------------------------------------
 
 
 def f_A_inv_des(n: int) -> SparsePolynomial:
     """Joint inversion / descent-set distribution on arc permutations."""
     _need(n, 2)
-    total = poly_product(1 + T**i * _x(i) for i in range(1, n))
-    for j in range(1, n - 1):
-        head = T ** (j * (n - j)) * _x(j) + T ** (n - j - 1) * _x(j + 1)
-        left = poly_product(1 + T**i * _x(i) for i in range(1, j))
-        right = poly_product(1 + T ** (n - i) * _x(i) for i in range(j + 2, n))
-        total = total + head * left * right
-    return total
+    return _layered(
+        n - 1,
+        left=lambda i: 1 + T**i * _x(i),
+        head=lambda j: T ** (j * (n - j)) * _x(j) + T ** (n - j - 1) * _x(j + 1),
+        right=lambda i: 1 + T ** (n - i) * _x(i),
+    )
 
 
 def f_A_des_set(n: int) -> SparsePolynomial:
     """Descent-set distribution on arc permutations, cleared product form."""
     _need(n, 2)
-    total = poly_product(1 + _x(i) for i in range(1, n))
-    for j in range(1, n - 1):
-        rest = poly_product(1 + _x(i) for i in range(1, n) if i not in (j, j + 1))
-        total = total + (_x(j) + _x(j + 1)) * rest
-    return total
+    return _layered(n - 1, left=lambda i: 1 + _x(i), head=lambda j: _x(j) + _x(j + 1))
 
 
 def f_A_des_maj(n: int) -> SparsePolynomial:
@@ -117,16 +129,11 @@ def f_sign_des_set(n: int) -> SparsePolynomial:
 def f_sign_des_set_even(n: int) -> SparsePolynomial:
     """Simplified sign-twisted descent-set product, valid for even n."""
     _need(n, 2)
-
-    def sgn(i: int) -> int:
-        return -1 if i % 2 else 1
-
-    total = poly_product(1 + sgn(i) * _x(i) for i in range(1, n))
-    for j in range(1, n - 1):
-        head = sgn(j) * (_x(j) - _x(j + 1))
-        rest = poly_product(1 + sgn(i) * _x(i) for i in range(1, n) if i not in (j, j + 1))
-        total = total + head * rest
-    return total
+    return _layered(
+        n - 1,
+        left=lambda i: 1 + (-1) ** i * _x(i),
+        head=lambda j: (-1) ** j * (_x(j) - _x(j + 1)),
+    )
 
 
 def f_L_des_set(n: int) -> SparsePolynomial:
@@ -146,36 +153,23 @@ def _x_or_one(i: int) -> SparsePolynomial:
 def f_As_des_neg(n: int) -> SparsePolynomial:
     """Joint descent-set / negative-set distribution on signed arc permutations."""
     _need(n, 1)
-
-    def factor(i: int) -> SparsePolynomial:
-        return 1 + _x_or_one(i - 1) * _y(i)
-
-    total = poly_product(factor(i) for i in range(1, n + 1))
-    for j in range(1, n):
-        head = (_x(j) + _x_or_one(j - 1) * _y(j)) * (1 + _y(j + 1))
-        rest = poly_product(factor(i) for i in range(1, n + 1) if i not in (j, j + 1))
-        total = total + head * rest
-    return total
+    return _layered(
+        n,
+        left=lambda i: 1 + _x_or_one(i - 1) * _y(i),
+        head=lambda j: (_x(j) + _x_or_one(j - 1) * _y(j)) * (1 + _y(j + 1)),
+    )
 
 
 def f_As_des_neg_inv(n: int) -> SparsePolynomial:
     """The refinement of f_As_des_neg by inversions of the absolute word."""
     _need(n, 1)
-
-    def factor(i: int) -> SparsePolynomial:
-        return 1 + T ** (i - 1) * _x_or_one(i - 1) * _y(i)
-
-    total = poly_product(factor(i) for i in range(1, n + 1))
-    for j in range(1, n):
-        head = (_x(j) + T ** (j - 1) * _x_or_one(j - 1) * _y(j)) * (
-            T ** (j * (n - j)) + T ** (n - j - 1) * _y(j + 1)
-        )
-        left = poly_product(factor(i) for i in range(1, j))
-        right = poly_product(
-            1 + T ** (n - i) * _x(i - 1) * _y(i) for i in range(j + 2, n + 1)
-        )
-        total = total + head * left * right
-    return total
+    return _layered(
+        n,
+        left=lambda i: 1 + T ** (i - 1) * _x_or_one(i - 1) * _y(i),
+        head=lambda j: (_x(j) + T ** (j - 1) * _x_or_one(j - 1) * _y(j))
+        * (T ** (j * (n - j)) + T ** (n - j - 1) * _y(j + 1)),
+        right=lambda i: 1 + T ** (n - i) * _x(i - 1) * _y(i),
+    )
 
 
 def f_As_fdes_fmaj(n: int) -> SparsePolynomial:
@@ -203,28 +197,28 @@ def f_As_fdes(n: int) -> SparsePolynomial:
     )
 
 
+# χ → (a, b) in the factors 1 + a·b^i·q^(2i−1) of both families' fmaj forms
+_CHARACTER_SIGNS = {
+    Character.TRIVIAL: (1, 1),
+    Character.SIGN: (1, -1),
+    Character.NEG_PARITY: (-1, 1),
+    Character.SIGN_ABS: (-1, -1),
+}
+
+
+def _fmaj_product(n: int, chi: Character) -> SparsePolynomial:
+    """∏_{i=1}^{n−1} (1 + a·b^i·q^(2i−1)) with (a, b) = _CHARACTER_SIGNS[chi]."""
+    a, b = _CHARACTER_SIGNS[chi]
+    return poly_product(1 + a * b**i * Q ** (2 * i - 1) for i in range(1, n))
+
+
 def f_As_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
     """Character-twisted fmaj distribution on signed arc permutations."""
     _need(n, 1)
-    if chi is Character.TRIVIAL:
-        return q_bracket(2 * n, Q) * poly_product(
-            1 + Q ** (2 * i - 1) for i in range(1, n)
-        )
-    if chi is Character.SIGN:
-        prod = poly_product(
-            1 + (-1) ** i * Q ** (2 * i - 1) for i in range(1, n)
-        )
-        if n % 2:
-            return (1 - Q) * q_bracket(n, -(Q**2)) * prod
-        return q_bracket(2 * n, Q) * prod
-    if chi is Character.NEG_PARITY:
-        return q_bracket(2 * n, -Q) * poly_product(
-            1 - Q ** (2 * i - 1) for i in range(1, n)
-        )
-    prod = poly_product(1 + (-1) ** (i - 1) * Q ** (2 * i - 1) for i in range(1, n))
-    if n % 2:
-        return (1 + Q) * q_bracket(n, -(Q**2)) * prod
-    return q_bracket(2 * n, -Q) * prod
+    a, b = _CHARACTER_SIGNS[chi]
+    if n % 2 and b == -1:
+        return (1 - a * Q) * q_bracket(n, -(Q**2)) * _fmaj_product(n, chi)
+    return q_bracket(2 * n, a * Q) * _fmaj_product(n, chi)
 
 
 # -- B-arc permutations ---------------------------------------------------------
@@ -233,19 +227,8 @@ def f_As_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
 def f_AB_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
     """Character-twisted fmaj distribution on B-arc permutations."""
     _need(n, 1)
-    if chi is Character.TRIVIAL:
-        base, signs = Q, [1] * (n + 1)
-    elif chi is Character.SIGN:
-        base = Q if n % 2 == 0 else -Q
-        signs = [(-1) ** i for i in range(n + 1)]
-    elif chi is Character.NEG_PARITY:
-        base, signs = -Q, [-1] * (n + 1)
-    else:
-        base = Q if n % 2 else -Q
-        signs = [(-1) ** (i - 1) for i in range(n + 1)]
-    return q_bracket(2 * n, base) * poly_product(
-        1 + signs[i] * Q ** (2 * i - 1) for i in range(1, n)
-    )
+    a, b = _CHARACTER_SIGNS[chi]
+    return q_bracket(2 * n, a * b**n * Q) * _fmaj_product(n, chi)
 
 
 def f_AB_fdes_fmaj(n: int) -> SparsePolynomial:
@@ -272,11 +255,9 @@ def f_AB_fdes(n: int) -> SparsePolynomial:
 def f_AB_des_set(n: int) -> SparsePolynomial:
     """Descent-set distribution on B-arc permutations, cleared product form."""
     _need(n, 2)
-    total = (2 + n) * poly_product(1 + _x(i) for i in range(1, n))
-    for j in range(1, n - 1):
-        rest = poly_product(1 + _x(i) for i in range(1, n) if i not in (j, j + 1))
-        total = total + 2 * (_x(j) + _x(j + 1)) * rest
-    return total
+    return _layered(
+        n - 1, left=lambda i: 1 + _x(i), head=lambda j: 2 * (_x(j) + _x(j + 1)), scale=2 + n
+    )
 
 
 def f_negative_control(n: int) -> SparsePolynomial:
@@ -299,11 +280,18 @@ class FormulaEntry:
     build: Callable[[int], SparsePolynomial]
     family: str
     weights: WeightSpec
-    claimed: Callable[[int], bool]
-    claim_text: str
+    claimed_from: int
+    even_only: bool = False
     evaluable_from: int = 1
     note: str = ""
     hidden: bool = False
+
+    def claimed(self, n: int) -> bool:
+        return n >= self.claimed_from and not (self.even_only and n % 2)
+
+    @property
+    def claim_text(self) -> str:
+        return f"{'even ' if self.even_only else ''}n >= {self.claimed_from}"
 
 
 @dataclass(frozen=True)
@@ -335,127 +323,91 @@ class VerifyRow:
                 for key, value in self.record().items()}
 
 
-def _ge(low: int) -> Callable[[int], bool]:
-    return lambda n: n >= low
-
-
-def _even_ge(low: int) -> Callable[[int], bool]:
-    return lambda n: n >= low and n % 2 == 0
-
-
 def _entries() -> list[FormulaEntry]:
     out = [
         FormulaEntry(
             "f_A_inv_des", f_A_inv_des, "arc",
-            WeightSpec(t_stat="inv", descent_vars=True),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(t_stat="inv", descent_vars=True), 2, evaluable_from=2,
         ),
         FormulaEntry(
             "f_A_des_set", f_A_des_set, "arc",
-            WeightSpec(descent_vars=True),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(descent_vars=True), 2, evaluable_from=2,
         ),
         FormulaEntry(
             "f_A_des_maj", f_A_des_maj, "arc",
-            WeightSpec(t_stat="des", q_stat="maj"),
-            _ge(3), "n >= 3", evaluable_from=2,
+            WeightSpec(t_stat="des", q_stat="maj"), 3, evaluable_from=2,
             note="printed claim starts at n = 2 but the identity fails there",
         ),
         FormulaEntry(
             "f_A_des", f_A_des, "arc",
-            WeightSpec(t_stat="des"),
-            _ge(3), "n >= 3", evaluable_from=3,
+            WeightSpec(t_stat="des"), 3, evaluable_from=3,
             note="literal form carries (1+t)^(n-3)",
         ),
         FormulaEntry(
             "f_A_maj", f_A_maj, "arc",
-            WeightSpec(q_stat="maj"),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(q_stat="maj"), 2, evaluable_from=2,
         ),
         FormulaEntry(
             "f_A_signed_maj", f_A_signed_maj, "arc",
-            WeightSpec(q_stat="maj", character=Character.SIGN),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(q_stat="maj", character=Character.SIGN), 2, evaluable_from=2,
         ),
         FormulaEntry(
             "f_sign_des_set", f_sign_des_set, "arc",
-            WeightSpec(descent_vars=True, character=Character.SIGN),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(descent_vars=True, character=Character.SIGN), 2, evaluable_from=2,
         ),
         FormulaEntry(
             "f_sign_des_set_even", f_sign_des_set_even, "arc",
             WeightSpec(descent_vars=True, character=Character.SIGN),
-            _even_ge(2), "even n >= 2", evaluable_from=2,
+            2, even_only=True, evaluable_from=2,
         ),
         FormulaEntry(
             "f_L_des_set", f_L_des_set, "left-unimodal",
-            WeightSpec(descent_vars=True),
-            _ge(1), "n >= 1",
+            WeightSpec(descent_vars=True), 1,
         ),
         FormulaEntry(
             "f_As_des_neg", f_As_des_neg, "signed-arc",
-            WeightSpec(descent_vars=True, neg_vars=True),
-            _ge(1), "n >= 1",
+            WeightSpec(descent_vars=True, neg_vars=True), 1,
         ),
         FormulaEntry(
             "f_As_des_neg_inv", f_As_des_neg_inv, "signed-arc",
-            WeightSpec(t_stat="inv", descent_vars=True, neg_vars=True),
-            _ge(1), "n >= 1",
+            WeightSpec(t_stat="inv", descent_vars=True, neg_vars=True), 1,
         ),
         FormulaEntry(
             "f_As_fdes_fmaj", f_As_fdes_fmaj, "signed-arc",
-            WeightSpec(t_stat="fdes", q_stat="fmaj"),
-            _ge(3), "n >= 3", evaluable_from=2,
+            WeightSpec(t_stat="fdes", q_stat="fmaj"), 3, evaluable_from=2,
             note="printed claim starts at n = 2 but the identity fails there",
         ),
         FormulaEntry(
             "f_As_fdes", f_As_fdes, "signed-arc",
-            WeightSpec(t_stat="fdes"),
-            _ge(3), "n >= 3", evaluable_from=3,
+            WeightSpec(t_stat="fdes"), 3, evaluable_from=3,
             note="literal form carries (1+t^2)^(n-3)",
         ),
     ]
-    for chi in Character:
-        out.append(
+    for family, build in (("signed-arc", f_As_character_fmaj), ("b-arc", f_AB_character_fmaj)):
+        out += [
             FormulaEntry(
-                f"f_As_character_fmaj.{chi.value}",
-                lambda n, chi=chi: f_As_character_fmaj(n, chi),
-                "signed-arc",
-                WeightSpec(q_stat="fmaj", character=chi),
-                _ge(1), "n >= 1",
+                f"{build.__name__}.{chi.value}", partial(build, chi=chi), family,
+                WeightSpec(q_stat="fmaj", character=chi), 1,
             )
-        )
-    for chi in Character:
-        out.append(
-            FormulaEntry(
-                f"f_AB_character_fmaj.{chi.value}",
-                lambda n, chi=chi: f_AB_character_fmaj(n, chi),
-                "b-arc",
-                WeightSpec(q_stat="fmaj", character=chi),
-                _ge(1), "n >= 1",
-            )
-        )
+            for chi in Character
+        ]
     out += [
         FormulaEntry(
             "f_AB_fdes_fmaj", f_AB_fdes_fmaj, "b-arc",
-            WeightSpec(t_stat="fdes", q_stat="fmaj"),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(t_stat="fdes", q_stat="fmaj"), 2, evaluable_from=2,
         ),
         FormulaEntry(
             "f_AB_fdes", f_AB_fdes, "b-arc",
-            WeightSpec(t_stat="fdes"),
-            _ge(3), "n >= 3", evaluable_from=3,
+            WeightSpec(t_stat="fdes"), 3, evaluable_from=3,
             note="literal form carries (1+t^2)^(n-3)",
         ),
         FormulaEntry(
             "f_AB_des_set", f_AB_des_set, "b-arc",
-            WeightSpec(descent_vars=True),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(descent_vars=True), 2, evaluable_from=2,
         ),
         FormulaEntry(
             "negative-control", f_negative_control, "arc",
-            WeightSpec(q_stat="maj"),
-            _ge(2), "n >= 2", evaluable_from=2,
+            WeightSpec(q_stat="maj"), 2, evaluable_from=2,
             note="deliberately corrupted fixture; a MISMATCH here is expected",
             hidden=True,
         ),

@@ -22,7 +22,7 @@ from arcperm.arcsets import (
     generate_left_unimodal,
     generate_signed_arc,
 )
-from arcperm.formulas import EQUAL, REGISTRY, verify_formula
+from arcperm.formulas import EQUAL, OUT_OF_STATED_RANGE, REGISTRY, verify_formula
 from arcperm import poly
 from arcperm.poly import (WeightSpec, _dict_walk, _from_slots, _packed_walk, _slot_width, _unpack,
                           _weighed, enumerator, var)
@@ -142,15 +142,27 @@ TQ_IDENTITIES = [
     name for name, entry in REGISTRY.items()
     if not entry.hidden and entry.weights.packs
 ]
+# the identities with descent or negative-set variables, whose output
+# doubles with each n
+XY_IDENTITIES = [
+    name for name, entry in REGISTRY.items()
+    if not entry.hidden and not entry.weights.packs
+]
 
 
 def test_tq_identities_verify_past_the_old_exhaustive_limit():
     # about 0.8 s on a 2-vCPU VM with the packed walk (4.5 s with the dict
-    # walk); the word loop would read 30 * 2**30 b-arc words
-    assert len(TQ_IDENTITIES) == 16
+    # walk); the word loop would read 30 * 2**30 b-arc words.  The x/y
+    # identities go to n = 12, past the n <= 8 of the acceptance tests, in
+    # about 0.8 s more.
+    assert len(TQ_IDENTITIES) == 16 and len(XY_IDENTITIES) == 8
     for name in TQ_IDENTITIES:
         rows = verify_formula(name, [30])
         assert [(r.n, r.status) for r in rows] == [(30, EQUAL)], name
+    for name in XY_IDENTITIES:
+        odd = OUT_OF_STATED_RANGE if name == "f_sign_des_set_even" else EQUAL
+        rows = verify_formula(name, [11, 12])
+        assert [(r.n, r.status) for r in rows] == [(11, odd), (12, EQUAL)], name
 
 
 # -- the packed walk (one int per state) against the dict walk -----------------

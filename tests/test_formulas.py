@@ -59,27 +59,22 @@ def test_spot_values():
 
 
 def test_range_errors():
-    for build, low in [
-        (f_A_inv_des, 2), (f_A_des_set, 2), (f_A_des_maj, 2), (f_A_maj, 2),
-        (f_A_signed_maj, 2), (f_sign_des_set, 2), (f_sign_des_set_even, 2),
-        (f_A_des, 3), (f_As_fdes, 3), (f_AB_fdes, 3),
-        (f_As_fdes_fmaj, 2), (f_AB_fdes_fmaj, 2), (f_AB_des_set, 2),
-    ]:
-        with pytest.raises(ValueError):
-            build(low - 1)
+    # each builder's own lower bound is its registry entry's evaluable_from;
+    # a builder that raised inside the range would make verify exit 2
+    for name, entry in REGISTRY.items():
+        if entry.evaluable_from > 1:
+            with pytest.raises(ValueError):
+                entry.build(entry.evaluable_from - 1)
+        entry.build(entry.evaluable_from)
 
 
 def test_equidistribution_of_closed_forms():
-    for n in range(1, 11):
-        assert f_As_character_fmaj(n, Character.TRIVIAL) == f_AB_character_fmaj(
-            n, Character.TRIVIAL
-        )
-        s_sign = f_As_character_fmaj(n, Character.SIGN)
-        b_sign = f_AB_character_fmaj(n, Character.SIGN)
-        if n % 2 == 0 or n == 1:
-            assert s_sign == b_sign
-        else:
-            assert s_sign != b_sign
+    # the two families' fmaj forms agree for every character, except for
+    # sign and sign_abs at odd n >= 3
+    for n in range(1, 12):
+        for chi in Character:
+            differ = chi in (Character.SIGN, Character.SIGN_ABS) and n % 2 == 1 and n >= 3
+            assert (f_As_character_fmaj(n, chi) != f_AB_character_fmaj(n, chi)) == differ, (n, chi)
 
 
 def test_neg_parity_form_is_trivial_form_at_minus_q():
