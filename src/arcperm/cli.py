@@ -257,7 +257,7 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown formula {args.formula!r}; choose from: all, {known}")
     groups: dict[int, list[str]] = {}  # each identity has its cost class's guard
     for name in names:
-        limit = VERIFY_TQ_LIMIT if formulas.REGISTRY[name].weights.packs else VERIFY_LIMIT
+        limit = VERIFY_LIMIT if formulas.REGISTRY[name].weights.letters else VERIFY_TQ_LIMIT
         groups.setdefault(limit, []).append(name)
     _guard(args.n_max, args.force,
            {limit: ", ".join(group) for limit, group in sorted(groups.items())})

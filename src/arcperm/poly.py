@@ -38,11 +38,13 @@ a heap.  The weighted
 family's O(n^2) growth states, checked against brute force in tier-1: each
 of the O(n^2) moves shifts one state's term map by one key and a sign, so
 the cost is moves times terms per state and no word is built.  In t, q and a
-character only, a state is one int with a fixed-width slot per term, and a
-move is one big-int shift and add.  Over any other iterable it reads each
-word once, at O(n) per element (inv adds O(n^2) bit work), and builds one
-key per distinct statistic key.  Output reads the k fields of each of T
-terms once, O(T * k), and sorts the terms on one int key each; ``json_text``
+character only, or in x variables and a character only, a state is one int
+with a fixed-width slot per term (an x term's slot has bit d - 1 set for
+each x_d in it), and a move is one big-int shift and add.  Over any other
+iterable it reads each word once, at O(n) per element (inv adds O(n^2) bit
+work), and builds one key per distinct statistic key.  Output reads the k
+fields of each of T terms once, O(T * k), and sorts the terms on one int
+key each; ``json_text``
 then builds each term's text from a few fixed pieces and one cached
 ``"name": exp`` entry per nonzero exponent, with no per-term dict.
 """
@@ -252,6 +254,11 @@ class SparsePolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        for unit, p in ((other._terms, self), (self._terms, other)):
+            if unit == _ONE:
+                return p
+            if unit == _MINUS_ONE:
+                return -p
         if len(self._terms) > 1 < len(other._terms):  # one term only shifts the other's keys
             packed = _packed_product((self, other))
             if packed is not None:
@@ -410,6 +417,9 @@ def _binding(value) -> SparsePolynomial | int:
 
 def const(c: int) -> SparsePolynomial:
     return SparsePolynomial({0: c} if c else {})
+
+
+_ONE, _MINUS_ONE = {0: 1}, {0: -1}  # the terms of the units, which multiply by copying nothing
 
 
 def var(name: str) -> SparsePolynomial:
@@ -744,9 +754,16 @@ class WeightSpec:
             raise ValueError(f"unknown q statistic {self.q_stat!r}")
 
     @property
+    def letters(self) -> bool:
+        """x or y variables: the output has up to one term per subset of
+        positions, so it doubles with each n (``verify``'s guard keys on it)."""
+        return self.descent_vars or self.neg_vars
+
+    @property
     def packs(self) -> bool:
-        """No x or y variables: the walk keeps one int per state."""
-        return not (self.descent_vars or self.neg_vars)
+        """The walk keeps one int per state: in t, q and a character only,
+        or in x variables and a character only."""
+        return not self.neg_vars and not (self.descent_vars and (self.t_stat or self.q_stat))
 
 
 def enumerator(
@@ -815,43 +832,48 @@ def _walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
     inversions.  Characters read only the parities of inv and neg, so each
     move contributes a sign.  So a layer holds one value per state, and a
     move adds its state's value, shifted by its weight and times its sign,
-    to its target: a {packed monomial: coeff} map with x or y variables,
-    else one int (``_packed_walk``).  The work is (moves) x (size of a value)
+    to its target: one int when the spec packs (``_packed_walk``), else a
+    {packed monomial: coeff} map.  The work is (moves) x (size of a value)
     instead of (elements) x n.
     """
-    layers = _weighed(family, spec)
-    return _packed_walk(layers) if spec.packs else _dict_walk(layers)
+    if not spec.packs:
+        return _dict_walk(_weighed(family, spec))
+    return _packed_walk(_weighed(family, spec, spec.descent_vars), spec.descent_vars)
 
 
-def _weighed(family: Family, spec: WeightSpec) -> list:
+# t and q as linear forms in (inv, descent > 0, negative at position 1) and
+# (descent, negative), where descent is the position of the descent a move
+# completes (0 for none)
+_T_FORMS = {None: (0, 0, 0), "inv": (1, 0, 0), "des": (0, 1, 0), "fdes": (0, 2, 1)}
+_Q_FORMS = {None: (0, 0), "maj": (1, 0), "fmaj": (2, 1)}
+# the parities of (inv, neg) whose sum a character's sign is
+_PARITIES = {None: (0, 0), Character.TRIVIAL: (0, 0), Character.SIGN: (1, 1),
+             Character.NEG_PARITY: (0, 1), Character.SIGN_ABS: (1, 0)}
+
+
+def _weighed(family: Family, spec: WeightSpec, letters: bool = False) -> list:
     """``family.moves()`` with each move as (target, t, q, xy, sign), xy the
-    key of its x and y variables."""
-    t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
-    descent_vars, neg_vars = spec.descent_vars, spec.neg_vars
-
-    def weigh(move) -> tuple[int, int, int, Monomial, int]:
-        target, value, position, descent, inv = move
-        neg = value < 0
-        if t_stat == "inv":
-            t = inv
-        elif t_stat == "des":
-            t = descent > 0
-        elif t_stat == "fdes":
-            t = 2 * (descent > 0) + (neg and position == 1)
-        else:
-            t = 0
-        if q_stat == "maj":
-            q = descent
-        elif q_stat == "fmaj":
-            q = 2 * descent + neg
-        else:
-            q = 0
-        xy = 1 << _SHIFTS[f"x{descent}"] if descent_vars and descent else 0
-        if neg_vars and neg:
-            xy += 1 << _SHIFTS[f"y{position}"]
-        return target, t, q, xy, 1 if chi is None else chi.of_stats(inv, neg)
-
-    return [[list(map(weigh, moves)) for moves in layer] for layer in family.moves()]
+    key of its x and y variables.  With ``letters`` (a spec whose only
+    variables are x's, for ``_packed_walk``), q is instead the slot bit
+    1 << d - 1 of the descent d the move completes, and xy is 0."""
+    ti, td, tf = _T_FORMS[spec.t_stat]
+    qd, qn = _Q_FORMS[spec.q_stat]
+    si, sn = _PARITIES[spec.character]
+    n = family.n
+    qs = [qd * d for d in range(n)]  # by descent
+    xs = [0] * n  # by descent
+    ys = [0] * (n + 1)  # by position
+    if letters:
+        qs = [0] + [1 << d - 1 for d in range(1, n)]
+    elif spec.descent_vars:
+        xs = [0] + [1 << _SHIFTS[f"x{d}"] for d in range(1, n)]
+    if spec.neg_vars:
+        ys = [0] + [1 << _SHIFTS[f"y{p}"] for p in range(1, n + 1)]
+    return [[[(target, ti * inv + td * (descent > 0) + tf * (neg & (position == 1)),
+               qs[descent] + qn * neg, xs[descent] + ys[position] * neg,
+               1 - 2 * (si * inv + sn * neg & 1))
+              for target, value, position, descent, inv in moves for neg in (value < 0,)]
+             for moves in layer] for layer in family.moves()]
 
 
 def _dict_walk(layers: list) -> SparsePolynomial:
@@ -879,11 +901,16 @@ def _dict_walk(layers: list) -> SparsePolynomial:
     return SparsePolynomial(_checked(total))
 
 
-def _packed_walk(layers: list) -> SparsePolynomial:
+def _packed_walk(layers: list, letters: bool = False) -> SparsePolynomial:
     """The walk with one int per state: t^a q^b is its W-bit slot
     a * (Dq + 1) + b, an exact evaluation at powers of 2^W.  A first pass over
     the moves finds Dt and Dq, the largest exponents on any path, and W from
     the number of paths, which bounds every coefficient (docs/DECISIONS.md §6).
+
+    With ``letters`` the moves carry x_d as q = 2^(d-1) (``_weighed``), so a
+    term's slot has bit d - 1 set for each x_d in it.  A path completes
+    descent d in one layer only, so its bits never carry, and the final int
+    decodes through a table of the x keys of every slot.
     """
     reach = {0: (1, 0, 0)}  # state -> (paths into it, largest t, largest q)
     for layer in layers:
@@ -909,7 +936,15 @@ def _packed_walk(layers: list) -> SparsePolynomial:
                 else:
                     following[target] = acc + part if sign > 0 else acc - part
         states = following
-    return _from_slots(sum(states.values()), width, top_t + 1, stride, _SHIFTS["t"], _SHIFTS["q"])
+    packed = sum(states.values())
+    if not letters:
+        return _from_slots(packed, width, top_t + 1, stride, _SHIFTS["t"], _SHIFTS["q"])
+    keys = [0]  # slot i -> the key of the x_(b+1) over the set bits b of i
+    for d in range(1, top_q.bit_length() + 1):
+        x = 1 << _SHIFTS[f"x{d}"]
+        keys += [key + x for key in keys]
+    coeffs = _unpack(packed, stride, width)
+    return SparsePolynomial(dict(compress(zip(keys, coeffs), coeffs)))
 
 
 def _from_slots(packed: int, width: int, rows: int, stride: int, row_shift: int,
@@ -938,8 +973,19 @@ def _offset(slots: int, size: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
-# slot size in bytes -> the struct code of a little-endian unsigned int that size
-_DIGITS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# slot size in bytes -> the struct code of the smallest little-endian unsigned
+# int at least that size; a 3-, 5-, 6- or 7-byte slot goes through that int
+_DIGITS = {1: "B", 2: "H", 3: "I", 4: "I", 5: "Q", 6: "Q", 7: "Q", 8: "Q"}
+
+
+def _restride(data: bytes, slots: int, size: int, wide: int) -> bytearray:
+    """The ``slots`` little-endian slots of ``size`` bytes in ``data`` as
+    slots of ``wide`` bytes, cut or padded with zeros at the top: one
+    strided slice per byte kept."""
+    out = bytearray(wide * slots)
+    for b in range(min(size, wide)):
+        out[b::wide] = data[b::size]
+    return out
 
 
 def _pack(terms: list[tuple[int, int]], width: int) -> int:
@@ -962,6 +1008,11 @@ def _pack(terms: list[tuple[int, int]], width: int) -> int:
             data = struct.pack(f"<{slots}{code}", *digits)
         except struct.error:
             raise OverflowError(f"a coefficient does not fit a {width}-bit slot") from None
+        wide = struct.calcsize(code)
+        if wide > size:
+            if max(digits) >> width:
+                raise OverflowError(f"a coefficient does not fit a {width}-bit slot")
+            data = _restride(data, slots, wide, size)
     return int.from_bytes(data, "little") - _offset(slots, size)
 
 
@@ -973,7 +1024,9 @@ def _unpack(packed: int, slots: int, width: int) -> list[int]:
     data = (packed + _offset(slots, size)).to_bytes(size * slots, "little")
     code = _DIGITS.get(size)
     if code:
-        digits = struct.unpack(f"<{slots}{code}", data)
+        wide = struct.calcsize(code)
+        digits = struct.unpack(f"<{slots}{code}", _restride(data, slots, size, wide)
+                               if wide > size else data)
     else:
         digits = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
     return list(map(sub, digits, repeat(1 << width - 1)))

@@ -1,0 +1,150 @@
+"""Replay the mutant ledger: each mutant is one edit of the source that the
+tests named with it must catch, or a known survivor with its reason.
+
+Run from the root of a checkout (stdlib only; pytest must be importable):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the whole tree is copied to a temporary directory, the old
+text is replaced by the new one (it must occur exactly once), and
+``python -m pytest -x -q`` runs on the mutant's test files in the copy; a
+failing run means caught.  The whole tree is copied because pyproject.toml's
+``pythonpath = ["src"]`` overrides PYTHONPATH: a mutated copy of src/ alone
+would silently not be imported, and every mutant would survive.  The
+unmutated copy first runs every named test file once, so that a failure
+means the mutant.  One line per mutant; the exit status is 1 when an
+outcome differs from the ledger's, 2 on a bad argument or entry.
+
+Not part of tier-1: pytest collects only test_*.py files.  Add the mutants
+of each change to the ledger instead of reporting them in prose.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900  # per pytest run
+CAUGHT, SURVIVES = "caught", "survives"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    expected: str = CAUGHT
+    reason: str = ""  # why a survivor survives
+
+
+POLY, FORMULAS = "src/arcperm/poly.py", "src/arcperm/formulas.py"
+WALK, POLY_ORACLE = "tests/test_family_walk.py", "tests/test_poly_oracle.py"
+
+LEDGER = [
+    Mutant("letter-bit-one-too-high", POLY,
+           "[1 << d - 1 for d in range(1, n)]", "[1 << d for d in range(1, n)]", (WALK,)),
+    Mutant("letter-keys-reversed", POLY,
+           "for d in range(1, top_q.bit_length() + 1):",
+           "for d in range(top_q.bit_length(), 0, -1):", (WALK,)),
+    Mutant("fdes-without-its-position-1-flag", POLY,
+           "tf * (neg & (position == 1))", "tf * neg", (WALK,)),
+    Mutant("sign-without-its-inv-parity", POLY,
+           "Character.SIGN: (1, 1)", "Character.SIGN: (0, 1)", (WALK,)),
+    Mutant("minus-one-times-p-is-p", POLY,
+           "                return -p\n", "                return p\n", ("tests/test_poly.py",)),
+    Mutant("restride-drops-the-top-byte", POLY,
+           "for b in range(min(size, wide)):", "for b in range(min(size, wide) - 1):", (WALK,)),
+    Mutant("slot-width-without-its-spare-bit", POLY,
+           "8 * ((paths.bit_length() + 1 + 7) // 8)", "8 * ((paths.bit_length() + 7) // 8)",
+           (WALK, POLY_ORACLE)),
+    Mutant("sign-abs-as-neg-parity", FORMULAS,
+           "Character.SIGN_ABS: (-1, -1)", "Character.SIGN_ABS: (-1, 1)",
+           ("tests/test_formulas.py",)),
+    Mutant("f-A-des-from-n-2", FORMULAS,
+           'Descent-number distribution on arc permutations (literal form, n >= 3)."""\n'
+           '    _need(n, 3)',
+           'Descent-number distribution on arc permutations (literal form, n >= 3)."""\n'
+           '    _need(n, 2)',
+           ("tests/test_formulas.py",), SURVIVES,
+           "its (1 + t)^(n - 3) raises ValueError at n = 2 anyway"),
+]
+
+
+def _copy(dest: Path) -> Path:
+    return Path(shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".out")))
+
+
+def _pytest(tree: Path, tests) -> tuple[str, float]:
+    """The outcome, "passed", "failed" (a test failed), "error" (pytest's
+    other exit statuses: a collection or usage error) or "timeout", and the
+    seconds taken."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    start = time.perf_counter()
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                              *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start
+    outcome = {0: "passed", 1: "failed"}.get(run.returncode, "error")
+    return outcome, time.perf_counter() - start
+
+
+def _apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main(argv: list[str]) -> int:
+    known = {m.name: m for m in LEDGER}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"error: unknown mutant {', '.join(unknown)}; choose from {', '.join(known)}",
+              file=sys.stderr)
+        return 2
+    mutants = [known[name] for name in argv] or LEDGER
+    with tempfile.TemporaryDirectory(prefix="arcperm-mutants-") as tmp:
+        control = _copy(Path(tmp) / "control")
+        tests = sorted({t for m in mutants for t in m.tests})
+        outcome, seconds = _pytest(control, tests)
+        if outcome != "passed":
+            print(f"error: the unmutated tree {outcome} {' '.join(tests)}", file=sys.stderr)
+            return 2
+        print(f"control  passed {len(tests)} test files in {seconds:.1f} s")
+        differing = 0
+        for i, mutant in enumerate(mutants):
+            tree = _copy(Path(tmp) / str(i))
+            try:
+                _apply(tree, mutant)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            outcome, seconds = _pytest(tree, mutant.tests)
+            shutil.rmtree(tree)
+            got = {"failed": CAUGHT, "passed": SURVIVES}.get(outcome, outcome)
+            differing += got != mutant.expected
+            mark = "" if got == mutant.expected else f"  EXPECTED {mutant.expected}"
+            why = f" ({mutant.reason})" if got == SURVIVES and mutant.reason else ""
+            print(f"{got:8} {mutant.name} in {seconds:.1f} s{why}{mark}")
+    print(f"{len(mutants) - differing} of {len(mutants)} as recorded")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

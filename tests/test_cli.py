@@ -173,7 +173,7 @@ def test_verify_guard_names_every_identity_over_its_limit(capsys):
     assert code == 2 and out == ""
     xy, tq = [], []
     for name in formula_names():
-        (tq if REGISTRY[name].weights.packs else xy).append(name)
+        (xy if REGISTRY[name].weights.letters else tq).append(name)
     assert len(xy) == 8 and len(tq) == 16
     assert err == (f"error: n={n} exceeds the guard {VERIFY_LIMIT} for {', '.join(xy)}; "
                    f"the guard {VERIFY_TQ_LIMIT} for {', '.join(tq)} (use --force)\n")

@@ -4,8 +4,9 @@
 ``enumerator(generate_f(n), spec)`` reads every word.  The two must give
 the same polynomial, compared by ``str`` and ``to_json``.  The word loop is
 itself checked against a per-element reference in test_enumerator_oracle.
-Specs in t, q and a character only walk one packed int per state; that walk
-is checked against the dict walk, which keeps a term map per state.
+Specs in t, q and a character only, or in x variables and a character
+only, walk one packed int per state; that walk is checked against the dict
+walk, which keeps a term map per state.
 """
 
 import hashlib
@@ -13,7 +14,6 @@ import sys
 
 import pytest
 
-from arcperm import poly
 from arcperm.arcsets import (
     FAMILY_NAMES,
     Family,
@@ -24,8 +24,8 @@ from arcperm.arcsets import (
 )
 from arcperm.formulas import EQUAL, OUT_OF_STATED_RANGE, REGISTRY, verify_formula
 from arcperm import poly
-from arcperm.poly import (WeightSpec, _dict_walk, _from_slots, _packed_walk, _slot_width, _unpack,
-                          _weighed, enumerator, var)
+from arcperm.poly import (WeightSpec, _dict_walk, _from_slots, _pack, _packed_walk, _slot_width,
+                          _unpack, _weighed, enumerator, var)
 from helpers import hyperoctahedral, symmetric
 from test_enumerator_oracle import SPECS, assert_same, needs_flags
 
@@ -140,14 +140,16 @@ def test_size_is_exact_past_a_machine_int(n):
 # polynomially in n, so the walk verifies them far past n = 12
 TQ_IDENTITIES = [
     name for name, entry in REGISTRY.items()
-    if not entry.hidden and entry.weights.packs
+    if not entry.hidden and not entry.weights.letters
 ]
 # the identities with descent or negative-set variables, whose output
 # doubles with each n
 XY_IDENTITIES = [
     name for name, entry in REGISTRY.items()
-    if not entry.hidden and not entry.weights.packs
+    if not entry.hidden and entry.weights.letters
 ]
+# the identities whose only variables are x's, which walk packed too
+X_IDENTITIES = [name for name in XY_IDENTITIES if REGISTRY[name].weights.packs]
 
 
 def test_tq_identities_verify_past_the_old_exhaustive_limit():
@@ -167,18 +169,24 @@ def test_tq_identities_verify_past_the_old_exhaustive_limit():
 
 # -- the packed walk (one int per state) against the dict walk -----------------
 
-XY_FREE = [spec for spec in SPECS if spec.packs]
+PACKED = [spec for spec in SPECS if spec.packs]
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_packed_walk_equals_dict_walk(family):
+    # the specs in x variables alone pack their letters as slot bits, and
+    # are checked against the word loop here too, past test_every_spec's n
     signed = family in ("signed-arc", "b-arc")
+    assert sum(spec.letters for spec in PACKED) == 5
     for n in range(1, 10):
-        for spec in XY_FREE:
+        for spec in PACKED:
             if needs_flags(spec) and not signed:
                 continue
-            layers = _weighed(Family(family, n), spec)
-            assert_same(_packed_walk(layers), _dict_walk(layers))
+            fam = Family(family, n)
+            packed = _packed_walk(_weighed(fam, spec, spec.letters), spec.letters)
+            assert_same(packed, _dict_walk(_weighed(fam, spec)))
+            if spec.letters:
+                assert_same(packed, enumerator(GENERATORS[family](n), spec))
 
 
 def test_tq_specs_take_the_packed_walk(monkeypatch):
@@ -186,6 +194,83 @@ def test_tq_specs_take_the_packed_walk(monkeypatch):
     for name in TQ_IDENTITIES:
         entry = REGISTRY[name]
         enumerator(Family(entry.family, 6), entry.weights)
+
+
+def test_only_t_with_x_and_x_with_y_take_the_dict_walk(monkeypatch):
+    walked = []
+
+    def spy(layers):
+        walked.append(name)
+        return dict_walk(layers)
+
+    dict_walk = poly._dict_walk
+    monkeypatch.setattr(poly, "_dict_walk", spy)
+    for name, entry in REGISTRY.items():
+        enumerator(Family(entry.family, 6), entry.weights)
+    assert walked == ["f_A_inv_des", "f_As_des_neg", "f_As_des_neg_inv"]
+    assert X_IDENTITIES == ["f_A_des_set", "f_sign_des_set", "f_sign_des_set_even",
+                            "f_L_des_set", "f_AB_des_set"]
+
+
+def test_x_identities_on_each_side_of_the_16_to_24_bit_step():
+    # n = 12 and 14, and the sizes on either side of the family's step from
+    # 16- to 24-bit slots: b-arc steps at 11 -> 12, arc at 13 -> 14,
+    # left-unimodal at 15 -> 16
+    for name in X_IDENTITIES:
+        family = REGISTRY[name].family
+        widths = {n: _slot_width(Family(family, n).size) for n in range(1, 17)}
+        step = [n for n in range(2, 17) if widths[n - 1] == 16 and widths[n] == 24]
+        sizes = sorted({12, 14, step[0] - 1, step[0]})
+        rows = verify_formula(name, sizes)
+        want = [(n, OUT_OF_STATED_RANGE if name == "f_sign_des_set_even" and n % 2 else EQUAL)
+                for n in sizes]
+        assert [(r.n, r.status) for r in rows] == want, name
+
+
+def _old_weigh(spec):
+    """The per-move closure the branch-free weighing replaced, kept as its
+    reference."""
+    t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
+
+    def weigh(move):
+        target, value, position, descent, inv = move
+        neg = value < 0
+        if t_stat == "inv":
+            t = inv
+        elif t_stat == "des":
+            t = descent > 0
+        elif t_stat == "fdes":
+            t = 2 * (descent > 0) + (neg and position == 1)
+        else:
+            t = 0
+        if q_stat == "maj":
+            q = descent
+        elif q_stat == "fmaj":
+            q = 2 * descent + neg
+        else:
+            q = 0
+        xy = 1 << poly._SHIFTS[f"x{descent}"] if spec.descent_vars and descent else 0
+        if spec.neg_vars and neg:
+            xy += 1 << poly._SHIFTS[f"y{position}"]
+        return target, t, q, xy, 1 if chi is None else chi.of_stats(inv, neg)
+
+    return weigh
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_weighing_equals_the_per_move_closure(family):
+    for n in range(1, 8):
+        fam = Family(family, n)
+        bits = {1 << poly._SHIFTS[f"x{d}"]: 1 << d - 1 for d in range(1, n)}
+        for spec in SPECS:
+            want = [[list(map(_old_weigh(spec), moves)) for moves in layer]
+                    for layer in fam.moves()]
+            assert _weighed(fam, spec) == want, spec
+            if spec.packs and spec.letters:  # x_d as the slot bit 2^(d-1), in q
+                letters = [[[(target, t, bits.get(xy, 0), 0, sign)
+                             for target, t, _, xy, sign in moves] for moves in layer]
+                           for layer in want]
+                assert _weighed(fam, spec, True) == letters, spec
 
 
 @pytest.mark.parametrize("name", TQ_IDENTITIES)
@@ -200,7 +285,7 @@ def test_tq_identities_on_each_side_of_every_width_change(name):
     assert [(r.n, r.status) for r in rows] == [(n, EQUAL) for n in sizes]
 
 
-@pytest.mark.parametrize("width", [8, 16, 24, 64, 72])
+@pytest.mark.parametrize("width", [8, 16, 24, 40, 56, 64, 72])
 def test_unpack_reads_balanced_slots_and_refuses_the_rest(width):
     half = 1 << width - 1
 
@@ -209,10 +294,16 @@ def test_unpack_reads_balanced_slots_and_refuses_the_rest(width):
 
     for values in ([-half, half - 1, 0, -1, 1], [-half] * 5, [half - 1] * 5):
         assert _unpack(pack(values), len(values), width) == values
+        # _pack is the inverse, from the terms with or without their zeros
+        assert _pack(list(enumerate(values)), width) == pack(values)
+        assert _pack([(e + 3, c) for e, c in enumerate(values) if c], width) == pack(values)
     # one past either end, and a top slot of half with the rest 0
     for out_of_range in (pack([-half] * 5) - 1, pack([half - 1] * 5) + 1, half << 4 * width):
         with pytest.raises(OverflowError):
             _unpack(out_of_range, 5, width)
+    for coeff in (-half - 1, half):
+        with pytest.raises(OverflowError):
+            _pack([(0, 1), (1, coeff), (2, -1)], width)
 
 
 def test_slots_map_to_rows_and_columns(monkeypatch):

@@ -34,6 +34,16 @@ def test_basic_arithmetic():
     assert -(-p) == p
 
 
+def test_units_multiply_without_a_product(monkeypatch):
+    import arcperm.poly as poly
+
+    p, minus_p = 3 * T**2 - Q, Q - 3 * T**2
+    monkeypatch.setattr(poly, "_dict_product", None)  # calling it raises TypeError
+    assert 1 * p is p and p * 1 is p and p * const(1) is p and const(1) * p is p
+    assert -1 * p == p * -1 == const(-1) * p == minus_p
+    assert 1 * const(1) == -1 * const(-1) == 1 and 1 * const(0) == 0
+
+
 def test_zero_and_equality():
     assert const(0).is_zero
     assert not (1 + Q).is_zero
