@@ -87,21 +87,31 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(self, message)
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(chunks: list[str], out_path: str | None):
+    """Write the chunks in turn, so that the whole text is never one string,
+    and end with a newline: on stdout always, in a file only when the text
+    does not end with one already."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)  # the newline apart: text + "\n" would copy the text
-            if not text.endswith("\n"):
+            handle.writelines(chunks)
+            if not next(filter(None, reversed(chunks)), "").endswith("\n"):
                 handle.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def _dumps(payload) -> str:
     """``json.dumps(payload, indent=2, default=lambda obj: obj.to_json())`` byte
-    for byte; TypeError for a float, a non-str key or no ``to_json``.  A
-    polynomial writes its own text (``SparsePolynomial.json_text``), once per
-    object and depth: an EQUAL row's lhs and rhs are one polynomial."""
+    for byte: the chunks of ``_json_chunks`` joined."""
+    return "".join(_json_chunks(payload))
+
+
+def _json_chunks(payload) -> list[str]:
+    """The text of ``_dumps`` as a list of chunks; TypeError for a float, a
+    non-str key or no ``to_json``.  A polynomial writes its own text
+    (``SparsePolynomial.json_text``), once per object and depth: an EQUAL
+    row's lhs and rhs are one polynomial."""
     out, memo = [], {}  # memo: (id, depth) -> (text, polynomial); holding it keeps its id unique
 
     def write(obj, depth: int, encode=json.encoder.encode_basestring_ascii):
@@ -133,17 +143,17 @@ def _dumps(payload) -> str:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     write(payload, 0)
-    return "".join(out)
+    return out
 
 
 def _render(args, payload, lines: list[str], csv: list[str]):
     """Write one record in args.format: the payload as JSON (see ``_dumps``),
     else the lines or the csv rows."""
     if args.format == "json":
-        text = _dumps(payload)
+        chunks = _json_chunks(payload)
     else:
-        text = "\n".join(csv if args.format == "csv" else lines)
-    _emit(text, args.out)
+        chunks = ["\n".join(csv if args.format == "csv" else lines)]
+    _emit(chunks, args.out)
 
 
 def _key_value_csv(header: str, data: dict) -> list[str]:

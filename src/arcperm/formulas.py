@@ -80,11 +80,17 @@ def _layered(m, left, head, right=None, scale=1) -> SparsePolynomial:
 def f_A_inv_des(n: int) -> SparsePolynomial:
     """Joint inversion / descent-set distribution on arc permutations."""
     _need(n, 2)
+    return _inv_des(n, T)
+
+
+def _inv_des(n: int, t: SparsePolynomial | int) -> SparsePolynomial:
+    """The layered form of f_A_inv_des with t given as ``t``: T itself, or
+    -1 for f_sign_des_set, since substituting for t is a ring homomorphism."""
     return _layered(
         n - 1,
-        left=lambda i: 1 + T**i * _x(i),
-        head=lambda j: T ** (j * (n - j)) * _x(j) + T ** (n - j - 1) * _x(j + 1),
-        right=lambda i: 1 + T ** (n - i) * _x(i),
+        left=lambda i: 1 + t**i * _x(i),
+        head=lambda j: t ** (j * (n - j)) * _x(j) + t ** (n - j - 1) * _x(j + 1),
+        right=lambda i: 1 + t ** (n - i) * _x(i),
     )
 
 
@@ -121,9 +127,10 @@ def f_A_signed_maj(n: int) -> SparsePolynomial:
 
 
 def f_sign_des_set(n: int) -> SparsePolynomial:
-    """Sign-twisted descent-set distribution, via t -> -1."""
+    """Sign-twisted descent-set distribution: f_A_inv_des via t -> -1, built
+    layer by layer at t = -1 instead of substituting into its expansion."""
     _need(n, 2)
-    return f_A_inv_des(n).substitute({"t": -1})
+    return _inv_des(n, -1)
 
 
 def f_sign_des_set_even(n: int) -> SparsePolynomial:

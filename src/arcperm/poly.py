@@ -22,18 +22,21 @@ order: total degree, then exponents in the variable order t < q < u < y < z
 (``_graded``), which reads each key once.
 
 Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
-additions.  In at most two variables, a product (or ``poly_product`` of
+additions, in one pass when no two pairs of terms share a key and in two
+otherwise.  In at most two variables, a product (or ``poly_product`` of
 many) whose box, the summed spans of its rows (one row per exponent of the
 outer variable), has no more slots than the term pairs is instead one int
 per row with a slot per exponent of the inner variable: a row of an operand
 with no gaps is one big-int multiply per row of the other, any other row a
-shift and add per term, and the rows are decoded once.  A substitution is
-one pass over the terms.  An exact division by a divisor in one variable,
-of a dividend in at most one more, is one big-int division per row of the
-dividend plus a check that the slots held every coefficient; otherwise, or
-when that fails, dividing a T-term polynomial by a D-term divisor takes
-O(R * D * log(R * D)) for R reduction steps, picking each leading term from
-a heap.  The weighted
+shift and add per term, and the rows are decoded once.  The pairs are
+counted per row of each partial product, exactly for rows that are complete
+arithmetic progressions, so chains of binomials of different slopes pack.
+A substitution is one pass over the terms.  An exact division by a
+divisor in one variable, of a dividend in at most one more, is one big-int
+division per row of the dividend plus a check that the slots held every
+coefficient; otherwise, or when that fails, dividing a T-term polynomial by
+a D-term divisor takes O(R * D * log(R * D)) for R reduction steps, picking
+each leading term from a heap.  The weighted
 ``enumerator`` over an ``arcsets.Family`` is a transfer-matrix walk over the
 family's O(n^2) growth states, checked against brute force in tier-1: each
 of the O(n^2) moves shifts one state's term map by one key and a sign, so
@@ -57,6 +60,7 @@ import struct
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, repeat
+from math import prod
 from operator import add, itemgetter, or_, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -435,10 +439,20 @@ def poly_product(factors: Iterable[SparsePolynomial | int]) -> SparsePolynomial:
 
 
 def _dict_product(a: SparsePolynomial, b: SparsePolynomial) -> SparsePolynomial:
-    """The product term by term: one key addition per pair of terms."""
-    terms: dict[Monomial, int] = {}
-    get = terms.get
+    """The product term by term: one key addition per pair of terms.
+
+    One comprehension first; when it has a key per pair, no two pairs met,
+    and since a product of nonzero ints is nonzero, nothing cancels.  Only
+    when pairs collide are the terms summed again in a second pass.
+    """
     right = list(b._terms.items())
+    terms = {m1 + m2: c1 * c2 for m1, c1 in a._terms.items() for m2, c2 in right}
+    if len(terms) == len(a._terms) * len(right):
+        if reduce(or_, terms, 0) & _GUARD:
+            raise OverflowError(f"an exponent exceeds {_MAX}")
+        return SparsePolynomial(terms)
+    terms = {}
+    get = terms.get
     for m1, c1 in a._terms.items():
         for m2, c2 in right:
             mono = m1 + m2
@@ -454,11 +468,10 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
     q in the variable order), each packing the inner one at x = 2^W from the
     row's lowest exponent; one variable is the one-row case.  None past the
     exponent limit, so that the dict product raises OverflowError, and when
-    the box, the sum of the product's row spans, is larger than the number
-    of term pairs the dict product must touch, counted with the
-    Cauchy-Davenport bound |A + B| >= |A| + |B| - 1 (which holds over Z^2)
-    on each partial product.  The product of the factors' L1 norms bounds
-    every coefficient and sets the slot width.
+    the box, the sum of the product's row spans, is larger than a lower
+    bound on the term pairs that multiplying the factors term by term, in
+    the order they are packed, touches (``_partials``).  The product of the
+    factors' L1 norms bounds every coefficient and sets the slot width.
     """
     fields = _fields(reduce(or_, [reduce(or_, f._terms, 0) for f in factors], 0))
     if len(fields) > 2:
@@ -467,32 +480,23 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
         fields.reverse()
     inner = fields[-1] if fields else 0
     outer = fields[0] if len(fields) == 2 else None
-    rows = []
-    touched = reach = 0
-    bound = 1
-    for f in factors:
-        terms = f._terms
-        rows.append((-len(terms), _rows(f, outer, inner)))
-        touched += reach * len(terms)
-        reach = reach + len(terms) - 1 if reach else len(terms)
-        bound *= sum(map(abs, terms.values()))
     # the factor with the most terms is packed whole, the others applied to it
-    rows = [r for _, r in sorted(rows, key=itemgetter(0)) if r]
-    spans = [{0: (0, 0)}]  # outer exponent -> lowest and highest inner one
-    for r in rows:
-        spans.append(_spans(spans[-1], r))
+    ordered = sorted(factors, key=lambda f: -len(f._terms))
+    rows = [r for r in [_rows(f, outer, inner) for f in ordered] if r]
+    spans, touched = _partials(rows)
     # the nonzero factors' degrees, as the dict product meets them
-    if max(spans[-1]) > _MAX or max([top for _, top in spans[-1].values()]) > _MAX:
+    if max(spans[-1]) > _MAX or max([span[1] for span in spans[-1].values()]) > _MAX:
         return None
+    bound = prod([sum(map(abs, f._terms.values())) for f in factors])
     if not bound:
         return SparsePolynomial()
-    if sum([top - low + 1 for low, top in spans[-1].values()]) > touched:
+    if sum([top - low + 1 for low, top, _, _ in spans[-1].values()]) > touched:
         return None
     width = _slot_width(bound)
     acc = {j: _pack(row, width) for j, row in rows[0].items()}
     for r, before, after in zip(rows[1:], spans[1:], spans[2:]):
         acc = _times(acc, before, r, after, width)
-    return _from_rows({k: (low, acc[k], top - low + 1) for k, (low, top) in spans[-1].items()},
+    return _from_rows({k: (low, acc[k], top - low + 1) for k, (low, top, _, _) in spans[-1].items()},
                       width, outer, inner)
 
 
@@ -532,19 +536,78 @@ def _rows(p: SparsePolynomial, outer: int | None, inner: int) -> dict[int, list[
     return rows
 
 
-def _spans(spans: dict[int, tuple[int, int]],
-           rows: dict[int, list[tuple[int, int]]]) -> dict[int, tuple[int, int]]:
-    """The lowest and highest inner exponent of each row of a product, from
-    those of its first operand and the rows of its second."""
-    out: dict[int, tuple[int, int]] = {}
-    for i, (low, top) in spans.items():
-        for j, row in rows.items():
-            lo, hi = low + row[0][0], top + row[-1][0]
-            old = out.get(i + j)
-            if old is not None:
-                lo, hi = min(lo, old[0]), max(hi, old[1])
-            out[i + j] = lo, hi
+def _partials(rows: list[dict[int, list[tuple[int, int]]]]
+              ) -> tuple[list[dict[int, tuple[int, int, int, int | None]]], int]:
+    """The spans (``_spans``) of each partial product of factors given by
+    their rows, from the empty product on, and a lower bound on the term
+    pairs that multiplying them term by term in this order touches: each
+    partial product's terms, as counted, times the next factor's terms."""
+    spans, pairs = [{0: (0, 0, 1, 0)}], 0
+    for r in rows:
+        if len(spans) > 1:
+            pairs += sum([span[2] for span in spans[-1].values()]) * sum(map(len, r.values()))
+        spans.append(_spans(spans[-1], r))
+    return spans, pairs
+
+
+def _spans(spans: dict[int, tuple[int, int, int, int | None]],
+           rows: dict[int, list[tuple[int, int]]]) -> dict[int, tuple[int, int, int, int | None]]:
+    """Each row of a product as (lowest inner exponent, highest, terms,
+    step), from those of its first operand and the rows of its second.
+
+    The step is that of a row whose exponents are a complete arithmetic
+    progression, 0 for a single term (a progression with any step), and
+    None for any other row, whose count of terms is a lower bound.  A sum of
+    rows has at least |A| + |B| - 1 terms (Cauchy-Davenport, which holds over
+    Z), exactly that many when both are complete with a common step, and is
+    then complete with it.  A product row is the union of such sums
+    (``_union``).
+    """
+    out: dict[int, tuple[int, int, int, int | None]] = {}
+    get = out.get
+    parts = [(j, _progression(row)) for j, row in rows.items()]
+    for i, (low, top, count, step) in spans.items():
+        for j, (lo, hi, n, s) in parts:
+            if step is None or s is None or step and s and step != s:
+                s = None
+            else:
+                s = step or s
+            part = low + lo, top + hi, count + n - 1, s
+            old = get(i + j)
+            out[i + j] = part if old is None else _union(old, part)
     return out
+
+
+def _progression(row: list[tuple[int, int]]) -> tuple[int, int, int, int | None]:
+    """A factor's row as ``_spans`` counts it: exact terms, and the step of
+    its exponents when they are a complete arithmetic progression."""
+    low, top, n = row[0][0], row[-1][0], len(row)
+    step = top - low if n < 3 else row[1][0] - low
+    # the exponents are distinct and sorted: a span of step * (n - 1) is
+    # needed, and for step 1 it is enough
+    if n > 2 and (top - low != step * (n - 1) or step > 1 and list(map(itemgetter(0), row))
+                  != list(range(low, top + 1, step))):
+        step = None
+    return low, top, n, step
+
+
+def _union(a: tuple[int, int, int, int | None],
+           b: tuple[int, int, int, int | None]) -> tuple[int, int, int, int | None]:
+    """The union of two rows as ``_spans`` counts them.  Complete
+    progressions with a common step and residue that overlap or touch stay
+    complete, and two single terms are a progression with their gap as its
+    step; any other union has at least the larger count."""
+    lo1, hi1, n1, s1 = a
+    lo2, hi2, n2, s2 = b
+    low, top = min(lo1, lo2), max(hi1, hi2)
+    if s1 is not None and s2 is not None:
+        step = s1 or s2 or top - low
+        if not step:  # one term twice
+            return low, top, 1, 0
+        if (s1 in (0, step) and s2 in (0, step) and not (lo1 - lo2) % step
+                and lo1 <= hi2 + step and lo2 <= hi1 + step):
+            return low, top, (top - low) // step + 1, step
+    return low, top, max(n1, n2), None
 
 
 def _pieces(row: list[tuple[int, int]], width: int) -> list[tuple[int, int]]:

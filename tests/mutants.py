@@ -77,6 +77,18 @@ LEDGER = [
            '    _need(n, 2)',
            ("tests/test_formulas.py",), SURVIVES,
            "its (1 + t)^(n - 3) raises ValueError at n = 2 anyway"),
+    Mutant("every-row-a-complete-progression", POLY,
+           "if n > 2 and (top - low", "if False and (top - low", (POLY_ORACLE,)),
+    Mutant("union-without-its-residue-test", POLY,
+           "s2 in (0, step) and not (lo1 - lo2) % step\n",
+           "s2 in (0, step)\n", (POLY_ORACLE,)),
+    Mutant("first-pass-without-its-length-check", POLY,
+           "if len(terms) == len(a._terms) * len(right):", "if True:", (POLY_ORACLE,)),
+    Mutant("first-pass-without-its-guard-test", POLY,
+           "        if reduce(or_, terms, 0) & _GUARD:", "        if False:",
+           ("tests/test_poly_packed.py",)),
+    Mutant("sign-des-set-at-t-plus-one", FORMULAS,
+           "return _inv_des(n, -1)", "return _inv_des(n, 1)", ("tests/test_formulas.py",)),
 ]
 
 

@@ -140,6 +140,13 @@ def test_large_builds_match_the_dict_product(monkeypatch):
         assert str(REGISTRY[name].build(n)) == text, (name, n)
 
 
+def test_sign_twisted_form_is_the_inversion_form_at_minus_one():
+    """f_sign_des_set is built layer by layer at t = -1; its printed
+    definition is f_A_inv_des via t -> -1."""
+    for n in range(2, 13):
+        assert f_sign_des_set(n) == f_A_inv_des(n).substitute({"t": -1}), n
+
+
 def test_even_sign_variant_matches_substituted_form():
     for n in (2, 4, 6):
         assert f_sign_des_set_even(n) == f_sign_des_set(n)

@@ -9,13 +9,15 @@ order from an explicit list of the alphabet.
 
 import json
 from contextlib import contextmanager
+from functools import reduce
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arcperm import poly
+from arcperm.formulas import f_A_des_maj
 from arcperm.poly import ExactDivisionError, SparsePolynomial, const, exact_div, poly_product, var
 
 # x40 and y33 sit far from the low indices, in fields assigned late
@@ -484,6 +486,129 @@ def test_bivariate_sparse_boxes_stay_on_the_dict_product(monkeypatch):
         got = poly_product([1 + t * q**10**6, 1 + q**10**6] * 3)
     assert taken == [False]
     assert got == ((1 + t * q**10**6) * (1 + q**10**6)) ** 3
+
+
+# -- the progression bound on term pairs ------------------------------------------
+
+
+def _ordered(factors):
+    """The factors in the order the packed product takes them: the one with
+    the most terms first, packed whole."""
+    return sorted(factors, key=lambda f: -len(f._terms))
+
+
+def counted_pairs(factors):
+    """The term pairs the sparse-box rule counts for factors in t and q."""
+    rows = [poly._rows(f, poly._SHIFTS["t"], poly._SHIFTS["q"]) for f in _ordered(factors)]
+    return poly._partials(rows)[1]
+
+
+def true_pairs(factors):
+    """The term pairs of multiplying the factors' supports in packing order:
+    each partial product's support, a brute-force sumset, times the next
+    factor's terms."""
+    supports = [{(dict(m).get("t", 0), dict(m).get("q", 0)) for m, _ in f.sorted_terms()}
+                for f in _ordered(factors)]
+    total, support = 0, supports[0]
+    for factor in supports[1:]:
+        total += len(support) * len(factor)
+        support = {(a + c, b + d) for a, b in support for c, d in factor}
+    return total
+
+
+def _tq(terms):
+    return [({n: e for n, e in (("t", a), ("q", b)) if e}, c) for (a, b), c in terms.items()]
+
+
+# 1 + c t^a q^b: tilted binomials of every slope, on steps 1 to 4
+_tilted = st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(1, 4), _nonzero).map(
+    lambda s: _tq({(0, 0): 1, (s[0], s[1] * s[2]): s[3]}))
+# rows that are progressions of steps 1 to 3 from different offsets
+_progressions = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(1, 3),
+                                   st.integers(1, 3), _nonzero), min_size=1, max_size=2).map(
+    lambda rows: _tq({(a, low + step * k): c for a, low, step, size, c in rows
+                      for k in range(size)}))
+# rows with gaps: any few cells
+_gaps = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 12)), _nonzero,
+                        min_size=1, max_size=5).map(_tq)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(_tilted, _progressions, _gaps), min_size=1, max_size=6))
+# an early row with a gap, certified as a progression, would count 17 pairs here
+@example([_tq({(0, 0): 1, (1, 6): 1}), _tq({(0, 0): 1, (0, 3): 1, (0, 9): 1, (1, 3): 1}),
+          _tq({(0, 2): 1})])
+@example([_tq({(1, 1): 1, (1, 2): 1, (1, 9): 1, (2, 4): 1}), _tq({(0, 5): 1, (1, 2): 1}),
+          _tq({(0, 0): 1, (0, 5): 1})])
+def test_the_progression_bound_never_exceeds_the_pairs(data):
+    """The rule's count of term pairs is at most the pairs that multiplying
+    the supports touches, so a packed box never has more slots than the dict
+    product has pairs; and the product is exact whichever way it goes."""
+    factors, refs = zip(*map(pair, data))
+    assume(any("q" in f.variables() for f in factors))  # else t is the inner variable
+    assert counted_pairs(factors) <= true_pairs(factors)
+    want = Ref({frozenset(): 1})
+    for r in refs:
+        want = want * r
+    assert_same(poly_product(factors), want)
+
+
+def test_chains_of_tilted_binomials_are_packed():
+    """The chains of f_A_des_maj(26), f_As_fdes_fmaj(20) and
+    f_AB_fdes_fmaj(16): every row of each partial product is a complete
+    progression, of step 1 or 2, and is counted exactly."""
+    t, q = var("t"), var("q")
+    chains = [[1 + t * q**i for i in range(2, 25)],
+              [1 + t**2 * q ** (2 * i - 1) for i in range(3, 20)],
+              [1 + t**2 * q ** (2 * i + 1) for i in range(1, 15)],
+              [1 + t**2 * q ** (2 * i + 2) for i in range(1, 15)]]
+    for chain in chains:
+        with packed_spy() as taken:
+            got = poly_product(chain)
+        assert taken == [True]
+        assert got == reduce(poly._dict_product, chain, const(1))
+        assert counted_pairs(chain) == true_pairs(chain)
+    with packed_spy() as taken:
+        f_A_des_maj(26)
+    assert taken[0] is True  # the chain, before it meets the head
+
+
+def test_unions_count_a_progression_only_within_one_residue():
+    t, q = var("t"), var("q")
+    # row 1 of the first two factors' product is {0, 2} with {4, 6}: one
+    # progression of 4 terms, so 8 + 8 * 2 = 24 pairs against a 22-slot box
+    with packed_spy() as taken:
+        got = poly_product([1 + q**2 + t * q**4 + t * q**6, 1 + t, 1 + q**3])
+    assert taken == [True]
+    assert got == (1 + q**2 + t * q**4 + t * q**6) * (1 + t) * (1 + q**3)
+    # {0, 2} with {3, 5} has two residues mod 2: counted as its larger part, 20
+    # pairs against a 21-slot box
+    with packed_spy() as taken:
+        got = poly_product([1 + q**2 + t * q**3 + t * q**5, 1 + t, 1 + q**3])
+    assert taken == [False]
+    assert got == (1 + q**2 + t * q**3 + t * q**5) * (1 + t) * (1 + q**3)
+
+
+# -- the dict product -----------------------------------------------------------
+
+
+ONE_PLUS_X1 = [({}, 1), ({"x1": 1}, 1)]
+X1_PLUS_X2 = [({"x1": 1}, 1), ({"x2": 1}, 1)]
+
+
+@pytest.mark.parametrize("a, b, text", [
+    (ONE_PLUS_X1, [({}, 1), ({"x1": 1}, -1)], "1 - x1^2"),
+    (X1_PLUS_X2, X1_PLUS_X2, "2*x1*x2 + x1^2 + x2^2"),
+    (X1_PLUS_X2, [({"x1": 1}, 1), ({"x2": 1}, -1)], "x1^2 - x2^2"),
+    (ONE_PLUS_X1, [({}, 1), ({"x1": 1}, -1), ({"x1": 2}, 1)], "1 + x1^3"),
+])
+def test_colliding_dict_products_match_reference(a, b, text):
+    """Pairs that meet are summed, and a sum that cancels to zero leaves no
+    term; the first pass alone would keep the last pair's product."""
+    (pa, ra), (pb, rb) = pair(a), pair(b)
+    got = poly._dict_product(pa, pb)
+    assert_same(got, ra * rb)
+    assert str(got) == text
 
 
 # -- the row-wise exact division ------------------------------------------------

@@ -61,6 +61,16 @@ def test_product_at_the_limit(monkeypatch):
         poly_product([mono(q=LIMIT), dense, dense])
 
 
+def test_collision_free_products_at_the_limit():
+    """In three fields the packed product does not take it: the dict
+    product's first pass meets no two pairs and still checks every key."""
+    x1, x2, x3 = var("x1"), var("x2"), var("x3")
+    with pytest.raises(OverflowError):
+        (mono(x1=LIMIT) + x2) * (x1 + x3)
+    assert (mono(x1=LIMIT - 1) + x2) * (x1 + x3) == (
+        mono(x1=LIMIT) + mono(x1=LIMIT - 1, x3=1) + x1 * x2 + x2 * x3)
+
+
 def test_power_at_the_limit():
     assert X**LIMIT == mono(x40=LIMIT)
     assert (X * Q**2) ** (LIMIT // 2) == mono(x40=LIMIT // 2, q=LIMIT - 1)
