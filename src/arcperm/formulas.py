@@ -313,13 +313,12 @@ class VerifyRow:
 
     def record(self) -> dict:
         """The row's JSON schema with its polynomials as objects: ``to_json``
-        converts them, the CLI writes their text.  An EQUAL row's lhs is its
-        rhs, so the CLI formats its terms once."""
+        converts them, the CLI writes their text."""
         return {
             "formula": self.formula,
             "n": self.n,
             "status": self.status,
-            "lhs": self.rhs if self.status == EQUAL else self.lhs,
+            "lhs": self.lhs,
             "rhs": self.rhs,
             "diff": self.diff,
             "note": self.note or None,
@@ -449,7 +448,9 @@ def verify_formula(name, ns, set_cache: dict | None = None) -> list[VerifyRow]:
             set_cache[key] = _FAMILIES[entry.family](n)
         rhs = enumerator(set_cache[key], entry.weights)
         lhs = entry.build(n) if n >= entry.evaluable_from else None
-        diff = None if lhs is None else const(0) if lhs == rhs else lhs - rhs
+        if lhs == rhs:  # keep one polynomial, so the CLI formats its terms once
+            lhs = rhs
+        diff = None if lhs is None else const(0) if lhs is rhs else lhs - rhs
         if not entry.claimed(n):
             note = f"stated validity is {entry.claim_text}"
             if entry.note:

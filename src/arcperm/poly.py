@@ -43,7 +43,9 @@ of the O(n^2) moves shifts one state's term map by one key and a sign, so
 the cost is moves times terms per state and no word is built.  In t, q and a
 character only, or in x variables and a character only, a state is one int
 with a fixed-width slot per term (an x term's slot has bit d - 1 set for
-each x_d in it), and a move is one big-int shift and add.  Over any other
+each x_d in it), and a move is one big-int shift and add; the slots are
+sized from each layer's largest move and the family's size, with no pass
+over the states.  Over any other
 iterable it reads each word once, at O(n) per element (inv adds O(n^2) bit
 work), and builds one key per distinct statistic key.  Output reads the k
 fields of each of T terms once, O(T * k), and sorts the terms on one int
@@ -59,10 +61,10 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import prod
 from operator import add, itemgetter, or_, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arcsets import Family
 from .perms import (Character, Permutation, SignedPermutation, abs_inv, descent_positions,
@@ -125,13 +127,22 @@ def _checked(terms: dict[Monomial, int]) -> dict[Monomial, int]:
     return {m: c for m, c in terms.items() if c}
 
 
+def _fields(polys: Iterable[SparsePolynomial]) -> Iterator[int]:
+    """The shifts of the fields in which the polynomials' keys have a
+    nonzero exponent, lowest first: a scan of the OR of their keys from its
+    lowest set bit, which a caller can stop early."""
+    occurring = reduce(or_, [reduce(or_, p._terms, 0) for p in polys], 0)
+    while occurring:
+        shift = ((occurring & -occurring).bit_length() - 1) // _WIDTH * _WIDTH
+        yield shift
+        occurring &= -1 << shift + _WIDTH
+
+
 def _layout(polys: Iterable[SparsePolynomial]) -> tuple[list[str], list[int]]:
     """Names and field shifts of the variables occurring in the polynomials,
     in the variable order."""
-    occurring = reduce(or_, (mono for p in polys for mono in p._terms), 0)
-    fields = sorted((_ORDER[i], _NAMES[i], _WIDTH * i) for i in range(len(_NAMES))
-                    if occurring >> _WIDTH * i & _MAX)
-    return [name for _, name, _ in fields], [shift for *_, shift in fields]
+    shifts = sorted(_fields(polys), key=lambda shift: _ORDER[shift // _WIDTH])
+    return [_NAMES[shift // _WIDTH] for shift in shifts], shifts
 
 
 def _add_term(terms: dict[Monomial, int], mono: Monomial, coeff: int):
@@ -258,11 +269,6 @@ class SparsePolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        for unit, p in ((other._terms, self), (self._terms, other)):
-            if unit == _ONE:
-                return p
-            if unit == _MINUS_ONE:
-                return -p
         if len(self._terms) > 1 < len(other._terms):  # one term only shifts the other's keys
             packed = _packed_product((self, other))
             if packed is not None:
@@ -423,9 +429,6 @@ def const(c: int) -> SparsePolynomial:
     return SparsePolynomial({0: c} if c else {})
 
 
-_ONE, _MINUS_ONE = {0: 1}, {0: -1}  # the terms of the units, which multiply by copying nothing
-
-
 def var(name: str) -> SparsePolynomial:
     return SparsePolynomial({1 << _SHIFTS[check_variable(name)]: 1})
 
@@ -473,7 +476,7 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
     the order they are packed, touches (``_partials``).  The product of the
     factors' L1 norms bounds every coefficient and sets the slot width.
     """
-    fields = _fields(reduce(or_, [reduce(or_, f._terms, 0) for f in factors], 0))
+    fields = list(islice(_fields(factors), 3))  # a third field already refuses
     if len(fields) > 2:
         return None
     if len(fields) == 2 and _ORDER[fields[0] // _WIDTH] > _ORDER[fields[1] // _WIDTH]:
@@ -496,31 +499,12 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
     acc = {j: _pack(row, width) for j, row in rows[0].items()}
     for r, before, after in zip(rows[1:], spans[1:], spans[2:]):
         acc = _times(acc, before, r, after, width)
-    return _from_rows({k: (low, acc[k], top - low + 1) for k, (low, top, _, _) in spans[-1].items()},
-                      width, outer, inner)
-
-
-def _from_rows(rows: dict[int, tuple[int, int, int]], width: int, outer: int | None,
-               inner: int) -> SparsePolynomial:
-    """The polynomial whose row k, given as (lowest exponent, packed int,
-    slots), has the balanced ``width``-bit slot j of its int as the
-    coefficient of outer^k inner^(lowest + j)."""
-    parts = [_from_slots(packed, width, 1, slots, 0, inner, (k and k << outer) + (low << inner))
-             for k, (low, packed, slots) in rows.items()]
-    if len(parts) == 1:
-        return parts[0]
-    return SparsePolynomial(dict(chain.from_iterable(part._terms.items() for part in parts)))
-
-
-def _fields(occurring: int) -> list[int]:
-    """The shifts of the fields in which ``occurring``, an OR of keys, has a
-    nonzero exponent, lowest first; reading stops after a third."""
-    fields: list[int] = []
-    while occurring and len(fields) < 3:
-        shift = ((occurring & -occurring).bit_length() - 1) // _WIDTH * _WIDTH
-        fields.append(shift)
-        occurring &= -1 << shift + _WIDTH
-    return fields
+    terms: dict[Monomial, int] = {}
+    for k, (low, top, _, _) in spans[-1].items():
+        key = (k and k << outer) + (low << inner)
+        terms.update(_from_slots(acc[k], width, range(key, key + (top - low + 1 << inner),
+                                                      1 << inner))._terms)
+    return SparsePolynomial(terms)
 
 
 def _rows(p: SparsePolynomial, outer: int | None, inner: int) -> dict[int, list[tuple[int, int]]]:
@@ -702,11 +686,11 @@ def _row_quotient(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial 
     and the spans of P's rows) may hold no more slots than p and d have term
     pairs.
     """
-    fields = _fields(reduce(or_, d._terms, 0))
+    fields = list(_fields([d]))
     if len(fields) != 1:
         return None
     inner = fields[0]
-    others = [shift for shift in _fields(reduce(or_, p._terms, 0)) if shift != inner]
+    others = [shift for shift in _fields([p]) if shift != inner]
     if len(others) > 1:
         return None
     outer = others[0] if others else None
@@ -719,16 +703,18 @@ def _row_quotient(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial 
     d_l1 = sum(map(abs, d._terms.values()))
     width = _slot_width(d_l1 * sum(map(abs, p._terms.values())))
     packed_divisor = _pack(divisor, width)
-    quotients = {}
+    terms: dict[Monomial, int] = {}
     for i, row in rows.items():
-        low, slots = row[0][0] - d_low, row[-1][0] - row[0][0] - (d_top - d_low) + 1
-        if low < 0 or slots < 1:
+        low, top = row[0][0] - d_low, row[-1][0] - d_top
+        if low < 0 or top < low:
             return None
         quotient, remainder = divmod(_pack(row, width), packed_divisor)
         if remainder:
             return None
-        quotients[i] = low, quotient, slots
-    result = _from_rows(quotients, width, outer, inner)
+        key = (i and i << outer) + (low << inner)
+        terms.update(_from_slots(quotient, width, range(key, key + (top - low + 1 << inner),
+                                                        1 << inner))._terms)
+    result = SparsePolynomial(terms)
     largest = max(max(map(abs, p._terms.values()), default=0),
                   d_l1 * max(map(abs, result._terms.values()), default=0))
     return None if largest >> width - 1 else result
@@ -901,7 +887,7 @@ def _walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
     """
     if not spec.packs:
         return _dict_walk(_weighed(family, spec))
-    return _packed_walk(_weighed(family, spec, spec.descent_vars), spec.descent_vars)
+    return _packed_walk(_weighed(family, spec, spec.descent_vars), family.size, spec.descent_vars)
 
 
 # t and q as linear forms in (inv, descent > 0, negative at position 1) and
@@ -964,29 +950,24 @@ def _dict_walk(layers: list) -> SparsePolynomial:
     return SparsePolynomial(_checked(total))
 
 
-def _packed_walk(layers: list, letters: bool = False) -> SparsePolynomial:
+def _packed_walk(layers: list, paths: int, letters: bool = False) -> SparsePolynomial:
     """The walk with one int per state: t^a q^b is its W-bit slot
-    a * (Dq + 1) + b, an exact evaluation at powers of 2^W.  A first pass over
-    the moves finds Dt and Dq, the largest exponents on any path, and W from
-    the number of paths, which bounds every coefficient (docs/DECISIONS.md §6).
+    a * (Dq + 1) + b, an exact evaluation at powers of 2^W.  Dt and Dq are
+    the sums over the layers of each layer's largest t and q (``_box``),
+    which bound every path's exponents, and W comes from ``paths``, the
+    number of paths (``Family.size``), which bounds every coefficient
+    (docs/DECISIONS.md §6).  OverflowError before the walk when Dt or Dq
+    passes the exponent limit.
 
     With ``letters`` the moves carry x_d as q = 2^(d-1) (``_weighed``), so a
     term's slot has bit d - 1 set for each x_d in it.  A path completes
     descent d in one layer only, so its bits never carry, and the final int
     decodes through a table of the x keys of every slot.
     """
-    reach = {0: (1, 0, 0)}  # state -> (paths into it, largest t, largest q)
-    for layer in layers:
-        following: dict[int, tuple[int, int, int]] = {}
-        for state, (paths, top_t, top_q) in reach.items():
-            for target, t, q, _, _ in layer[state]:
-                p, a, b = following.get(target, (0, 0, 0))
-                t += top_t
-                q += top_q
-                following[target] = (p + paths, a if a > t else t, b if b > q else q)
-        reach = following
-    _, top_t, top_q = map(max, zip(*reach.values()))
-    stride, width = top_q + 1, _slot_width(sum(p for p, _, _ in reach.values()))
+    top_t, top_q = _box(layers)
+    if not letters and max(top_t, top_q) > _MAX:
+        raise OverflowError(f"an exponent exceeds {_MAX}")
+    stride, width = top_q + 1, _slot_width(paths)
     states = {0: 1}
     for layer in layers:
         following = {}
@@ -1000,28 +981,34 @@ def _packed_walk(layers: list, letters: bool = False) -> SparsePolynomial:
                     following[target] = acc + part if sign > 0 else acc - part
         states = following
     packed = sum(states.values())
-    if not letters:
-        return _from_slots(packed, width, top_t + 1, stride, _SHIFTS["t"], _SHIFTS["q"])
-    keys = [0]  # slot i -> the key of the x_(b+1) over the set bits b of i
-    for d in range(1, top_q.bit_length() + 1):
-        x = 1 << _SHIFTS[f"x{d}"]
-        keys += [key + x for key in keys]
-    coeffs = _unpack(packed, stride, width)
-    return SparsePolynomial(dict(compress(zip(keys, coeffs), coeffs)))
+    if letters:
+        keys = [0]  # slot i -> the key of the x_(b+1) over the set bits b of i
+        for d in range(1, top_q.bit_length() + 1):
+            x = 1 << _SHIFTS[f"x{d}"]
+            keys += [key + x for key in keys]
+    else:  # row-major: slot a * stride + b -> the key of t^a q^b
+        t, q = 1 << _SHIFTS["t"], 1 << _SHIFTS["q"]
+        keys = list(chain.from_iterable(range(row, row + stride * q, q)
+                                        for row in range(0, (top_t + 1) * t, t)))
+    return _from_slots(packed, width, keys)
 
 
-def _from_slots(packed: int, width: int, rows: int, stride: int, row_shift: int,
-                shift: int, key: Monomial = 0) -> SparsePolynomial:
-    """The polynomial whose term at slot i of ``packed`` has the key ``key``
-    plus exponent i // stride in the field at ``row_shift`` and i % stride in
-    the one at ``shift``, with the balanced ``width``-bit slot as its
-    coefficient.  OverflowError when the box's rows or stride pass the
-    exponent limit; the caller keeps ``key`` plus the box within it."""
-    if max(rows, stride) - 1 > _MAX:
-        raise OverflowError(f"an exponent exceeds {_MAX}")
-    coeffs = _unpack(packed, rows * stride, width)
-    keys = chain.from_iterable(range(row, row + (stride << shift), 1 << shift)
-                               for row in range(key, key + (rows << row_shift), 1 << row_shift))
+def _box(layers: list) -> tuple[int, int]:
+    """Dt and Dq: the sums over the layers of each layer's largest t and
+    largest q.  A path takes one move per layer, so no path's exponents pass
+    them."""
+    top_t = top_q = 0
+    for layer in layers:
+        moves = list(chain.from_iterable(layer))
+        top_t += max(map(itemgetter(1), moves))
+        top_q += max(map(itemgetter(2), moves))
+    return top_t, top_q
+
+
+def _from_slots(packed: int, width: int, keys: Sequence[Monomial]) -> SparsePolynomial:
+    """The polynomial whose term at key ``keys[i]`` has the balanced
+    ``width``-bit slot i of ``packed`` as its coefficient."""
+    coeffs = _unpack(packed, len(keys), width)
     return SparsePolynomial(dict(compress(zip(keys, coeffs), coeffs)))
 
 

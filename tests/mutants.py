@@ -49,6 +49,7 @@ class Mutant:
 
 POLY, FORMULAS = "src/arcperm/poly.py", "src/arcperm/formulas.py"
 WALK, POLY_ORACLE = "tests/test_family_walk.py", "tests/test_poly_oracle.py"
+POLY_TESTS, PACKED = "tests/test_poly.py", "tests/test_poly_packed.py"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", POLY,
@@ -60,8 +61,6 @@ LEDGER = [
            "tf * (neg & (position == 1))", "tf * neg", (WALK,)),
     Mutant("sign-without-its-inv-parity", POLY,
            "Character.SIGN: (1, 1)", "Character.SIGN: (0, 1)", (WALK,)),
-    Mutant("minus-one-times-p-is-p", POLY,
-           "                return -p\n", "                return p\n", ("tests/test_poly.py",)),
     Mutant("restride-drops-the-top-byte", POLY,
            "for b in range(min(size, wide)):", "for b in range(min(size, wide) - 1):", (WALK,)),
     Mutant("slot-width-without-its-spare-bit", POLY,
@@ -86,9 +85,61 @@ LEDGER = [
            "if len(terms) == len(a._terms) * len(right):", "if True:", (POLY_ORACLE,)),
     Mutant("first-pass-without-its-guard-test", POLY,
            "        if reduce(or_, terms, 0) & _GUARD:", "        if False:",
-           ("tests/test_poly_packed.py",)),
+           (PACKED,)),
     Mutant("sign-des-set-at-t-plus-one", FORMULAS,
            "return _inv_des(n, -1)", "return _inv_des(n, 1)", ("tests/test_formulas.py",)),
+    # the walk's box and width, and the one slot decoder
+    Mutant("walk-dt-without-its-last-layer", POLY,
+           "        top_t += max(map(itemgetter(1), moves))\n",
+           "        top_t += max(map(itemgetter(1), moves)) if layer is not layers[-1] else 0\n",
+           (WALK,)),
+    Mutant("walk-width-from-half-the-size", POLY,
+           "family.size, spec.descent_vars)", "family.size // 2, spec.descent_vars)", (WALK,)),
+    Mutant("walk-without-its-box-limit", POLY,
+           "    if not letters and max(top_t, top_q) > _MAX:", "    if False:", (WALK,)),
+    Mutant("walk-dq-one-too-small", POLY,
+           "stride, width = top_q + 1, _slot_width(paths)", "stride, width = top_q, _slot_width(paths)",
+           (WALK,)),
+    Mutant("walk-without-the-character-sign", POLY,
+           "               1 - 2 * (si * inv + sn * neg & 1))", "               1)", (WALK,)),
+    Mutant("decoder-keys-one-slot-off", POLY,
+           "dict(compress(zip(keys, coeffs), coeffs))", "dict(compress(zip(keys[1:], coeffs), coeffs))",
+           (WALK,)),
+    Mutant("unpack-without-its-half-slot-offset", POLY,
+           "data = (packed + _offset(slots, size)).to_bytes(", "data = (packed).to_bytes(", (WALK,)),
+    Mutant("struct-code-signed-for-two-bytes", POLY,
+           '_DIGITS = {1: "B", 2: "H",', '_DIGITS = {1: "B", 2: "h",', (WALK, POLY_ORACLE)),
+    Mutant("layout-unsorted", POLY,
+           "    shifts = sorted(_fields(polys), key=lambda shift: _ORDER[shift // _WIDTH])",
+           "    shifts = list(_fields(polys))", (POLY_TESTS,)),
+    Mutant("product-reads-two-fields", POLY,
+           "fields = list(islice(_fields(factors), 3))", "fields = list(islice(_fields(factors), 2))",
+           (POLY_ORACLE,)),
+    # the packed product
+    Mutant("box-rule-ge-for-gt", POLY,
+           "for low, top, _, _ in spans[-1].values()]) > touched:",
+           "for low, top, _, _ in spans[-1].values()]) >= touched:", (POLY_ORACLE,)),
+    Mutant("l1-product-read-as-a-max", POLY,
+           "    bound = prod([sum(map(abs, f._terms.values())) for f in factors])",
+           "    bound = max([sum(map(abs, f._terms.values())) for f in factors])", (POLY_ORACLE,)),
+    Mutant("product-without-its-degree-check", POLY,
+           "    if max(spans[-1]) > _MAX or max([span[1] for span in spans[-1].values()]) > _MAX:",
+           "    if False:", (PACKED, POLY_ORACLE)),
+    Mutant("product-without-its-zero-short-circuit", POLY,
+           "    if not bound:\n        return SparsePolynomial()\n", "", (POLY_ORACLE,)),
+    Mutant("times-without-the-row-low", POLY,
+           "            base = low_i - after[k][0]", "            base = -after[k][0]",
+           (POLY_ORACLE,)),
+    Mutant("q-bracket-one-power-long", POLY,
+           "    for _ in range(n):\n        for mono, coeff in power._terms.items():",
+           "    for _ in range(n + 1):\n        for mono, coeff in power._terms.items():",
+           (POLY_TESTS,)),
+    # the row division
+    Mutant("row-division-without-its-coefficient-check", POLY,
+           "    return None if largest >> width - 1 else result", "    return result",
+           (POLY_ORACLE,)),
+    Mutant("row-division-ignores-its-remainder", POLY,
+           "        if remainder:\n            return None\n", "", (POLY_ORACLE,)),
 ]
 
 

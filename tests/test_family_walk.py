@@ -24,8 +24,8 @@ from arcperm.arcsets import (
 )
 from arcperm.formulas import EQUAL, OUT_OF_STATED_RANGE, REGISTRY, verify_formula
 from arcperm import poly
-from arcperm.poly import (WeightSpec, _dict_walk, _from_slots, _pack, _packed_walk, _slot_width,
-                          _unpack, _weighed, enumerator, var)
+from arcperm.poly import (WeightSpec, _box, _dict_walk, _from_slots, _pack, _packed_walk,
+                          _slot_width, _unpack, _weighed, enumerator, var)
 from helpers import hyperoctahedral, symmetric
 from test_enumerator_oracle import SPECS, assert_same, needs_flags
 
@@ -183,7 +183,7 @@ def test_packed_walk_equals_dict_walk(family):
             if needs_flags(spec) and not signed:
                 continue
             fam = Family(family, n)
-            packed = _packed_walk(_weighed(fam, spec, spec.letters), spec.letters)
+            packed = _packed_walk(_weighed(fam, spec, spec.letters), fam.size, spec.letters)
             assert_same(packed, _dict_walk(_weighed(fam, spec)))
             if spec.letters:
                 assert_same(packed, enumerator(GENERATORS[family](n), spec))
@@ -306,21 +306,86 @@ def test_unpack_reads_balanced_slots_and_refuses_the_rest(width):
             _pack([(0, 1), (1, coeff), (2, -1)], width)
 
 
-def test_slots_map_to_rows_and_columns(monkeypatch):
+def test_slots_map_to_rows_and_columns():
     t, q = var("t"), var("q")
-    shifts = poly._SHIFTS["t"], poly._SHIFTS["q"]
-    # slot i holds t^(i // 3) q^(i % 3): 1 - 2q^2 + 5tq in a 2 x 3 box
+    x1, x2 = var("x1"), var("x2")
+    ts, qs = 1 << poly._SHIFTS["t"], 1 << poly._SHIFTS["q"]
+    # slot i holds the coefficient of keys[i]: 1 - 2q^2 + 5tq in a 2 x 3 box
     packed = sum(c << 8 * i for i, c in enumerate([1, 0, -2, 0, 5, 0]))
-    assert _from_slots(packed, 8, 2, 3, *shifts) == 1 - 2 * q**2 + 5 * t * q
-    assert _from_slots(packed, 8, 1, 6, 0, shifts[1]) == 1 - 2 * q**2 + 5 * q**4
+    box = [a * ts + b * qs for a in range(2) for b in range(3)]
+    assert _from_slots(packed, 8, box) == 1 - 2 * q**2 + 5 * t * q
+    # one row, from t q^2 on
+    row = range(ts + 2 * qs, ts + 8 * qs, qs)
+    assert _from_slots(packed, 8, row) == t * q**2 * (1 - 2 * q**2 + 5 * q**4)
+    # a letters table: slot i -> the x_(b+1) over the set bits b of i
+    table = [0, 1 << poly._SHIFTS["x1"], 1 << poly._SHIFTS["x2"]]
+    table.append(table[1] + table[2])
+    packed = sum(c << 16 * i for i, c in enumerate([3, 0, -1, 300]))
+    assert _from_slots(packed, 16, table) == 3 - x2 + 300 * x1 * x2
 
-    # a field's range past the exponent limit raises before a slot is read
-    def no_decode(*args):
-        raise AssertionError("slots were read")
 
-    monkeypatch.setattr(poly, "_unpack", no_decode)
-    for rows, stride in ((2**31 + 1, 1), (1, 2**31 + 1)):
+def _path_pass(layers):
+    """The pass that sized the packed walk before ``_box`` and
+    ``Family.size``, kept as their reference: the number of paths and the
+    largest t and q on any path."""
+    reach = {0: (1, 0, 0)}  # state -> (paths into it, largest t, largest q)
+    for layer in layers:
+        following = {}
+        for state, (paths, top_t, top_q) in reach.items():
+            for target, t, q, _, _ in layer[state]:
+                p, a, b = following.get(target, (0, 0, 0))
+                following[target] = (p + paths, max(a, t + top_t), max(b, q + top_q))
+        reach = following
+    paths, top_t, top_q = zip(*reach.values())
+    return sum(paths), max(top_t), max(top_q)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_box_and_size_equal_the_path_pass(family):
+    # the layer maxima are reached by one path on every family, so the slot
+    # layout is the one the path pass gave; the size is the number of paths
+    signed = family in ("signed-arc", "b-arc")
+    for n in range(1, 13):
+        fam = Family(family, n)
+        for spec in PACKED:
+            if needs_flags(spec) and not signed:
+                continue
+            layers = _weighed(fam, spec, spec.letters)
+            assert (fam.size, *_box(layers)) == _path_pass(layers), (n, spec)
+
+
+def test_walk_decodes_bounds_that_no_path_reaches():
+    t, q = var("t"), var("q")
+    # the layers' largest t are 1 and 2 and their largest q 2 and 3, but the
+    # two paths are t q^3 and -t^2 q^2
+    layers = [
+        [[(0, 1, 0, 0, 1), (1, 0, 2, 0, -1)]],
+        [[(0, 0, 3, 0, 1)], [(0, 2, 0, 0, 1)]],
+    ]
+    assert _box(layers) == (3, 5) and _path_pass(layers) == (2, 2, 3)
+    assert _packed_walk(layers, 2) == t * q**3 - t**2 * q**2 == _dict_walk(layers)
+    # letters: x1 and x2 as slot bits, a path through each
+    letters = [[[(0, 0, 1, 0, 1), (1, 0, 0, 0, 1)]], [[(0, 0, 0, 0, 1)], [(0, 0, 2, 0, -1)]]]
+    assert _box(letters) == (0, 3)
+    assert _packed_walk(letters, 2, True) == var("x1") - var("x2")
+
+
+def test_the_box_limit_raises_before_the_walk(monkeypatch):
+    # the limit is checked before a slot width is chosen, so no exponent past
+    # it is ever shifted into an int or decoded; the moves out of state 1 are
+    # never taken
+    def no_walk(paths):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(poly, "_slot_width", no_walk)
+    for t, q in ((2**31, 0), (0, 2**31)):
+        layers = [[[(0, 0, 0, 0, 1)]], [[(0, 0, 0, 0, 1)], [(0, t, q, 0, 1)]]]
         with pytest.raises(OverflowError):
-            _from_slots(0, 8, rows, stride, *shifts)
-    with pytest.raises(AssertionError, match="slots were read"):
-        _from_slots(0, 8, 2**31, 1, *shifts)  # exponents up to 2**31 - 1
+            _packed_walk(layers, 1)
+        with pytest.raises(AssertionError, match="the walk started"):
+            _packed_walk(layers, 1, True)  # the letters box has no exponent to check
+    with pytest.raises(OverflowError):  # two layers of 2**30 each
+        _packed_walk([[[(0, 2**30, 0, 0, 1)]], [[(0, 2**30, 0, 0, 1)]]], 1)
+    for t, q in ((2**31 - 1, 0), (0, 2**31 - 1)):  # exponents up to 2**31 - 1
+        with pytest.raises(AssertionError, match="the walk started"):
+            _packed_walk([[[(0, 0, 0, 0, 1)]], [[(0, 0, 0, 0, 1)], [(0, t, q, 0, 1)]]], 1)

@@ -176,10 +176,12 @@ def test_cardinality_specializations():
 def test_verify_statuses():
     rows = verify_formula("f_A_maj", range(1, 7))
     assert [r.status for r in rows] == [OUT_OF_STATED_RANGE] + [EQUAL] * 5
+    # an EQUAL row keeps the walk's polynomial as both sides
+    assert all(r.lhs is r.rhs for r in rows[1:])
 
     row = verify_formula("f_A_des_maj", [2])[0]
     assert row.status == OUT_OF_STATED_RANGE
-    assert row.diff == T * Q + T**2 * Q**2
+    assert row.diff == T * Q + T**2 * Q**2 and row.lhs - row.rhs == row.diff
 
     row = verify_formula("f_A_des", [2])[0]
     assert row.status == OUT_OF_STATED_RANGE

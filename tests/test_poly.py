@@ -34,14 +34,28 @@ def test_basic_arithmetic():
     assert -(-p) == p
 
 
-def test_units_multiply_without_a_product(monkeypatch):
-    import arcperm.poly as poly
-
+def test_units_multiply():
     p, minus_p = 3 * T**2 - Q, Q - 3 * T**2
-    monkeypatch.setattr(poly, "_dict_product", None)  # calling it raises TypeError
-    assert 1 * p is p and p * 1 is p and p * const(1) is p and const(1) * p is p
+    assert 1 * p == p * 1 == p * const(1) == const(1) * p == p
     assert -1 * p == p * -1 == const(-1) * p == minus_p
     assert 1 * const(1) == -1 * const(-1) == 1 and 1 * const(0) == 0
+
+
+def test_layout_reads_fields_in_the_variable_order():
+    import arcperm.poly as poly
+
+    # first used against the variable order (no other test names them), so
+    # their fields are assigned in the reverse of it
+    names = ["y1001", "y1000", "x1001", "x1000", "u"]
+    p = sum(var(name) for name in names) * (1 + T)
+    assert poly._SHIFTS["y1001"] < poly._SHIFTS["y1000"] < poly._SHIFTS["x1000"]
+    want = ["t", "u", "x1000", "x1001", "y1000", "y1001"]
+    got_names, shifts = poly._layout([p])
+    assert got_names == want and shifts == [poly._SHIFTS[name] for name in want]
+    assert poly._layout([var("x1001"), T, const(7)]) == (["t", "x1001"],
+                                                        [poly._SHIFTS["t"], poly._SHIFTS["x1001"]])
+    assert poly._layout([const(7)]) == poly._layout([]) == ([], [])
+    assert p.variables() == set(want)
 
 
 def test_zero_and_equality():
