@@ -9,10 +9,13 @@ test suite as double-entry bookkeeping).
 
 Search cost: ``find_occurrence`` walks positions depth first through a trie
 of the listed patterns, built once per list.  A step is one popcount and one
-dict lookup, and a branch stops at the first entry no pattern continues; no
-subsequence is ever sorted.  At n = 12 the forbidden lists cost about 430
-steps per arc element and 150 per signed one, where a full scan sorts 495
-and 220 subsequences.
+list index, a branch stops at the first entry no pattern continues, and the
+last two entries are two nested loops rather than a call per leaf parent; no
+subsequence is ever sorted.  At n = 12 (the membership-audit sample at seed
+7: 500 members and 500 non-members per family, best of 9 passes, on a 2-vCPU
+VM with Python 3.11) an arc member costs 115-150 us and a non-member 30-37
+us, a signed arc or B-arc member 45-60 us and a non-member 9-12 us.  A
+member costs the most, because its search runs to the end.
 """
 
 from __future__ import annotations
@@ -42,18 +45,21 @@ class Occurrence(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _tries(patterns: tuple) -> list[tuple[int, dict]]:
-    """(length, trie) in increasing length.  A trie is nested dicts keyed by
-    one step key per entry: (how many earlier entries have a smaller absolute
-    value, whether the entry is positive).  Two words with the same keys are
-    occurrences of the same pattern, which sits at depth ``length``."""
-    tries: dict[int, dict] = {}
+def _tries(patterns: tuple) -> list[tuple[int, list]]:
+    """(length, trie) in increasing length.  A trie node at depth d is a list
+    of 2d + 2 children, None where no pattern continues, indexed by one step
+    key per entry: 2 * (how many earlier entries have a smaller absolute
+    value) + (1 if the entry is positive else 0).  Two words with the same
+    keys are occurrences of the same pattern, which sits at depth ``length``."""
+    tries: dict[int, list] = {}
     for pat in patterns:
         w = pat.word
-        *path, last = [(sum(abs(u) < abs(v) for u in w[:j]), v > 0) for j, v in enumerate(w)]
-        node = tries.setdefault(len(w), {})
-        for key in path:
-            node = node.setdefault(key, {})
+        *path, last = [2 * sum(abs(u) < abs(v) for u in w[:j]) + (v > 0) for j, v in enumerate(w)]
+        node = tries.setdefault(len(w), [None, None])
+        for depth, key in enumerate(path, 1):
+            if node[key] is None:
+                node[key] = [None] * (2 * depth + 2)
+            node = node[key]
         node[last] = pat
     return sorted(tries.items())
 
@@ -90,19 +96,34 @@ def find_occurrence(p, patterns) -> Occurrence | None:
     w = p.word
     n = len(w)
     positive = [v > 0 for v in w]
-    # below[i]: the set bits are the positions whose absolute value is smaller
+    # below[i]: the set bits are the positions whose absolute value is smaller;
+    # where[a - 1] is the position of absolute value a
+    where = [0] * n
+    for i, v in enumerate(w):
+        where[abs(v) - 1] = i
     below = [0] * n
     seen = 0
-    for i in sorted(range(n), key=lambda j: abs(w[j])):
+    for i in where:
         below[i] = seen
         seen |= 1 << i
 
     def first(node, todo, start, mask):
         # the chosen positions are the set bits of mask; todo entries remain
+        if todo == 2:
+            # the last two entries: one loop each, no call per leaf parent
+            for i in range(start, n - 1):
+                child = node[2 * (below[i] & mask).bit_count() + positive[i]]
+                if child is not None:
+                    inner = mask | 1 << i
+                    for j in range(i + 1, n):
+                        pat = child[2 * (below[j] & inner).bit_count() + positive[j]]
+                        if pat is not None:
+                            return inner | 1 << j, pat
+            return None
         for i in range(start, n - todo + 1):
-            child = node.get(((below[i] & mask).bit_count(), positive[i]))
+            child = node[2 * (below[i] & mask).bit_count() + positive[i]]
             if child is not None:
-                if todo == 1:
+                if todo == 1:  # only at the root of a length-1 pattern
                     return mask | 1 << i, child
                 hit = first(child, todo - 1, i + 1, mask | 1 << i)
                 if hit is not None:

@@ -8,12 +8,14 @@ Run from the root of a checkout (stdlib only; pytest must be importable):
 
 For each mutant the whole tree is copied to a temporary directory, the old
 text is replaced by the new one (it must occur exactly once), and
-``python -m pytest -x -q`` runs on the mutant's test files in the copy; a
-failing run means caught.  The whole tree is copied because pyproject.toml's
-``pythonpath = ["src"]`` overrides PYTHONPATH: a mutated copy of src/ alone
-would silently not be imported, and every mutant would survive.  The
-unmutated copy first runs every named test file once, so that a failure
-means the mutant.  One line per mutant; the exit status is 1 when an
+``python -m pytest -x -q`` runs on the mutant's tests in the copy; a failing
+run means caught.  A test is a file, or one test in it as a pytest node id
+(``tests/test_x.py::test_name``): naming the test that catches a mutant
+spares the replay the slower tests before it in the file.  The whole tree is
+copied because pyproject.toml's ``pythonpath = ["src"]`` overrides
+PYTHONPATH: a mutated copy of src/ alone would silently not be imported, and
+every mutant would survive.  The unmutated copy first runs every named test
+once, so that a failure means the mutant.  One line per mutant; the exit status is 1 when an
 outcome differs from the ledger's, 2 on a bad argument or entry.
 
 Not part of tier-1: pytest collects only test_*.py files.  Add the mutants
@@ -42,7 +44,7 @@ class Mutant:
     path: str  # relative to the root
     old: str
     new: str
-    tests: tuple[str, ...]
+    tests: tuple[str, ...]  # files or pytest node ids, relative to the root
     expected: str = CAUGHT
     reason: str = ""  # why a survivor survives
 
@@ -50,6 +52,7 @@ class Mutant:
 POLY, FORMULAS = "src/arcperm/poly.py", "src/arcperm/formulas.py"
 WALK, POLY_ORACLE = "tests/test_family_walk.py", "tests/test_poly_oracle.py"
 POLY_TESTS, PACKED = "tests/test_poly.py", "tests/test_poly_packed.py"
+PATTERNS, PATTERNS_ORACLE = "src/arcperm/patterns.py", "tests/test_patterns_oracle.py"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", POLY,
@@ -114,7 +117,7 @@ LEDGER = [
            "    shifts = list(_fields(polys))", (POLY_TESTS,)),
     Mutant("product-reads-two-fields", POLY,
            "fields = list(islice(_fields(factors), 3))", "fields = list(islice(_fields(factors), 2))",
-           (POLY_ORACLE,)),
+           (f"{POLY_TESTS}::test_layout_reads_fields_in_the_variable_order",)),
     # the packed product
     Mutant("box-rule-ge-for-gt", POLY,
            "for low, top, _, _ in spans[-1].values()]) > touched:",
@@ -126,7 +129,8 @@ LEDGER = [
            "    if max(spans[-1]) > _MAX or max([span[1] for span in spans[-1].values()]) > _MAX:",
            "    if False:", (PACKED, POLY_ORACLE)),
     Mutant("product-without-its-zero-short-circuit", POLY,
-           "    if not bound:\n        return SparsePolynomial()\n", "", (POLY_ORACLE,)),
+           "    if not bound:\n        return SparsePolynomial()\n", "",
+           (f"{POLY_ORACLE}::test_a_zero_factor_builds_no_box",)),
     Mutant("times-without-the-row-low", POLY,
            "            base = low_i - after[k][0]", "            base = -after[k][0]",
            (POLY_ORACLE,)),
@@ -140,6 +144,18 @@ LEDGER = [
            (POLY_ORACLE,)),
     Mutant("row-division-ignores-its-remainder", POLY,
            "        if remainder:\n            return None\n", "", (POLY_ORACLE,)),
+    # the pattern search
+    Mutant("pattern-visit-order-reversed", PATTERNS,
+           "        for i in range(start, n - todo + 1):",
+           "        for i in reversed(range(start, n - todo + 1)):", (PATTERNS_ORACLE,)),
+    Mutant("pattern-leaf-step-without-its-sign", PATTERNS,
+           "child[2 * (below[j] & inner).bit_count() + positive[j]]",
+           "child[2 * (below[j] & inner).bit_count()]", (PATTERNS_ORACLE,)),
+    Mutant("pattern-leaf-loop-from-i", PATTERNS,
+           "for j in range(i + 1, n):", "for j in range(i, n):", (PATTERNS_ORACLE,)),
+    Mutant("pattern-room-bound-widened", PATTERNS,
+           "for i in range(start, n - 1):", "for i in range(start, n):", (PATTERNS_ORACLE,),
+           SURVIVES, "at i = n - 1 the leaf loop is empty, so it changes speed only"),
 ]
 
 
@@ -189,7 +205,7 @@ def main(argv: list[str]) -> int:
         if outcome != "passed":
             print(f"error: the unmutated tree {outcome} {' '.join(tests)}", file=sys.stderr)
             return 2
-        print(f"control  passed {len(tests)} test files in {seconds:.1f} s")
+        print(f"control  passed {len(tests)} test files and node ids in {seconds:.1f} s")
         differing = 0
         for i, mutant in enumerate(mutants):
             tree = _copy(Path(tmp) / str(i))

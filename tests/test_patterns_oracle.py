@@ -141,3 +141,42 @@ def test_mixed_types_raise():
         find_occurrence((1, 2, 3), [])
     with pytest.raises(TypeError):
         contains((1, 2), (1, 2))
+
+
+def _every_word(max_n, signed):
+    for n in range(1, max_n + 1):
+        for w in itertools.permutations(range(1, n + 1)):
+            if not signed:
+                yield Permutation(w)
+                continue
+            for signs in itertools.product((1, -1), repeat=n):
+                yield SignedPermutation(s * v for s, v in zip(signs, w))
+
+
+# name -> (unsigned, signed) case, each (the list, the witness lengths that
+# the words up to n = 5 give, None for no occurrence)
+EDGE_LISTS = {
+    # the search's root is the two-entry inline step
+    "length-2-only": ((["21"], {None, 2}), (["[2,-1]", "[-1,-2]"], {None, 2})),
+    # the root is the last entry: no inline step at all
+    "length-1-only": ((["1"], {1}), (["[-1]"], {None, 1})),
+    # the length-2 list misses on some words, whose witness is then of length 3
+    "length-2-then-3": ((["12", "321"], {None, 2, 3}), (["[1,2]", "[-3,-2,-1]"], {None, 2, 3})),
+    # longer than every word up to n = 3, and than every word for the length-6 pattern
+    "longer-than-the-word": ((["123456", "2143"], {None, 4}),
+                             (["[1,-2,3,-4,5,-6]", "[2,-1,-4,3]"], {None, 4})),
+}
+
+
+@pytest.mark.parametrize("signed", (False, True), ids=("unsigned", "signed"))
+@pytest.mark.parametrize("case", sorted(EDGE_LISTS))
+def test_edge_lists_on_every_word_up_to_five(case, signed):
+    texts, lengths = EDGE_LISTS[case][signed]
+    kind = SignedPermutation if signed else Permutation
+    patterns = [kind.parse(text) for text in texts]
+    seen = set()
+    for p in _every_word(5, signed):
+        got = find_occurrence(p, patterns)
+        assert got == reference(p, patterns)
+        seen.add(None if got is None else len(got.positions))
+    assert seen == lengths
