@@ -53,6 +53,7 @@ POLY, FORMULAS = "src/arcperm/poly.py", "src/arcperm/formulas.py"
 WALK, POLY_ORACLE = "tests/test_family_walk.py", "tests/test_poly_oracle.py"
 POLY_TESTS, PACKED = "tests/test_poly.py", "tests/test_poly_packed.py"
 PATTERNS, PATTERNS_ORACLE = "src/arcperm/patterns.py", "tests/test_patterns_oracle.py"
+GROUPED = f"{POLY_ORACLE}::test_grouped_decode_matches_reference"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", POLY,
@@ -99,7 +100,8 @@ LEDGER = [
     Mutant("walk-width-from-half-the-size", POLY,
            "family.size, spec.descent_vars)", "family.size // 2, spec.descent_vars)", (WALK,)),
     Mutant("walk-without-its-box-limit", POLY,
-           "    if not letters and max(top_t, top_q) > _MAX:", "    if False:", (WALK,)),
+           "    if not letters and max(top_t, top_q) > _MAX:", "    if False:",
+           (f"{WALK}::test_the_box_limit_raises_before_the_walk",)),
     Mutant("walk-dq-one-too-small", POLY,
            "stride, width = top_q + 1, _slot_width(paths)", "stride, width = top_q, _slot_width(paths)",
            (WALK,)),
@@ -113,10 +115,10 @@ LEDGER = [
     Mutant("struct-code-signed-for-two-bytes", POLY,
            '_DIGITS = {1: "B", 2: "H",', '_DIGITS = {1: "B", 2: "h",', (WALK, POLY_ORACLE)),
     Mutant("layout-unsorted", POLY,
-           "    shifts = sorted(_fields(polys), key=lambda shift: _ORDER[shift // _WIDTH])",
-           "    shifts = list(_fields(polys))", (POLY_TESTS,)),
+           "    shifts = sorted(_fields(_occurring(polys)), key=lambda shift: _ORDER[shift // _WIDTH])",
+           "    shifts = list(_fields(_occurring(polys)))", (POLY_TESTS,)),
     Mutant("product-reads-two-fields", POLY,
-           "fields = list(islice(_fields(factors), 3))", "fields = list(islice(_fields(factors), 2))",
+           "fields = list(islice(_fields(occurring), 3))", "fields = list(islice(_fields(occurring), 2))",
            (f"{POLY_TESTS}::test_layout_reads_fields_in_the_variable_order",)),
     # the packed product
     Mutant("box-rule-ge-for-gt", POLY,
@@ -133,7 +135,7 @@ LEDGER = [
            (f"{POLY_ORACLE}::test_a_zero_factor_builds_no_box",)),
     Mutant("times-without-the-row-low", POLY,
            "            base = low_i - after[k][0]", "            base = -after[k][0]",
-           (POLY_ORACLE,)),
+           (f"{POLY_ORACLE}::test_a_row_that_cancels_between_nonzero_rows",)),
     Mutant("q-bracket-one-power-long", POLY,
            "    for _ in range(n):\n        for mono, coeff in power._terms.items():",
            "    for _ in range(n + 1):\n        for mono, coeff in power._terms.items():",
@@ -143,7 +145,20 @@ LEDGER = [
            "    return None if largest >> width - 1 else result", "    return result",
            (POLY_ORACLE,)),
     Mutant("row-division-ignores-its-remainder", POLY,
-           "        if remainder:\n            return None\n", "", (POLY_ORACLE,)),
+           "        if remainder:\n            return None\n", "",
+           (f"{POLY_ORACLE}::test_row_division_refuses_as_the_heap_does",)),
+    # the grouped output decode
+    Mutant("group-part-without-its-degree", POLY,
+           "part = self[mono] = ((sum(exps) << self.degree) + (fields << self.offset),",
+           "part = self[mono] = ((fields << self.offset),", (GROUPED,)),
+    Mutant("group-reads-a-zero-as-zero", POLY,
+           "fields = fields << _WIDTH | (e or _MAX + 1)", "fields = fields << _WIDTH | e", (GROUPED,)),
+    Mutant("group-offset-one-field-high", POLY,
+           "self.offset = _WIDTH * (k - g - len(shifts))",
+           "self.offset = _WIDTH * (k - g - len(shifts) + 1)", (GROUPED,)),
+    Mutant("group-cache-keyed-by-the-whole-key", POLY,
+           "part, text = group[mono & mask]", "part, text = group[mono]", (GROUPED,), SURVIVES,
+           "a group's decode reads only its own fields, so it changes speed only"),
     # the pattern search
     Mutant("pattern-visit-order-reversed", PATTERNS,
            "        for i in range(start, n - todo + 1):",

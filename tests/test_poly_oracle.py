@@ -8,6 +8,7 @@ order from an explicit list of the alphabet.
 """
 
 import json
+import pickle
 from contextlib import contextmanager
 from functools import reduce
 from math import comb
@@ -22,7 +23,14 @@ from arcperm.poly import ExactDivisionError, SparsePolynomial, const, exact_div,
 
 # x40 and y33 sit far from the low indices, in fields assigned late
 VARS = ["t", "q"] + [f"x{i}" for i in range(13)] + ["x40"] + [f"y{i}" for i in range(1, 5)] + ["y33"]
-ALPHABET = ["t", "q", "u", "y", "z"] + VARS[2:]  # the variable order, smallest first
+# fresh names whose fields are assigned here, highest first, so that they run
+# against the variable order
+FRESH = ["x99", "y98", "x97"]
+for _name in FRESH:
+    var(_name)
+# the variable order, smallest first
+ALPHABET = (["t", "q", "u", "y", "z"] + [f"x{i}" for i in range(13)] + ["x40", "x97", "x99"]
+            + [f"y{i}" for i in range(1, 5)] + ["y33", "y98"])
 LIMIT = 2**31 - 1  # the largest exponent a monomial can hold
 RANK = {name: i for i, name in enumerate(ALPHABET)}
 
@@ -679,6 +687,8 @@ def test_row_division_by_one_plus_or_minus_q_needs_no_heap(rectangle, c0, s):
 
 @settings(max_examples=80)
 @given(_tq_dividend, st.one_of(_q_divisor, _binomial_divisor))
+# 1 + q + q^2 = q (1 + q) + 1: the packed rows divide with remainder 1
+@example([({}, 1), ({"q": 1}, 1), ({"q": 2}, 1)], [({}, 1), ({"q": 1}, 1)])
 def test_row_division_refuses_as_the_heap_does(p_data, d):
     (pp, _), (pd, _) = pair(p_data), pair(d)
     if pd.is_zero or pd.variables() != {"q"}:
@@ -751,3 +761,57 @@ def test_one_term_powers_past_the_limit():
                     (-3 * t**LIMIT, 2), (t**2 * q, 2**40)):
         with pytest.raises(OverflowError):
             base**k
+
+
+# 9-13 of these 15 names make 3 or 4 groups of four in the output decode, the
+# last one partial unless there are 12
+_GROUPED = ["t", "q", "u", "z"] + [f"x{i}" for i in (0, 1, 2, 7, 12, 40)] + ["y1", "y33"] + FRESH
+_group_exps = st.sampled_from([1, 2, LIMIT])
+_wide = st.integers(2**64 + 1, 2**80) | st.integers(-(2**80), -(2**64) - 1) | st.sampled_from([1, -1, 3])
+
+
+def _grouped_terms(names, binomial_exps, free, degrees, coeffs):
+    """Term data in the given variables, most of whose group parts repeat:
+    the products of (1 + v^e) over names[1:4], times the free monomials in
+    the names after them, times the powers ``degrees`` of names[0]; with 1
+    among the free monomials and 0 among the degrees there is a constant
+    term."""
+    dense, binomials = names[0], names[1:4]
+    subsets = [{}]
+    for name, e in zip(binomials, binomial_exps):
+        subsets += [{**mono, name: e} for mono in subsets]
+    monomials = [{**a, **b, **({dense: e} if e else {})} for a in subsets for b in free for e in degrees]
+    return [(mono, coeffs[i % len(coeffs)]) for i, mono in enumerate(monomials)]
+
+
+@st.composite
+def _grouped(draw):
+    """``_grouped_terms`` in 9-13 variables, each of which occurs."""
+    names = draw(st.permutations(_GROUPED))[:draw(st.integers(9, 13))]
+    rest = names[4:]
+    free = draw(st.lists(st.dictionaries(st.sampled_from(rest), _group_exps, min_size=1),
+                         max_size=3))
+    free = [{}, {name: draw(_group_exps) for name in rest}] + free
+    degrees = list(range(draw(st.integers(1, 4)) + 1)) + draw(st.sampled_from([[], [LIMIT]]))
+    return _grouped_terms(names, [draw(_group_exps) for _ in range(3)], free, degrees,
+                          draw(st.lists(_wide, min_size=1, max_size=6)))
+
+
+_MIXED = ["x97", "t", "y98", "x99", "q", "x0", "u", "y33", "x40", "z", "x1", "y1", "x12"]
+
+
+@settings(max_examples=40, deadline=None)  # the reference sums its terms one at a time
+@given(_grouped())
+@example(_grouped_terms(_MIXED, [1, LIMIT, 2],
+                        [{}, {name: (1, 2, LIMIT)[i % 3] for i, name in enumerate(_MIXED[4:])},
+                         {"x0": LIMIT, "z": 1}, {"y33": 2, "x12": 1}],
+                        [0, 1, 2, LIMIT], [2**64 + 1, -(2**70), 3, -1]))
+def test_grouped_decode_matches_reference(data):
+    p, ref = pair(data)
+    assert 9 <= len(p.variables()) <= 13 and 0 in p._terms
+    assert_same(p, ref)
+    assert p.to_json() == ref.to_json()
+    flat = json.dumps(ref.to_json(), indent=2)
+    for depth in range(4):
+        assert p.json_text(depth) == flat.replace("\n", "\n" + "  " * depth)
+    assert pickle.loads(pickle.dumps(p)) == p
