@@ -83,6 +83,8 @@ def find_occurrence(p, patterns) -> Occurrence | None:
     start no listed pattern), so the witness is the lexicographically first
     occurrence of the shortest matching length.
     """
+    if not isinstance(p, (Permutation, SignedPermutation)):
+        raise TypeError(f"expected a permutation, got {type(p).__name__}")
     known = _KNOWN.get(id(patterns))
     if known is not None and known[0] is patterns:
         _, kinds, tries = known
@@ -91,8 +93,6 @@ def find_occurrence(p, patterns) -> Occurrence | None:
         kinds, tries = {type(pat) for pat in patterns}, None
     if kinds - {type(p)}:
         raise TypeError("permutation and patterns must be both unsigned or both signed")
-    if not isinstance(p, (Permutation, SignedPermutation)):
-        raise TypeError(f"expected a permutation, got {type(p).__name__}")
     w = p.word
     n = len(w)
     positive = [v > 0 for v in w]

@@ -33,11 +33,11 @@ shift and add per term, and the rows are decoded once.  The pairs are
 counted per row of each partial product, exactly for rows that are complete
 arithmetic progressions, so chains of binomials of different slopes pack.
 A substitution is one pass over the terms.  An exact division by a
-divisor in one variable, of a dividend in at most one more, is one big-int
-division per row of the dividend plus a check that the slots held every
-coefficient; otherwise, or when that fails, dividing a T-term polynomial by
-a D-term divisor takes O(R * D * log(R * D)) for R reduction steps, picking
-each leading term from a heap.  The weighted
+divisor in at most one variable is long division, row by row of the
+dividend: O(S + R * D) for rows of S slots in all, R quotient terms and a
+D-term divisor.  Otherwise, or when that refuses, it takes O(R * D *
+log(R * D)) for R reduction steps, picking each leading term from a heap.
+The weighted
 ``enumerator`` over an ``arcsets.Family`` is a transfer-matrix walk over the
 family's O(n^2) growth states, checked against brute force in tier-1: each
 of the O(n^2) moves shifts one state's term map by one key and a sign, so
@@ -448,11 +448,17 @@ def _coerce(value) -> SparsePolynomial:
     return NotImplemented
 
 
+def _operand(value, role: str) -> SparsePolynomial:
+    """``value`` as a polynomial; TypeError naming its ``role`` otherwise."""
+    coerced = _coerce(value)
+    if coerced is NotImplemented:
+        raise TypeError(f"{role} must be a SparsePolynomial or an int, not {type(value).__name__}")
+    return coerced
+
+
 def _binding(value) -> SparsePolynomial | int:
     """A substitution value: an int when it is constant, else a polynomial."""
-    value = _coerce(value)
-    if value is NotImplemented:
-        raise TypeError("a binding must be a SparsePolynomial or an int")
+    value = _operand(value, "a binding")
     return value.constant_value() if value._terms.keys() <= {0} else value
 
 
@@ -465,9 +471,7 @@ def var(name: str) -> SparsePolynomial:
 
 
 def poly_product(factors: Iterable[SparsePolynomial | int]) -> SparsePolynomial:
-    factors = [_coerce(f) for f in factors]
-    if any(f is NotImplemented for f in factors):
-        raise TypeError("a factor must be a SparsePolynomial or an int")
+    factors = [_operand(f, "a factor") for f in factors]
     packed = _packed_product(factors)
     return reduce(_dict_product, factors, const(1)) if packed is None else packed
 
@@ -668,7 +672,7 @@ def q_bracket(n: int, base: SparsePolynomial | int) -> SparsePolynomial:
     """The sum 1 + base + base^2 + ... + base^(n-1); zero when n = 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bracket size {n!r} must be a nonnegative integer")
-    base = _coerce(base)
+    base = _operand(base, "the bracket base")
     terms: dict[Monomial, int] = {}
     power = const(1)
     for _ in range(n):
@@ -686,72 +690,68 @@ class ExactDivisionError(ArithmeticError):
         super().__init__(f"division is not exact; remainder {remainder}")
 
 
-def exact_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
+def exact_div(p: SparsePolynomial | int, d: SparsePolynomial | int) -> SparsePolynomial:
     """Exact quotient p / d in the polynomial ring.
 
-    When d lies in one variable and p in at most one more, the quotient is
-    found row by row (``_row_quotient``); otherwise, and whenever that
-    fails, the heap reduction decides (``_heap_div``).
+    When d lies in at most one variable, long division by rows finds the
+    quotient (``_long_div``); otherwise, and whenever that refuses, the heap
+    reduction decides (``_heap_div``).
     """
-    d = _coerce(d)
+    p, d = _operand(p, "the dividend"), _operand(d, "the divisor")
     if d.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    try:
-        quotient = _row_quotient(p, d)
-    except OverflowError:  # a coefficient outside its slot; exponents never grow here
-        quotient = None
+    quotient = _long_div(p, d)
     return _heap_div(p, d) if quotient is None else quotient
 
 
-def _row_quotient(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial | None:
-    """p / d for d in one variable (the inner one) by rows of p in the
-    other, or None to leave the division to the heap reduction
-    (docs/DECISIONS.md §7).
+def _long_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial | None:
+    """p / d by schoolbook long division, for d in at most one variable, or
+    None to leave the division to the heap reduction (docs/DECISIONS.md §7).
 
-    Each row P_i, packed at x = 2^W from its lowest exponent, is divided by
-    D packed the same way; a nonzero integer remainder means D does not
-    divide P_i.  The quotient Q' is the balanced decode of the integer
-    quotients, so D(2^W) Q'(2^W) = P(2^W) row by row.  That is D Q' = P
-    coefficientwise when W holds every coefficient of both sides: of P, and
-    of D Q', which L1(D) max|Q'| bounds.  W comes from L1(D) L1(P), which
-    passes the check for D = +-1 +- q^k, whose quotients' coefficients are
-    signed partial sums of P's; for another D a quotient past it fails the
-    check and the heap reduction runs.  As for products, the box (D's span
-    and the spans of P's rows) may hold no more slots than p and d have term
-    pairs.
+    A row of p is its terms that agree outside d's field; d's variable
+    occurs in no other field, so each row is divided alone.  Laid out
+    densely from its lowest exponent, a row is reduced from the top by d's
+    leading coefficient, and the quotient of an exact division is the only
+    one this can find.  None when a coefficient does not divide, when a
+    term is left where no step can clear it (below d's top exponent, or
+    where a step would write below the row's lowest exponent), and when
+    the rows' summed spans are more slots than p and d have term pairs.
     """
-    fields = list(_fields(_occurring([d])))
-    if len(fields) != 1:
+    fields = list(islice(_fields(_occurring([d])), 2))
+    if len(fields) > 1:
         return None
-    inner = fields[0]
-    others = [shift for shift in _fields(_occurring([p])) if shift != inner]
-    if len(others) > 1:
+    inner = fields[0] if fields else 0
+    mask = _MAX << inner if fields else 0  # no field: each term is a row
+    rows: dict[Monomial, list[tuple[int, int]]] = {}
+    for mono, coeff in p._terms.items():
+        e = mono & mask
+        rows.setdefault(mono - e, []).append((e >> inner, coeff))
+    spans = [(rest, min(row)[0], max(row)[0], row) for rest, row in rows.items()]
+    if sum([top - low + 1 for _, low, top, _ in spans]) > len(p._terms) * len(d._terms):
         return None
-    outer = others[0] if others else None
-    (divisor,) = _rows(d, outer, inner).values()
-    d_low, d_top = divisor[0][0], divisor[-1][0]
-    rows = _rows(p, outer, inner)
-    box = d_top - d_low + 1 + sum(row[-1][0] - row[0][0] + 1 for row in rows.values())
-    if box > len(p._terms) * len(d._terms):
-        return None
-    d_l1 = sum(map(abs, d._terms.values()))
-    width = _slot_width(d_l1 * sum(map(abs, p._terms.values())))
-    packed_divisor = _pack(divisor, width)
+    divisor = sorted([(mono >> inner, coeff) for mono, coeff in d._terms.items()])
+    (d_low, _), (d_top, lead) = divisor[0], divisor[-1]
+    steps = [(d_top - e, coeff) for e, coeff in divisor[:-1]]
     terms: dict[Monomial, int] = {}
-    for i, row in rows.items():
-        low, top = row[0][0] - d_low, row[-1][0] - d_top
-        if low < 0 or top < low:
+    for rest, low, top, row in spans:
+        dense = [0] * (top - low + 1)
+        for e, coeff in row:
+            dense[e - low] = coeff
+        # a step at index i writes down to i - (d_top - d_low), and its
+        # quotient exponent is low + i - d_top: neither may be negative
+        stop = d_top - min(d_low, low)
+        for i in range(top - low, stop - 1, -1):
+            coeff = dense[i]
+            if coeff:
+                if coeff % lead:
+                    return None
+                coeff //= lead
+                for offset, c in steps:
+                    dense[i - offset] -= coeff * c
+                terms[rest + (low + i - d_top << inner)] = coeff
+        if any(dense[:stop]):
             return None
-        quotient, remainder = divmod(_pack(row, width), packed_divisor)
-        if remainder:
-            return None
-        key = (i and i << outer) + (low << inner)
-        terms.update(_from_slots(quotient, width, range(key, key + (top - low + 1 << inner),
-                                                        1 << inner))._terms)
-    result = SparsePolynomial(terms)
-    largest = max(max(map(abs, p._terms.values()), default=0),
-                  d_l1 * max(map(abs, result._terms.values()), default=0))
-    return None if largest >> width - 1 else result
+    return SparsePolynomial(terms)
 
 
 def _heap_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:

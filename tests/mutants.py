@@ -140,13 +140,23 @@ LEDGER = [
            "    for _ in range(n):\n        for mono, coeff in power._terms.items():",
            "    for _ in range(n + 1):\n        for mono, coeff in power._terms.items():",
            (POLY_TESTS,)),
-    # the row division
-    Mutant("row-division-without-its-coefficient-check", POLY,
-           "    return None if largest >> width - 1 else result", "    return result",
-           (POLY_ORACLE,)),
-    Mutant("row-division-ignores-its-remainder", POLY,
-           "        if remainder:\n            return None\n", "",
+    # the long division
+    Mutant("long-division-without-its-divisibility-check", POLY,
+           "                if coeff % lead:\n                    return None\n", "",
+           (f"{POLY_TESTS}::test_exact_div_coerces_int_operands",)),
+    Mutant("long-division-without-its-below-the-row-check", POLY,
+           "        if any(dense[:stop]):\n            return None\n", "",
+           (f"{POLY_TESTS}::test_exact_div_failure_reports_remainder",)),
+    Mutant("long-division-quotient-one-exponent-high", POLY,
+           "terms[rest + (low + i - d_top << inner)] = coeff",
+           "terms[rest + (low + i - d_top + 1 << inner)] = coeff", (f"{POLY_TESTS}::test_exact_div",)),
+    Mutant("long-division-allows-negative-exponents", POLY,
+           "        stop = d_top - min(d_low, low)", "        stop = d_top - d_low",
            (f"{POLY_ORACLE}::test_row_division_refuses_as_the_heap_does",)),
+    Mutant("long-division-box-rule-ge-for-gt", POLY,
+           "    if sum([top - low + 1 for _, low, top, _ in spans]) > len(p._terms) * len(d._terms):",
+           "    if sum([top - low + 1 for _, low, top, _ in spans]) >= len(p._terms) * len(d._terms):",
+           (f"{POLY_ORACLE}::test_long_division_answers_without_the_heap",)),
     # the grouped output decode
     Mutant("group-part-without-its-degree", POLY,
            "part = self[mono] = ((sum(exps) << self.degree) + (fields << self.offset),",

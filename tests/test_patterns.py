@@ -73,6 +73,12 @@ def test_contains_rejects_mixed_types():
         contains(Permutation.parse("123"), SignedPermutation.parse("[1,2]"))
 
 
+def test_find_occurrence_names_a_non_permutation():
+    for patterns in (arc_forbidden(), signed_arc_forbidden()):
+        with pytest.raises(TypeError, match="expected a permutation, got str"):
+            find_occurrence("abc", patterns)
+
+
 def test_forbidden_list_sizes():
     assert len(arc_forbidden()) == 8
     assert len(signed_arc_forbidden()) == 24

@@ -106,6 +106,27 @@ def test_exact_div_failure_reports_remainder():
         exact_div(Q, const(0))
 
 
+def test_exact_div_coerces_int_operands():
+    assert exact_div(6, 2) == const(3)
+    assert exact_div(6, const(-3)) == const(-2)
+    assert exact_div(2 - 2 * Q, 2) == 1 - Q
+    with pytest.raises(ExactDivisionError):
+        exact_div(6, 4)
+
+
+def test_exact_div_names_a_bad_operand():
+    with pytest.raises(TypeError, match="the divisor .* not str"):
+        exact_div(Q, "x")
+    with pytest.raises(TypeError, match="the dividend .* not float"):
+        exact_div(1.5, Q)
+
+
+def test_q_bracket_names_a_bad_base():
+    for n in (3, 0):
+        with pytest.raises(TypeError, match="the bracket base .* not str"):
+            q_bracket(n, "x")
+
+
 def test_printing_is_graded_and_stable():
     poly = q_bracket(4, Q) * (1 + Q)
     assert str(poly) == "1 + 2*q + 2*q^2 + 2*q^3 + q^4"

@@ -623,43 +623,41 @@ def test_colliding_dict_products_match_reference(a, b, text):
 
 
 @contextmanager
-def row_spy():
-    """Records, per call of the row division, whether it found the quotient
-    (True) or left the division to the heap reduction (False), which a
-    coefficient past its slot does by raising OverflowError."""
-    original = poly._row_quotient
+def long_div_spy():
+    """Records, per call of the long division, whether it found the
+    quotient (True) or left the division to the heap reduction (False)."""
+    original = poly._long_div
     taken = []
 
     def spy(p, d):
-        try:
-            result = original(p, d)
-        except OverflowError:
-            taken.append(False)
-            raise
+        result = original(p, d)
         taken.append(result is not None)
         return result
 
-    poly._row_quotient = spy
+    poly._long_div = spy
     try:
         yield taken
     finally:
-        poly._row_quotient = original
+        poly._long_div = original
 
 
 _q_divisor = st.lists(st.tuples(st.integers(0, 5), _nonzero), min_size=1, max_size=4).map(
     lambda terms: [({"q": e} if e else {}, c) for e, c in terms])
 _binomial_divisor = st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1]),
                               st.integers(1, 4)).map(lambda s: [({}, s[0]), ({"q": s[2]}, s[1])])
-# dense (t, q) rectangles, whose boxes pass, and sparse terms in t and q
-_tq_dividend = st.one_of(_rectangle(), _terms(6, max_vars=2, exps=st.integers(1, 4)).map(
-    lambda data: [({n: e for n, e in m.items() if n in "tq"}, c) for m, c in data]))
+_constant_divisor = st.sampled_from([1, -1, 2, 3, -6]).map(lambda c: [({}, c)])
+_divisor = st.one_of(_q_divisor, _binomial_divisor, _constant_divisor)
+# dense (t, q) rectangles, whose boxes pass, and sparse terms in t, q and x1
+_tqx_dividend = st.one_of(_rectangle(), st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(["t", "q", "x1"]), st.integers(1, 4), max_size=3),
+    st.integers(-5, 5)), max_size=6))
 
 
 @settings(max_examples=80)
-@given(_tq_dividend, st.one_of(_q_divisor, _binomial_divisor))
+@given(_tqx_dividend, _divisor)
 def test_row_division_of_multiples_matches_the_heap(a, d):
     (pa, ra), (pd, _) = pair(a), pair(d)
-    if pd.is_zero or pd.variables() != {"q"}:
+    if pd.is_zero:
         return
     product = pa * pd
     got = exact_div(product, pd)
@@ -672,26 +670,28 @@ def test_row_division_of_multiples_matches_the_heap(a, d):
                            max_size=shape[0] * shape[1]).map(lambda sizes: (shape, sizes))),
     st.sampled_from([1, -1]), st.sampled_from([1, -1]))
 def test_row_division_by_one_plus_or_minus_q_needs_no_heap(rectangle, c0, s):
-    """d = c0 (1 + s q): the quotient's coefficients are signed partial sums
-    of the dividend's, so the slot chosen from L1(d) L1(p) always holds them.
-    Signs s^b in each row keep p = a d from cancelling, so its box passes."""
+    """d = c0 (1 + s q) divides p = a d by long division alone, however
+    large the coefficients.  Signs s^b in each row keep p from cancelling,
+    so its box passes."""
     (rows, cols), sizes = rectangle
     data = [({name: e for name, e in (("t", a), ("q", b)) if e}, s**b * size)
             for (a, b), size in zip(((a, b) for a in range(rows) for b in range(cols)), sizes)]
     (pa, ra), pd = pair(data), c0 * (1 + s * var("q"))
-    with row_spy() as taken:
+    with long_div_spy() as taken:
         got = exact_div(pa * pd, pd)
     assert taken == [True]
     assert_same(got, ra)
 
 
 @settings(max_examples=80)
-@given(_tq_dividend, st.one_of(_q_divisor, _binomial_divisor))
-# 1 + q + q^2 = q (1 + q) + 1: the packed rows divide with remainder 1
+@given(_tqx_dividend, _divisor)
+# 1 + q + q^2 = q (1 + q) + 1: the last step leaves 1 below the row
 @example([({}, 1), ({"q": 1}, 1), ({"q": 2}, 1)], [({}, 1), ({"q": 1}, 1)])
+# 1 + q = q^-1 (q + q^2): no step may give the quotient a negative exponent
+@example([({}, 1), ({"q": 1}, 1)], [({"q": 1}, 1), ({"q": 2}, 1)])
 def test_row_division_refuses_as_the_heap_does(p_data, d):
     (pp, _), (pd, _) = pair(p_data), pair(d)
-    if pd.is_zero or pd.variables() != {"q"}:
+    if pd.is_zero:
         return
     try:
         want = poly._heap_div(pp, pd)
@@ -704,32 +704,38 @@ def test_row_division_refuses_as_the_heap_does(p_data, d):
         assert exact_div(pp, pd) == want
 
 
-def test_a_narrow_slot_falls_back_to_the_heap(monkeypatch):
+def test_long_division_answers_without_the_heap():
+    """Coefficients past 64 bits in dividend and quotient, a quotient whose
+    coefficients peak far above the dividend's, a closed form's numerator
+    and a constant divisor all divide by long division alone, as the heap
+    divides them.
+    A row whose span is more slots than the term pairs goes to the heap."""
     from arcperm.formulas import f_AB_fdes_fmaj
 
     t, q = var("t"), var("q")
     big = 2**40
     quotients = [(1 + big * q) * (1 + t), big - t * q - big * t**2 * q**3]
     cases = [(d * quotient, d, quotient) for d, quotient in zip([1 - q, 1 + q**2], quotients)]
-    with row_spy() as taken:
-        assert [exact_div(p, d) for p, d, _ in cases] == [want for *_, want in cases]
-    assert taken == [True, True]
-    # coefficients 1 and -1, quotient the partial sums 1, 2, ..., 200, ..., 1:
-    # the dividend fits an 8-bit slot and the quotient does not
+    # coefficients 1 and -1, quotient the partial sums 1, 2, ..., 200, ..., 1
     tent = SparsePolynomial.from_terms([({"q": j} if j else {}, 1 if j < 200 else -1)
                                         for j in range(400)])
-    peak = exact_div(tent, 1 - q)
-    assert max(c for _, c in peak.sorted_terms()) == 200
-    closed_form = f_AB_fdes_fmaj(10)
-    original = poly._slot_width
-    monkeypatch.setattr(poly, "_slot_width", lambda paths: original(paths) - 8)
-    with row_spy() as taken:
+    peak = poly.q_bracket(200, q) ** 2
+    # a row laid out from its lowest exponent: two slots
+    far = q**10**6
+    cases += [(tent, 1 - q, peak), (f_AB_fdes_fmaj(10) * (1 - q), 1 - q, f_AB_fdes_fmaj(10)),
+              (far * (1 - q), 1 - q, far),
+              # a constant divisor: each term is a row of one slot, as many as the pairs
+              (-6 * quotients[1], const(-6), quotients[1])]
+    with long_div_spy() as taken:
         assert [exact_div(p, d) for p, d, _ in cases] == [want for *_, want in cases]
-        assert exact_div(tent, 1 - q) == peak
-        assert exact_div(closed_form * (1 - q), 1 - q) == closed_form
-    # each has a coefficient past the narrow slot: the dividend's, or the
-    # quotient's, which only the check on D Q' sees
-    assert taken[:3] == [False, False, False]
+    assert taken == [True] * len(cases)
+    assert max(c for _, c in peak.sorted_terms()) == 200
+    assert all(poly._heap_div(p, d) == want for p, d, want in cases)
+    # 10^6 + 2 slots for 8 term pairs
+    sparse = (1 + far) * (1 - q)
+    with long_div_spy() as taken:
+        assert exact_div(sparse, 1 - q) == 1 + far
+    assert taken == [False]
 
 
 # -- powers and q-brackets of one term -----------------------------------------
