@@ -30,8 +30,9 @@ outer variable), has no more slots than the term pairs is instead one int
 per row with a slot per exponent of the inner variable: a row of an operand
 with no gaps is one big-int multiply per row of the other, any other row a
 shift and add per term, and the rows are decoded once.  The pairs are
-counted per row of each partial product, exactly for rows that are complete
-arithmetic progressions, so chains of binomials of different slopes pack.
+counted exactly, in the order the factors are given, from the sumset of the
+keys of each partial product; the count stops at the box, so it never does
+more work than the dict product it decides against.
 A substitution is one pass over the terms.  An exact division by a
 divisor in at most one variable is long division, row by row of the
 dividend: O(S + R * D) for rows of S slots in all, R quotient terms and a
@@ -65,7 +66,7 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import prod
 from operator import add, itemgetter, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -185,7 +186,7 @@ class SparsePolynomial:
                 if not isinstance(exp, int) or exp < 0:
                     raise ValueError(f"exponent {exp!r} of {name} must be a nonnegative integer")
                 mono += _power(name, exp)
-            _add_term(acc, mono, coeff)
+            _add_term(acc, mono, _coefficient(coeff))
         return cls(acc)
 
     # -- structure -----------------------------------------------------------
@@ -462,7 +463,16 @@ def _binding(value) -> SparsePolynomial | int:
     return value.constant_value() if value._terms.keys() <= {0} else value
 
 
+def _coefficient(c) -> int:
+    """c as an exact coefficient: an int, a bool read as 0 or 1; TypeError
+    for anything else, a float included."""
+    if not isinstance(c, int):
+        raise TypeError(f"a coefficient must be an int, not {type(c).__name__}")
+    return int(c)
+
+
 def const(c: int) -> SparsePolynomial:
+    c = _coefficient(c)
     return SparsePolynomial({0: c} if c else {})
 
 
@@ -506,10 +516,10 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
     q in the variable order), each packing the inner one at x = 2^W from the
     row's lowest exponent; one variable is the one-row case.  None past the
     exponent limit, so that the dict product raises OverflowError, and when
-    the box, the sum of the product's row spans, is larger than a lower
-    bound on the term pairs that multiplying the factors term by term, in
-    the order they are packed, touches (``_partials``).  The product of the
-    factors' L1 norms bounds every coefficient and sets the slot width.
+    the box, the sum of the product's row spans, has more slots than the
+    term pairs that the dict product, multiplying the factors in the order
+    given, touches (``_touches``).  The product of the factors' L1 norms
+    bounds every coefficient and sets the slot width.
     """
     # the factor with the most terms is packed whole, the others applied to it
     ordered = sorted(factors, key=lambda f: -len(f._terms))
@@ -524,21 +534,21 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
     inner = fields[-1] if fields else 0
     outer = fields[0] if len(fields) == 2 else None
     rows = [r for r in [_rows(f, outer, inner) for f in ordered] if r]
-    spans, touched = _partials(rows)
+    spans = list(accumulate(rows, _spans, initial={0: (0, 0)}))
     # the nonzero factors' degrees, as the dict product meets them
-    if max(spans[-1]) > _MAX or max([span[1] for span in spans[-1].values()]) > _MAX:
+    if max(spans[-1]) > _MAX or max([top for _, top in spans[-1].values()]) > _MAX:
         return None
     bound = prod([sum(map(abs, f._terms.values())) for f in factors])
     if not bound:
         return SparsePolynomial()
-    if sum([top - low + 1 for low, top, _, _ in spans[-1].values()]) > touched:
+    if not _touches(factors, sum([top - low + 1 for low, top in spans[-1].values()])):
         return None
     width = _slot_width(bound)
     acc = {j: _pack(row, width) for j, row in rows[0].items()}
     for r, before, after in zip(rows[1:], spans[1:], spans[2:]):
         acc = _times(acc, before, r, after, width)
     terms: dict[Monomial, int] = {}
-    for k, (low, top, _, _) in spans[-1].items():
+    for k, (low, top) in spans[-1].items():
         key = (k and k << outer) + (low << inner)
         terms.update(_from_slots(acc[k], width, range(key, key + (top - low + 1 << inner),
                                                       1 << inner))._terms)
@@ -558,78 +568,34 @@ def _rows(p: SparsePolynomial, outer: int | None, inner: int) -> dict[int, list[
     return rows
 
 
-def _partials(rows: list[dict[int, list[tuple[int, int]]]]
-              ) -> tuple[list[dict[int, tuple[int, int, int, int | None]]], int]:
-    """The spans (``_spans``) of each partial product of factors given by
-    their rows, from the empty product on, and a lower bound on the term
-    pairs that multiplying them term by term in this order touches: each
-    partial product's terms, as counted, times the next factor's terms."""
-    spans, pairs = [{0: (0, 0, 1, 0)}], 0
-    for r in rows:
-        if len(spans) > 1:
-            pairs += sum([span[2] for span in spans[-1].values()]) * sum(map(len, r.values()))
-        spans.append(_spans(spans[-1], r))
-    return spans, pairs
-
-
-def _spans(spans: dict[int, tuple[int, int, int, int | None]],
-           rows: dict[int, list[tuple[int, int]]]) -> dict[int, tuple[int, int, int, int | None]]:
-    """Each row of a product as (lowest inner exponent, highest, terms,
-    step), from those of its first operand and the rows of its second.
-
-    The step is that of a row whose exponents are a complete arithmetic
-    progression, 0 for a single term (a progression with any step), and
-    None for any other row, whose count of terms is a lower bound.  A sum of
-    rows has at least |A| + |B| - 1 terms (Cauchy-Davenport, which holds over
-    Z), exactly that many when both are complete with a common step, and is
-    then complete with it.  A product row is the union of such sums
-    (``_union``).
-    """
-    out: dict[int, tuple[int, int, int, int | None]] = {}
+def _spans(spans: dict[int, tuple[int, int]],
+           rows: dict[int, list[tuple[int, int]]]) -> dict[int, tuple[int, int]]:
+    """Each row of a product as (lowest inner exponent, highest), from those
+    of its first operand and the rows of its second."""
+    out: dict[int, tuple[int, int]] = {}
     get = out.get
-    parts = [(j, _progression(row)) for j, row in rows.items()]
-    for i, (low, top, count, step) in spans.items():
-        for j, (lo, hi, n, s) in parts:
-            if step is None or s is None or step and s and step != s:
-                s = None
-            else:
-                s = step or s
-            part = low + lo, top + hi, count + n - 1, s
+    parts = [(j, row[0][0], row[-1][0]) for j, row in rows.items()]
+    for i, (low, top) in spans.items():
+        for j, lo, hi in parts:
             old = get(i + j)
-            out[i + j] = part if old is None else _union(old, part)
+            out[i + j] = ((low + lo, top + hi) if old is None
+                          else (min(old[0], low + lo), max(old[1], top + hi)))
     return out
 
 
-def _progression(row: list[tuple[int, int]]) -> tuple[int, int, int, int | None]:
-    """A factor's row as ``_spans`` counts it: exact terms, and the step of
-    its exponents when they are a complete arithmetic progression."""
-    low, top, n = row[0][0], row[-1][0], len(row)
-    step = top - low if n < 3 else row[1][0] - low
-    # the exponents are distinct and sorted: a span of step * (n - 1) is
-    # needed, and for step 1 it is enough
-    if n > 2 and (top - low != step * (n - 1) or step > 1 and list(map(itemgetter(0), row))
-                  != list(range(low, top + 1, step))):
-        step = None
-    return low, top, n, step
-
-
-def _union(a: tuple[int, int, int, int | None],
-           b: tuple[int, int, int, int | None]) -> tuple[int, int, int, int | None]:
-    """The union of two rows as ``_spans`` counts them.  Complete
-    progressions with a common step and residue that overlap or touch stay
-    complete, and two single terms are a progression with their gap as its
-    step; any other union has at least the larger count."""
-    lo1, hi1, n1, s1 = a
-    lo2, hi2, n2, s2 = b
-    low, top = min(lo1, lo2), max(hi1, hi2)
-    if s1 is not None and s2 is not None:
-        step = s1 or s2 or top - low
-        if not step:  # one term twice
-            return low, top, 1, 0
-        if (s1 in (0, step) and s2 in (0, step) and not (lo1 - lo2) % step
-                and lo1 <= hi2 + step and lo2 <= hi1 + step):
-            return low, top, (top - low) // step + 1, step
-    return low, top, max(n1, n2), None
+def _touches(factors: Sequence[SparsePolynomial], box: int) -> bool:
+    """Whether multiplying the factors term by term, in the order given,
+    touches at least ``box`` pairs of terms: each step pairs the support of
+    the partial product, the sumset of its factors' keys, with the next
+    factor's terms.  It stops once the count reaches the box, so a sumset is
+    built only while the pairs, which it costs, are below it."""
+    support, pairs = {0}, 0
+    for f, g in zip(factors, factors[1:]):
+        support = {a + b for b in f._terms for a in support}
+        pairs += len(support) * len(g._terms)
+        if pairs >= box:
+            return True
+    return False
 
 
 def _pieces(row: list[tuple[int, int]], width: int) -> list[tuple[int, int]]:
@@ -835,6 +801,8 @@ class WeightSpec:
             raise ValueError(f"unknown t statistic {self.t_stat!r}")
         if self.q_stat not in (None, "maj", "fmaj"):
             raise ValueError(f"unknown q statistic {self.q_stat!r}")
+        if self.character is not None and not isinstance(self.character, Character):
+            raise ValueError(f"unknown character {self.character!r}")
 
     @property
     def letters(self) -> bool:

@@ -54,6 +54,7 @@ WALK, POLY_ORACLE = "tests/test_family_walk.py", "tests/test_poly_oracle.py"
 POLY_TESTS, PACKED = "tests/test_poly.py", "tests/test_poly_packed.py"
 PATTERNS, PATTERNS_ORACLE = "src/arcperm/patterns.py", "tests/test_patterns_oracle.py"
 GROUPED = f"{POLY_ORACLE}::test_grouped_decode_matches_reference"
+PAIRS = f"{POLY_ORACLE}::test_pairs_are_counted_exactly_in_the_given_order"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", POLY,
@@ -80,11 +81,6 @@ LEDGER = [
            '    _need(n, 2)',
            ("tests/test_formulas.py",), SURVIVES,
            "its (1 + t)^(n - 3) raises ValueError at n = 2 anyway"),
-    Mutant("every-row-a-complete-progression", POLY,
-           "if n > 2 and (top - low", "if False and (top - low", (POLY_ORACLE,)),
-    Mutant("union-without-its-residue-test", POLY,
-           "s2 in (0, step) and not (lo1 - lo2) % step\n",
-           "s2 in (0, step)\n", (POLY_ORACLE,)),
     Mutant("first-pass-without-its-length-check", POLY,
            "if len(terms) == len(a._terms) * len(right):", "if True:", (POLY_ORACLE,)),
     Mutant("first-pass-without-its-guard-test", POLY,
@@ -122,13 +118,25 @@ LEDGER = [
            (f"{POLY_TESTS}::test_layout_reads_fields_in_the_variable_order",)),
     # the packed product
     Mutant("box-rule-ge-for-gt", POLY,
-           "for low, top, _, _ in spans[-1].values()]) > touched:",
-           "for low, top, _, _ in spans[-1].values()]) >= touched:", (POLY_ORACLE,)),
+           "        if pairs >= box:\n", "        if pairs > box:\n",
+           (f"{POLY_ORACLE}::test_sparse_boxes_stay_on_the_dict_product",)),
+    Mutant("count-sumset-as-the-next-keys", POLY,
+           "support = {a + b for b in f._terms for a in support}", "support = set(f._terms)",
+           (PAIRS,)),
+    Mutant("count-in-the-packing-order", POLY,
+           "if not _touches(factors,", "if not _touches(ordered,", (PAIRS,)),
+    Mutant("count-support-never-updated", POLY,
+           "support = {a + b for b in f._terms for a in support}",
+           "support = support if pairs else set(f._terms)", (PAIRS,)),
+    Mutant("count-without-its-early-stop", POLY,
+           "        if pairs >= box:\n            return True\n    return False\n",
+           "    return pairs >= box\n", (PAIRS,), SURVIVES,
+           "the count only grows, so stopping at the box changes speed only"),
     Mutant("l1-product-read-as-a-max", POLY,
            "    bound = prod([sum(map(abs, f._terms.values())) for f in factors])",
            "    bound = max([sum(map(abs, f._terms.values())) for f in factors])", (POLY_ORACLE,)),
     Mutant("product-without-its-degree-check", POLY,
-           "    if max(spans[-1]) > _MAX or max([span[1] for span in spans[-1].values()]) > _MAX:",
+           "    if max(spans[-1]) > _MAX or max([top for _, top in spans[-1].values()]) > _MAX:",
            "    if False:", (PACKED, POLY_ORACLE)),
     Mutant("product-without-its-zero-short-circuit", POLY,
            "    if not bound:\n        return SparsePolynomial()\n", "",

@@ -15,6 +15,7 @@ from arcperm.poly import (
     const,
     enumerator,
     exact_div,
+    poly_product,
     q_bracket,
     var,
 )
@@ -127,6 +128,30 @@ def test_q_bracket_names_a_bad_base():
             q_bracket(n, "x")
 
 
+def test_const_takes_int_coefficients_only():
+    assert const(True) == const(1)
+    assert const(False).is_zero
+    with pytest.raises(TypeError, match="coefficient must be an int, not float"):
+        const(2.5)
+
+
+def test_from_terms_takes_int_coefficients_only():
+    assert SparsePolynomial.from_terms([({"t": 1}, True)]) == T
+    with pytest.raises(TypeError, match="coefficient must be an int, not float"):
+        SparsePolynomial.from_terms([({"t": 1}, 1.5)])
+
+
+def test_a_bool_coefficient_is_written_as_an_int():
+    assert const(True).to_json() == [{"coeff": "1", "monomial": {}}]
+
+
+def test_poly_product_refuses_float_factors():
+    with pytest.raises(TypeError, match="coefficient must be an int, not float"):
+        poly_product([const(2.5), 1 + Q])
+    with pytest.raises(TypeError, match="a factor .* not float"):
+        poly_product([2.5, 1 + Q])
+
+
 def test_printing_is_graded_and_stable():
     poly = q_bracket(4, Q) * (1 + Q)
     assert str(poly) == "1 + 2*q + 2*q^2 + 2*q^3 + q^4"
@@ -213,3 +238,9 @@ def test_weight_spec_validation():
         WeightSpec(t_stat="neg")
     with pytest.raises(ValueError):
         WeightSpec(q_stat="des")
+
+
+def test_weight_spec_checks_its_character():
+    assert WeightSpec(character=Character.SIGN).character is Character.SIGN
+    with pytest.raises(ValueError, match="unknown character 'sign'"):
+        WeightSpec(character="sign")

@@ -14,11 +14,11 @@ from functools import reduce
 from math import comb
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcperm import poly
-from arcperm.formulas import f_A_des_maj
+from arcperm.formulas import REGISTRY, f_A_des_maj
 from arcperm.poly import ExactDivisionError, SparsePolynomial, const, exact_div, poly_product, var
 
 # x40 and y33 sit far from the low indices, in fields assigned late
@@ -383,7 +383,7 @@ def test_sparse_boxes_stay_on_the_dict_product(monkeypatch):
         assert (1 + q) * (1 + q**2) == 1 + q + q**2 + q**3
         assert (1 + q) * (1 + q**3) == 1 + q + q**3 + q**4
     assert taken == [True, False]
-    # in a chain, (1 + q)^2 has at least 2 + 2 - 1 terms: 2*2 + 3*2 = 10 pairs
+    # in a chain, (1 + q)^2 has 3 terms: 2*2 + 3*2 = 10 pairs
     for k, packs in ((7, True), (8, False)):
         with packed_spy() as taken:
             got = poly_product([1 + q, 1 + q, 1 + q**k])
@@ -496,32 +496,29 @@ def test_bivariate_sparse_boxes_stay_on_the_dict_product(monkeypatch):
     assert got == ((1 + t * q**10**6) * (1 + q**10**6)) ** 3
 
 
-# -- the progression bound on term pairs ------------------------------------------
-
-
-def _ordered(factors):
-    """The factors in the order the packed product takes them: the one with
-    the most terms first, packed whole."""
-    return sorted(factors, key=lambda f: -len(f._terms))
-
-
-def counted_pairs(factors):
-    """The term pairs the sparse-box rule counts for factors in t and q."""
-    rows = [poly._rows(f, poly._SHIFTS["t"], poly._SHIFTS["q"]) for f in _ordered(factors)]
-    return poly._partials(rows)[1]
+# -- the exact count of term pairs -------------------------------------------------
 
 
 def true_pairs(factors):
-    """The term pairs of multiplying the factors' supports in packing order:
-    each partial product's support, a brute-force sumset, times the next
-    factor's terms."""
+    """The term pairs of multiplying the factors' supports in the order
+    given: each partial product's support, a brute-force sumset of (t, q)
+    exponents, times the next factor's terms."""
     supports = [{(dict(m).get("t", 0), dict(m).get("q", 0)) for m, _ in f.sorted_terms()}
-                for f in _ordered(factors)]
+                for f in factors]
     total, support = 0, supports[0]
     for factor in supports[1:]:
         total += len(support) * len(factor)
         support = {(a + c, b + d) for a, b in support for c, d in factor}
     return total
+
+
+def box(p):
+    """The summed spans in q of p's rows, one row per exponent of t."""
+    rows = {}
+    for mono, _ in p.sorted_terms():
+        exps = dict(mono)
+        rows.setdefault(exps.get("t", 0), []).append(exps.get("q", 0))
+    return sum([max(row) - min(row) + 1 for row in rows.values()])
 
 
 def _tq(terms):
@@ -543,18 +540,17 @@ _gaps = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 12)), _nonze
 
 @settings(max_examples=200)
 @given(st.lists(st.one_of(_tilted, _progressions, _gaps), min_size=1, max_size=6))
-# an early row with a gap, certified as a progression, would count 17 pairs here
-@example([_tq({(0, 0): 1, (1, 6): 1}), _tq({(0, 0): 1, (0, 3): 1, (0, 9): 1, (1, 3): 1}),
-          _tq({(0, 2): 1})])
-@example([_tq({(1, 1): 1, (1, 2): 1, (1, 9): 1, (2, 4): 1}), _tq({(0, 5): 1, (1, 2): 1}),
-          _tq({(0, 0): 1, (0, 5): 1})])
-def test_the_progression_bound_never_exceeds_the_pairs(data):
-    """The rule's count of term pairs is at most the pairs that multiplying
-    the supports touches, so a packed box never has more slots than the dict
-    product has pairs; and the product is exact whichever way it goes."""
+# the most terms last: the packing order would count 14 pairs, not 16
+@example([_tq({(0, 0): 1, (0, 2): 1}), _tq({(0, 0): 1, (0, 8): 1}),
+          _tq({(0, 0): 1, (0, 2): 1, (0, 4): 1})])
+def test_the_pair_count_is_exact_in_the_given_order(data):
+    """The rule reaches a box exactly when multiplying the supports in the
+    order given touches as many term pairs (a box has at least one slot);
+    and the product is exact whichever way it goes."""
     factors, refs = zip(*map(pair, data))
-    assume(any("q" in f.variables() for f in factors))  # else t is the inner variable
-    assert counted_pairs(factors) <= true_pairs(factors)
+    pairs = true_pairs(factors)
+    for slots in (max(pairs, 1), pairs + 1):
+        assert poly._touches(factors, slots) == (pairs >= slots)
     want = Ref({frozenset(): 1})
     for r in refs:
         want = want * r
@@ -563,8 +559,8 @@ def test_the_progression_bound_never_exceeds_the_pairs(data):
 
 def test_chains_of_tilted_binomials_are_packed():
     """The chains of f_A_des_maj(26), f_As_fdes_fmaj(20) and
-    f_AB_fdes_fmaj(16): every row of each partial product is a complete
-    progression, of step 1 or 2, and is counted exactly."""
+    f_AB_fdes_fmaj(16): the count reaches each chain's box long before its
+    last factor."""
     t, q = var("t"), var("q")
     chains = [[1 + t * q**i for i in range(2, 25)],
               [1 + t**2 * q ** (2 * i - 1) for i in range(3, 20)],
@@ -575,26 +571,50 @@ def test_chains_of_tilted_binomials_are_packed():
             got = poly_product(chain)
         assert taken == [True]
         assert got == reduce(poly._dict_product, chain, const(1))
-        assert counted_pairs(chain) == true_pairs(chain)
+        assert poly._touches(chain, box(got))
+        assert not poly._touches(chain, true_pairs(chain) + 1)
     with packed_spy() as taken:
         f_A_des_maj(26)
     assert taken[0] is True  # the chain, before it meets the head
 
 
-def test_unions_count_a_progression_only_within_one_residue():
+def test_pairs_are_counted_exactly_in_the_given_order():
     t, q = var("t"), var("q")
-    # row 1 of the first two factors' product is {0, 2} with {4, 6}: one
-    # progression of 4 terms, so 8 + 8 * 2 = 24 pairs against a 22-slot box
-    with packed_spy() as taken:
-        got = poly_product([1 + q**2 + t * q**4 + t * q**6, 1 + t, 1 + q**3])
-    assert taken == [True]
-    assert got == (1 + q**2 + t * q**4 + t * q**6) * (1 + t) * (1 + q**3)
-    # {0, 2} with {3, 5} has two residues mod 2: counted as its larger part, 20
-    # pairs against a 21-slot box
-    with packed_spy() as taken:
-        got = poly_product([1 + q**2 + t * q**3 + t * q**5, 1 + t, 1 + q**3])
-    assert taken == [False]
-    assert got == (1 + q**2 + t * q**3 + t * q**5) * (1 + t) * (1 + q**3)
+    # the first two factors' product has 8 terms whatever the residues of its
+    # rows: 8 + 8 * 2 = 24 pairs against boxes of 22 and 21 slots
+    for first in (1 + q**2 + t * q**4 + t * q**6, 1 + q**2 + t * q**3 + t * q**5):
+        with packed_spy() as taken:
+            got = poly_product([first, 1 + t, 1 + q**3])
+        assert taken == [True]
+        assert got == first * (1 + t) * (1 + q**3)
+    # the order given, not the packing order (most terms first): 16 pairs
+    # against 15 slots packs, 13 against 14 stays on dicts
+    for factors, packs in (([1 + q**2, 1 + q**8, 1 + q**2 + q**4], True),
+                           ([1 + q**4, 1 + q**4, 1 + q + q**5], False)):
+        with packed_spy() as taken:
+            got = poly_product(factors)
+        assert taken == [packs]
+        assert got == reduce(poly._dict_product, factors, const(1))
+
+
+def test_every_product_of_three_or_more_tq_factors_is_packed(monkeypatch):
+    """Every ``poly_product`` of three or more factors that the closed forms
+    in t and q build, for n = 3...30, packs."""
+    original, taken = poly._packed_product, []
+
+    def spy(factors):
+        result = original(factors)
+        if len(factors) > 2:
+            taken.append((entry.name, n, result is not None))
+        return result
+
+    monkeypatch.setattr(poly, "_packed_product", spy)
+    for entry in REGISTRY.values():
+        if not entry.weights.letters:
+            for n in range(3, 31):
+                entry.build(n)
+    assert taken
+    assert [case for case in taken if not case[2]] == []
 
 
 # -- the dict product -----------------------------------------------------------
