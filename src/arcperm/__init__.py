@@ -54,14 +54,13 @@ from .perms import (
 from .poly import (
     ExactDivisionError,
     SparsePolynomial,
-    WeightSpec,
     const,
-    enumerator,
     exact_div,
     poly_product,
     q_bracket,
     var,
 )
+from .walk import WeightSpec, enumerator
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,7 @@ CLI uses these directly for diagnostics.
 
 ``Family(name, n)`` holds each family's growth rule as a layered graph of
 interval states (``family_moves``): the generators list the words from it,
-and ``poly.enumerator`` walks it without building a word.
+and ``walk.enumerator`` walks it without building a word.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ class Family:
 
     ``size`` is the closed-form size at any n, and ``len`` while it fits a
     machine int; iterating yields exactly ``generate_<name>(n)``, in the same
-    order; ``moves()`` is the growth graph that ``poly.enumerator`` walks
+    order; ``moves()`` is the growth graph that ``walk.enumerator`` walks
     instead of the words.
     """
 
@@ -303,7 +303,7 @@ class Family:
     def __init__(self, name: str, n: int):
         if name not in _RULES:
             raise ValueError(f"unknown family {name!r}; choose from {', '.join(_RULES)}")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("n must be positive")
         self.name, self.n = name, n
 

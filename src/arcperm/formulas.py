@@ -29,16 +29,8 @@ from typing import Callable
 
 from .arcsets import FAMILY_NAMES, Family
 from .perms import Character
-from .poly import (
-    SparsePolynomial,
-    WeightSpec,
-    const,
-    enumerator,
-    exact_div,
-    poly_product,
-    q_bracket,
-    var,
-)
+from .poly import SparsePolynomial, const, exact_div, poly_product, q_bracket, var
+from .walk import WeightSpec, enumerator
 
 T = var("t")
 Q = var("q")

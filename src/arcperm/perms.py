@@ -103,7 +103,8 @@ class _PermutationBase:
         signed = self.signed
         seen = set()
         for v in word:
-            if not isinstance(v, int):
+            # bool is an int subclass but no entry; a plain int takes one test
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
                 raise TypeError(f"entry {v!r} is not an integer")
             a = abs(v) if signed else v
             if not 1 <= a <= n:

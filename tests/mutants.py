@@ -49,28 +49,28 @@ class Mutant:
     reason: str = ""  # why a survivor survives
 
 
-POLY, FORMULAS = "src/arcperm/poly.py", "src/arcperm/formulas.py"
-WALK, POLY_ORACLE = "tests/test_family_walk.py", "tests/test_poly_oracle.py"
+POLY, WALK, FORMULAS = "src/arcperm/poly.py", "src/arcperm/walk.py", "src/arcperm/formulas.py"
+FAMILY_WALK, POLY_ORACLE = "tests/test_family_walk.py", "tests/test_poly_oracle.py"
 POLY_TESTS, PACKED = "tests/test_poly.py", "tests/test_poly_packed.py"
 PATTERNS, PATTERNS_ORACLE = "src/arcperm/patterns.py", "tests/test_patterns_oracle.py"
 GROUPED = f"{POLY_ORACLE}::test_grouped_decode_matches_reference"
 PAIRS = f"{POLY_ORACLE}::test_pairs_are_counted_exactly_in_the_given_order"
 
 LEDGER = [
-    Mutant("letter-bit-one-too-high", POLY,
-           "[1 << d - 1 for d in range(1, n)]", "[1 << d for d in range(1, n)]", (WALK,)),
-    Mutant("letter-keys-reversed", POLY,
+    Mutant("letter-bit-one-too-high", WALK,
+           "[1 << d - 1 for d in range(1, n)]", "[1 << d for d in range(1, n)]", (FAMILY_WALK,)),
+    Mutant("letter-keys-reversed", WALK,
            "for d in range(1, top_q.bit_length() + 1):",
-           "for d in range(top_q.bit_length(), 0, -1):", (WALK,)),
-    Mutant("fdes-without-its-position-1-flag", POLY,
-           "tf * (neg & (position == 1))", "tf * neg", (WALK,)),
-    Mutant("sign-without-its-inv-parity", POLY,
-           "Character.SIGN: (1, 1)", "Character.SIGN: (0, 1)", (WALK,)),
+           "for d in range(top_q.bit_length(), 0, -1):", (FAMILY_WALK,)),
+    Mutant("fdes-without-its-position-1-flag", WALK,
+           "tf * (neg & (position == 1))", "tf * neg", (FAMILY_WALK,)),
+    Mutant("sign-without-its-inv-parity", WALK,
+           "Character.SIGN: (1, 1)", "Character.SIGN: (0, 1)", (FAMILY_WALK,)),
     Mutant("restride-drops-the-top-byte", POLY,
-           "for b in range(min(size, wide)):", "for b in range(min(size, wide) - 1):", (WALK,)),
+           "for b in range(min(size, wide)):", "for b in range(min(size, wide) - 1):", (FAMILY_WALK,)),
     Mutant("slot-width-without-its-spare-bit", POLY,
            "8 * ((paths.bit_length() + 1 + 7) // 8)", "8 * ((paths.bit_length() + 7) // 8)",
-           (WALK, POLY_ORACLE)),
+           (FAMILY_WALK, POLY_ORACLE)),
     Mutant("sign-abs-as-neg-parity", FORMULAS,
            "Character.SIGN_ABS: (-1, -1)", "Character.SIGN_ABS: (-1, 1)",
            ("tests/test_formulas.py",)),
@@ -79,8 +79,7 @@ LEDGER = [
            '    _need(n, 3)',
            'Descent-number distribution on arc permutations (literal form, n >= 3)."""\n'
            '    _need(n, 2)',
-           ("tests/test_formulas.py",), SURVIVES,
-           "its (1 + t)^(n - 3) raises ValueError at n = 2 anyway"),
+           ("tests/test_formulas.py::test_range_errors",)),
     Mutant("first-pass-without-its-length-check", POLY,
            "if len(terms) == len(a._terms) * len(right):", "if True:", (POLY_ORACLE,)),
     Mutant("first-pass-without-its-guard-test", POLY,
@@ -89,33 +88,38 @@ LEDGER = [
     Mutant("sign-des-set-at-t-plus-one", FORMULAS,
            "return _inv_des(n, -1)", "return _inv_des(n, 1)", ("tests/test_formulas.py",)),
     # the walk's box and width, and the one slot decoder
-    Mutant("walk-dt-without-its-last-layer", POLY,
+    Mutant("walk-dt-without-its-last-layer", WALK,
            "        top_t += max(map(itemgetter(1), moves))\n",
            "        top_t += max(map(itemgetter(1), moves)) if layer is not layers[-1] else 0\n",
-           (WALK,)),
-    Mutant("walk-width-from-half-the-size", POLY,
-           "family.size, spec.descent_vars)", "family.size // 2, spec.descent_vars)", (WALK,)),
-    Mutant("walk-without-its-box-limit", POLY,
+           (FAMILY_WALK,)),
+    Mutant("walk-width-from-half-the-size", WALK,
+           "elements.size, letters)", "elements.size // 2, letters)", (FAMILY_WALK,)),
+    Mutant("walk-without-its-box-limit", WALK,
            "    if not letters and max(top_t, top_q) > _MAX:", "    if False:",
-           (f"{WALK}::test_the_box_limit_raises_before_the_walk",)),
-    Mutant("walk-dq-one-too-small", POLY,
+           (f"{FAMILY_WALK}::test_the_box_limit_raises_before_the_walk",)),
+    Mutant("walk-dq-one-too-small", WALK,
            "stride, width = top_q + 1, _slot_width(paths)", "stride, width = top_q, _slot_width(paths)",
-           (WALK,)),
-    Mutant("walk-without-the-character-sign", POLY,
-           "               1 - 2 * (si * inv + sn * neg & 1))", "               1)", (WALK,)),
+           (FAMILY_WALK,)),
+    Mutant("walk-without-the-character-sign", WALK,
+           "               1 - 2 * (si * inv + sn * neg & 1))", "               1)", (FAMILY_WALK,)),
     Mutant("decoder-keys-one-slot-off", POLY,
            "dict(compress(zip(keys, coeffs), coeffs))", "dict(compress(zip(keys[1:], coeffs), coeffs))",
-           (WALK,)),
+           (FAMILY_WALK,)),
     Mutant("unpack-without-its-half-slot-offset", POLY,
-           "data = (packed + _offset(slots, size)).to_bytes(", "data = (packed).to_bytes(", (WALK,)),
+           "data = (packed + _offset(slots, size)).to_bytes(", "data = (packed).to_bytes(", (FAMILY_WALK,)),
     Mutant("struct-code-signed-for-two-bytes", POLY,
-           '_DIGITS = {1: "B", 2: "H",', '_DIGITS = {1: "B", 2: "h",', (WALK, POLY_ORACLE)),
+           '_DIGITS = {1: "B", 2: "H",', '_DIGITS = {1: "B", 2: "h",', (FAMILY_WALK, POLY_ORACLE)),
     Mutant("layout-unsorted", POLY,
            "    shifts = sorted(_fields(_occurring(polys)), key=lambda shift: _ORDER[shift // _WIDTH])",
            "    shifts = list(_fields(_occurring(polys)))", (POLY_TESTS,)),
     Mutant("product-reads-two-fields", POLY,
            "fields = list(islice(_fields(occurring), 3))", "fields = list(islice(_fields(occurring), 2))",
            (f"{POLY_TESTS}::test_layout_reads_fields_in_the_variable_order",)),
+    # the module boundary: the polynomial module imports nothing of the package
+    Mutant("poly-imports-the-family", POLY,
+           "from typing import Iterable, Iterator, Mapping, Sequence\n",
+           "from typing import Iterable, Iterator, Mapping, Sequence\n\nfrom .arcsets import Family\n",
+           ("tests/test_modules.py",)),
     # the packed product
     Mutant("box-rule-ge-for-gt", POLY,
            "        if pairs >= box:\n", "        if pairs > box:\n",

@@ -46,7 +46,8 @@ from arcperm.formulas import (
 )
 from arcperm.patterns import arc_forbidden, b_arc_forbidden, signed_arc_forbidden
 from arcperm.perms import Character
-from arcperm.poly import WeightSpec, enumerator, var
+from arcperm.poly import var
+from arcperm.walk import WeightSpec, enumerator
 
 T = var("t")
 Q = var("q")

@@ -12,7 +12,8 @@ import pytest
 
 from arcperm.formulas import _FAMILIES, REGISTRY
 from arcperm.perms import Character, SignedPermutation
-from arcperm.poly import SparsePolynomial, WeightSpec, enumerator
+from arcperm.poly import SparsePolynomial
+from arcperm.walk import WeightSpec, enumerator
 from helpers import hyperoctahedral, symmetric
 
 SPECS = [

@@ -23,9 +23,9 @@ from arcperm.arcsets import (
     generate_signed_arc,
 )
 from arcperm.formulas import EQUAL, OUT_OF_STATED_RANGE, REGISTRY, verify_formula
-from arcperm import poly
-from arcperm.poly import (WeightSpec, _box, _dict_walk, _from_slots, _pack, _packed_walk,
-                          _slot_width, _unpack, _weighed, enumerator, var)
+from arcperm import poly, walk
+from arcperm.poly import _from_slots, _pack, _slot_width, _unpack, var
+from arcperm.walk import WeightSpec, _box, _dict_walk, _packed_walk, _weighed, enumerator
 from helpers import hyperoctahedral, symmetric
 from test_enumerator_oracle import SPECS, assert_same, needs_flags
 
@@ -120,6 +120,9 @@ def test_family_rejects_bad_arguments():
         Family("sym", 3)
     with pytest.raises(ValueError, match="positive"):
         generate_b_arc(-1)
+    for n in (True, False, 2.0):  # Family("arc", True) was n = 1
+        with pytest.raises(ValueError, match="positive"):
+            Family("arc", n)
 
 
 @pytest.mark.parametrize("n", [57, 58, 60])
@@ -190,7 +193,7 @@ def test_packed_walk_equals_dict_walk(family):
 
 
 def test_tq_specs_take_the_packed_walk(monkeypatch):
-    monkeypatch.setattr(poly, "_dict_walk", None)  # calling it raises TypeError
+    monkeypatch.setattr(walk, "_dict_walk", None)  # calling it raises TypeError
     for name in TQ_IDENTITIES:
         entry = REGISTRY[name]
         enumerator(Family(entry.family, 6), entry.weights)
@@ -203,8 +206,8 @@ def test_only_t_with_x_and_x_with_y_take_the_dict_walk(monkeypatch):
         walked.append(name)
         return dict_walk(layers)
 
-    dict_walk = poly._dict_walk
-    monkeypatch.setattr(poly, "_dict_walk", spy)
+    dict_walk = walk._dict_walk
+    monkeypatch.setattr(walk, "_dict_walk", spy)
     for name, entry in REGISTRY.items():
         enumerator(Family(entry.family, 6), entry.weights)
     assert walked == ["f_A_inv_des", "f_As_des_neg", "f_As_des_neg_inv"]
@@ -377,7 +380,7 @@ def test_the_box_limit_raises_before_the_walk(monkeypatch):
     def no_walk(paths):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(poly, "_slot_width", no_walk)
+    monkeypatch.setattr(walk, "_slot_width", no_walk)
     for t, q in ((2**31, 0), (0, 2**31)):
         layers = [[[(0, 0, 0, 0, 1)]], [[(0, 0, 0, 0, 1)], [(0, t, q, 0, 1)]]]
         with pytest.raises(OverflowError):

@@ -1,5 +1,7 @@
 """Closed forms: spot values, substitution coherence, verification reports."""
 
+import re
+
 import pytest
 
 from arcperm import poly
@@ -32,7 +34,8 @@ from arcperm.formulas import (
     verify_many,
 )
 from arcperm.perms import Character
-from arcperm.poly import WeightSpec, const, enumerator, poly_product, var
+from arcperm.poly import const, poly_product, var
+from arcperm.walk import WeightSpec, enumerator
 from test_poly_oracle import long_div_spy, packed_spy
 
 T = var("t")
@@ -63,8 +66,10 @@ def test_range_errors():
     # a builder that raised inside the range would make verify exit 2
     for name, entry in REGISTRY.items():
         if entry.evaluable_from > 1:
-            with pytest.raises(ValueError):
-                entry.build(entry.evaluable_from - 1)
+            low = entry.evaluable_from
+            message = f"formula requires n >= {low}, got {low - 1}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                entry.build(low - 1)
         entry.build(entry.evaluable_from)
 
 

@@ -228,6 +228,15 @@ def test_the_two_classes_stay_distinct():
         p * q
 
 
+def test_a_bool_entry_is_not_an_integer():
+    # bool is a subclass of int, so these were accepted and printed [True,2]
+    for cls, word in ((Permutation, [True, 2]), (SignedPermutation, [-2, True]),
+                      (SignedPermutation, [False, 1])):
+        with pytest.raises(TypeError, match="is not an integer"):
+            cls(word)
+    assert Permutation([1, 2]).word == (1, 2)
+
+
 @given(st.permutations(list(range(1, 7))), st.lists(st.booleans(), min_size=6, max_size=6))
 def test_shared_statistics_match_the_definitions(word, flips):
     signed = SignedPermutation(-v if f else v for v, f in zip(word, flips))

@@ -11,14 +11,13 @@ from arcperm.perms import Character
 from arcperm.poly import (
     ExactDivisionError,
     SparsePolynomial,
-    WeightSpec,
     const,
-    enumerator,
     exact_div,
     poly_product,
     q_bracket,
     var,
 )
+from arcperm.walk import WeightSpec, enumerator
 
 T = var("t")
 Q = var("q")

@@ -14,8 +14,8 @@ import pytest
 from arcperm import poly
 from arcperm.formulas import f_As_des_neg_inv
 from arcperm.perms import Permutation
-from arcperm.poly import (ExactDivisionError, SparsePolynomial, WeightSpec, enumerator, exact_div,
-                          poly_product, var)
+from arcperm.poly import ExactDivisionError, SparsePolynomial, exact_div, poly_product, var
+from arcperm.walk import WeightSpec, enumerator
 from test_poly_oracle import no_box
 
 LIMIT = 2**31 - 1
