@@ -403,13 +403,8 @@ def generate_symmetric(n: int, limit: int = SYMMETRIC_LIMIT) -> list[Permutation
 def generate_hyperoctahedral(
     n: int, limit: int = HYPEROCTAHEDRAL_LIMIT
 ) -> list[SignedPermutation]:
-    """All of B_n (2^n n! elements); refuses n beyond ``limit``."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds the exhaustive-generation limit {limit}")
-    out = []
-    for w in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(SignedPermutation(s * v for s, v in zip(signs, w)))
-    return out
+    """All of B_n (2^n n! elements), every sign pattern on each element of
+    S_n in turn; refuses n beyond ``limit``."""
+    return [SignedPermutation(s * v for s, v in zip(signs, p.word))
+            for p in generate_symmetric(n, limit)
+            for signs in itertools.product((1, -1), repeat=n)]

@@ -8,6 +8,12 @@ c_m is the order-(2m+2) element [-(m+1),1,2,...,m,m+2,...,n].  The exponent
 sums recover maj and fmaj, and simple exponent constraints characterize the
 arc and B-arc families.
 
+Both groups shift along one orbit: c_m sends m+1 -> m -> ... -> 1, and then
+back to m+1 in S_n, or on through -(m+1) -> -m -> ... -> -1 -> m+1 in B_n.
+So c_m has order m+1 or 2m+2, and one code path serves both groups; type A
+has no k_0, since its c_0 is the identity.  Every entry point checks that
+it was given the type of its group and raises ``TypeError`` otherwise.
+
 Decomposition peels exponents from the outside: the orbit of n under
 c_{n-1} is a full cycle, so p(n) pins k_{n-1}; stripping that factor fixes
 n and the computation recurses on the restriction.
@@ -22,127 +28,124 @@ from .perms import Permutation, SignedPermutation
 
 
 @dataclass(frozen=True)
-class ExponentVectorA:
+class _ExponentVector:
+    """What both factorizations share: exponents k_first, ..., k_{n-1} with
+    0 <= k_i < step * (i + 1), the order of c_i.  A subclass names its
+    permutation class ``group``, its ``first`` index and its ``step``; the
+    two stay siblings, so equal exponents of different groups are unequal."""
+
+    n: int
+    k: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", tuple(self.k))
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise TypeError(f"size {self.n!r} is not an integer")
+        if self.n < 1 or len(self.k) != self.n - self.first:
+            raise ValueError(f"need {self.n - self.first} exponents for size {self.n}")
+        step = self.step
+        for i, ki in enumerate(self.k, self.first):
+            # bool is an int subclass but no exponent; a plain int takes one test
+            if type(ki) is not int and (isinstance(ki, bool) or not isinstance(ki, int)):
+                raise TypeError(f"exponent {ki!r} is not an integer")
+            if not 0 <= ki < step * (i + 1):
+                raise ValueError(f"exponent k_{i}={ki} outside 0..{step * (i + 1) - 1}")
+
+    def __str__(self) -> str:
+        return ("B" if self.group.signed else "A") + " k=[" + ",".join(map(str, self.k)) + "]"
+
+
+class ExponentVectorA(_ExponentVector):
     """Exponents (k_1, ..., k_{n-1}) of an unsigned canonical factorization."""
 
-    n: int
-    k: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1 or len(self.k) != self.n - 1:
-            raise ValueError(f"need {self.n - 1} exponents for size {self.n}")
-        for i, ki in enumerate(self.k, 1):
-            if not 0 <= ki <= i:
-                raise ValueError(f"exponent k_{i}={ki} outside 0..{i}")
-
-    def __str__(self) -> str:
-        return "A k=[" + ",".join(str(x) for x in self.k) + "]"
+    # c_0 is the identity in S_n, so there is no k_0
+    group, first, step = Permutation, 1, 1
 
 
-@dataclass(frozen=True)
-class ExponentVectorB:
+class ExponentVectorB(_ExponentVector):
     """Exponents (k_0, ..., k_{n-1}) of a signed canonical factorization."""
 
-    n: int
-    k: tuple[int, ...]
+    group, first, step = SignedPermutation, 0, 2
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.k) != self.n:
-            raise ValueError(f"need {self.n} exponents for size {self.n}")
-        for i, ki in enumerate(self.k):
-            if not 0 <= ki <= 2 * i + 1:
-                raise ValueError(f"exponent k_{i}={ki} outside 0..{2 * i + 1}")
 
-    def __str__(self) -> str:
-        return "B k=[" + ",".join(str(x) for x in self.k) + "]"
+def _checked(value, expected: type):
+    if not isinstance(value, expected):
+        raise TypeError(f"expected {expected.__name__}, got {type(value).__name__}")
+    return value
 
 
 def cycle_A(m: int, n: int) -> Permutation:
     """The m+1 cycle sending v to v-1 for 2 <= v <= m+1 and 1 to m+1."""
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    return Permutation(_cycle_a_power_word(m, n, 1))
+    return _cycle(m, n, ExponentVectorA)
 
 
 def cycle_B(m: int, n: int) -> SignedPermutation:
     """The order-(2m+2) element [-(m+1),1,2,...,m,m+2,...,n]."""
-    if not 0 <= m < n:
-        raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
-    return SignedPermutation(_cycle_b_power_word(m, n, 1))
+    return _cycle(m, n, ExponentVectorB)
+
+
+def _cycle(m: int, n: int, vector: type[_ExponentVector]):
+    if not vector.first <= m < n:
+        raise ValueError(f"need {vector.first} <= m < n, got m={m}, n={n}")
+    return vector.group(_power_word(m, n, 1, vector.group.signed)[1 : n + 1])
 
 
 @lru_cache(maxsize=None)
-def _cycle_a_power_word(m: int, n: int, k: int) -> tuple[int, ...]:
-    # cycle_A(m, n) ** k: v -> v - k cyclically on 1..m+1, fixing the rest
-    period = m + 1
-    return tuple(
-        ((i - 1 - k) % period) + 1 if i <= period else i for i in range(1, n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _cycle_b_power_word(m: int, n: int, k: int) -> tuple[int, ...]:
-    # cycle_B(m, n) ** k via the orbit m+1, m, ..., 1, -(m+1), ..., -1
-    period = 2 * m + 2
+def _power_word(m: int, n: int, k: int, signed: bool) -> tuple[int, ...]:
+    """c_m ** k, which moves k steps along the orbit m+1, m, ..., 1 (and on
+    through -(m+1), ..., -1 in B_n), indexed by signed value: entry v is the
+    image of v for 1 <= v <= n, and by negative indexing entry -v is that of
+    -v.  Entry 0 is a placeholder."""
     half = m + 1
+    period = 2 * half if signed else half
 
     def orbit(j: int) -> int:
         j %= period
-        return half - j if j <= m else -(period - j)
+        return half - j if j < half else -(period - j)
 
-    def image(v: int) -> int:
-        if abs(v) > half:
-            return v
-        j = half - v if v > 0 else period - (-v)
-        return orbit(j + k)
-
-    return tuple(image(i) for i in range(1, n + 1))
+    word = [orbit(half - v + k) if v <= half else v for v in range(1, n + 1)]
+    return (0, *word, *[-v for v in reversed(word)])
 
 
 def decompose_A(p: Permutation) -> ExponentVectorA:
     """The unique exponents with p = cycle_A(n-1)^{k_{n-1}} ... cycle_A(1)^{k_1}."""
-    word = list(p.word)
-    ks = []
-    for size in range(p.n, 1, -1):
-        k = (size - word[size - 1]) % size
-        ks.append(k)
-        word = [((v - 1 + k) % size) + 1 for v in word]
-        assert word[size - 1] == size
-        word = word[: size - 1]
-    return ExponentVectorA(p.n, tuple(reversed(ks)))
+    return _decompose(p, ExponentVectorA)
 
 
 def decompose_B(p: SignedPermutation) -> ExponentVectorB:
     """The unique exponents with p = cycle_B(n-1)^{k_{n-1}} ... cycle_B(0)^{k_0}."""
-    word = list(p.word)
+    return _decompose(p, ExponentVectorB)
+
+
+def _decompose(p, vector: type[_ExponentVector]):
+    word = _checked(p, vector.group).word
+    signed = vector.group.signed
     ks = []
-    for size in range(p.n, 0, -1):
+    for size in range(p.n, vector.first, -1):
+        # p(size) sits k steps along the orbit of size under c_{size-1}
         v = word[size - 1]
         k = size - v if v > 0 else 2 * size + v
         ks.append(k)
-        cyc = _cycle_b_power_word(size - 1, size, -k)
-        word = [cyc[u - 1] if u > 0 else -cyc[-u - 1] for u in word]
-        assert word[size - 1] == size
-        word = word[: size - 1]
-    return ExponentVectorB(p.n, tuple(reversed(ks)))
+        cyc = _power_word(size - 1, size, -k, signed)
+        word = [cyc[u] for u in word[: size - 1]]
+    return vector(p.n, tuple(reversed(ks)))
 
 
 def recompose_A(e: ExponentVectorA) -> Permutation:
-    word = tuple(range(1, e.n + 1))
-    for i, k in enumerate(e.k, 1):
-        if k:
-            cyc = _cycle_a_power_word(i, e.n, k)
-            word = tuple(cyc[v - 1] for v in word)
-    return Permutation(word)
+    return _recompose(e, ExponentVectorA)
 
 
 def recompose_B(e: ExponentVectorB) -> SignedPermutation:
-    word = tuple(range(1, e.n + 1))
-    for i, k in enumerate(e.k):
+    return _recompose(e, ExponentVectorB)
+
+
+def _recompose(e, vector: type[_ExponentVector]):
+    word = range(1, _checked(e, vector).n + 1)
+    for i, k in enumerate(e.k, vector.first):
         if k:
-            cyc = _cycle_b_power_word(i, e.n, k)
-            word = tuple(cyc[v - 1] if v > 0 else -cyc[-v - 1] for v in word)
-    return SignedPermutation(word)
+            cyc = _power_word(i, e.n, k, vector.group.signed)
+            word = [cyc[v] for v in word]
+    return vector.group(word)
 
 
 def maj_from_exponents(e: ExponentVectorA | ExponentVectorB) -> int:
@@ -156,9 +159,15 @@ fmaj_from_exponents = maj_from_exponents
 
 def is_arc_by_exponents(e: ExponentVectorA) -> bool:
     """Arc criterion: k_i in {0, i} for all 1 <= i <= n-2 (k_{n-1} free)."""
-    return all(k in (0, i) for i, k in enumerate(e.k[:-1], 1))
+    return _criterion(e, ExponentVectorA)
 
 
 def is_b_arc_by_exponents(e: ExponentVectorB) -> bool:
     """B-arc criterion: k_i in {0, 2i+1} for all 0 <= i <= n-2 (k_{n-1} free)."""
-    return all(k in (0, 2 * i + 1) for i, k in enumerate(e.k[:-1]))
+    return _criterion(e, ExponentVectorB)
+
+
+def _criterion(e, vector: type[_ExponentVector]) -> bool:
+    # every exponent but the last is 0 or the top one, one less than the order
+    step = _checked(e, vector).step
+    return all(k in (0, step * (i + 1) - 1) for i, k in enumerate(e.k[:-1], vector.first))

@@ -55,6 +55,7 @@ POLY_TESTS, PACKED = "tests/test_poly.py", "tests/test_poly_packed.py"
 PATTERNS, PATTERNS_ORACLE = "src/arcperm/patterns.py", "tests/test_patterns_oracle.py"
 GROUPED = f"{POLY_ORACLE}::test_grouped_decode_matches_reference"
 PAIRS = f"{POLY_ORACLE}::test_pairs_are_counted_exactly_in_the_given_order"
+CANONICAL, CANONICAL_TESTS = "src/arcperm/canonical.py", "tests/test_canonical.py"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", WALK,
@@ -193,6 +194,24 @@ LEDGER = [
     Mutant("pattern-room-bound-widened", PATTERNS,
            "for i in range(start, n - 1):", "for i in range(start, n):", (PATTERNS_ORACLE,),
            SURVIVES, "at i = n - 1 the leaf loop is empty, so it changes speed only"),
+    # the canonical factorization both groups share
+    Mutant("b-orbit-without-its-sign", CANONICAL,
+           "-(period - j)", "period - j", (f"{CANONICAL_TESTS}::test_cycle_b",)),
+    Mutant("a-reads-a-k0", CANONICAL,
+           "for size in range(p.n, vector.first, -1):", "for size in range(p.n, 0, -1):",
+           (f"{CANONICAL_TESTS}::test_decompose_examples",)),
+    Mutant("criterion-top-one-too-high", CANONICAL,
+           "k in (0, step * (i + 1) - 1)", "k in (0, step * (i + 1))",
+           (f"{CANONICAL_TESTS}::test_exponent_criteria",)),
+    Mutant("group-check-removed", CANONICAL,
+           "    if not isinstance(value, expected):", "    if False:",
+           (f"{CANONICAL_TESTS}::test_every_entry_point_checks_its_group",)),
+    Mutant("exponent-bool-accepted", CANONICAL,
+           "(isinstance(ki, bool) or not isinstance(ki, int))", "(not isinstance(ki, int))",
+           (f"{CANONICAL_TESTS}::test_exponents_are_plain_integers_kept_as_a_tuple",)),
+    Mutant("exponents-kept-as-given", CANONICAL,
+           '        object.__setattr__(self, "k", tuple(self.k))\n', "",
+           (f"{CANONICAL_TESTS}::test_exponents_are_plain_integers_kept_as_a_tuple",)),
 ]
 
 

@@ -158,10 +158,20 @@ def test_size_guards():
     assert len(generate_symmetric(3, limit=3)) == 6
     with pytest.raises(ValueError, match="limit 7"):
         generate_hyperoctahedral(8)
+    with pytest.raises(ValueError, match="^n=3 exceeds the exhaustive-generation limit 2$"):
+        generate_hyperoctahedral(3, limit=2)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        generate_hyperoctahedral(0)
     with pytest.raises(ValueError):
         generate_symmetric(0)
     with pytest.raises(ValueError):
         generate_b_arc(-1)
+
+
+def test_hyperoctahedral_signs_each_element_of_the_symmetric_group_in_turn():
+    assert [p.word for p in generate_hyperoctahedral(2)] == [
+        (1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1)]
+    assert len(set(generate_hyperoctahedral(4))) == 2**4 * 24
 
 
 # -- the predicates track interval ends; these read the definitions literally,

@@ -113,6 +113,38 @@ def test_exponent_vector_validation_and_printing():
     assert str(ExponentVectorB(2, (1, 3))) == "B k=[1,3]"
 
 
+def test_exponents_are_plain_integers_kept_as_a_tuple():
+    for bad in (1.5, True, "1", None):
+        with pytest.raises(TypeError, match="is not an integer"):
+            ExponentVectorA(3, (0, bad))
+    with pytest.raises(TypeError, match="is not an integer"):
+        ExponentVectorB(2, (False, 3))
+    for size in (2.0, True):
+        with pytest.raises(TypeError, match="^size .* is not an integer$"):
+            ExponentVectorB(size, (1,) * int(size))
+    listed = ExponentVectorB(2, [1, 3])
+    assert listed.k == (1, 3) and type(listed.k) is tuple
+    assert listed == ExponentVectorB(2, (1, 3))
+    assert hash(listed) == hash(ExponentVectorB(2, (1, 3)))
+    assert ExponentVectorA(3, range(2)).k == (0, 1)
+
+
+def test_every_entry_point_checks_its_group():
+    a, b = ExponentVectorA(3, (1, 2)), ExponentVectorB(2, (1, 3))
+    wrong = [
+        (decompose_A, SignedPermutation([-1, 2]), "expected Permutation, got SignedPermutation"),
+        (decompose_A, (2, 1), "expected Permutation, got tuple"),
+        (decompose_B, Permutation([2, 1]), "expected SignedPermutation, got Permutation"),
+        (recompose_A, b, "expected ExponentVectorA, got ExponentVectorB"),
+        (recompose_B, a, "expected ExponentVectorB, got ExponentVectorA"),
+        (is_arc_by_exponents, b, "expected ExponentVectorA, got ExponentVectorB"),
+        (is_b_arc_by_exponents, a, "expected ExponentVectorB, got ExponentVectorA"),
+    ]
+    for call, arg, message in wrong:
+        with pytest.raises(TypeError, match=message):
+            call(arg)
+
+
 def test_constraint_set_cardinalities():
     for n in range(2, 7):
         vectors = itertools.product(*(range(i + 1) for i in range(1, n)))
