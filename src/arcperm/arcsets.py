@@ -10,9 +10,14 @@ Each predicate is backed by a ``*_violation`` function that returns a
 human-readable description of the first definition failure, or None; the
 CLI uses these directly for diagnostics.
 
-``Family(name, n)`` holds each family's growth rule as a layered graph of
-interval states (``family_moves``): the generators list the words from it,
-and ``walk.enumerator`` walks it without building a word.
+All four grow by one rule: each new entry extends an interval of m points
+on a circle (m = 2n for B-arc, n otherwise) at its low or its high end, low
+end first.  Left-unimodal skips the extensions that wrap around; a signed arc
+entry is positive exactly when it extends the high end, except the first
+and last entries, which take both signs; B-arc grows right to left.
+``Family(name, n)`` holds the rule as a layered graph of interval states
+(``family_moves``): the generators list the words from it, and
+``walk.enumerator`` walks it without building a word.
 """
 
 from __future__ import annotations
@@ -28,9 +33,18 @@ SYMMETRIC_LIMIT = 9
 HYPEROCTAHEDRAL_LIMIT = 7
 
 
+def _positive(n: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("n must be positive")
+    return n
+
+
 def is_cyclic_interval(indices: Iterable[int], size: int) -> bool:
     """True iff ``indices`` (a subset of 0..size-1) form one cyclic run."""
     idx = set(indices)
+    for i in idx:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < size:
+            raise ValueError(f"index {i!r} out of range 0..{size - 1}")
     if len(idx) in (0, size):
         return True
     ends = sum(1 for i in idx if (i + 1) % size not in idx)
@@ -41,7 +55,7 @@ def is_interval_zn(values: Iterable[int], n: int) -> bool:
     """Cyclic-interval test for subsets of {1..n}; empty and full sets count."""
     vals = set(values)
     for v in vals:
-        if not isinstance(v, int) or not 1 <= v <= n:
+        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
             raise ValueError(f"value {v!r} out of range 1..{n}")
     return is_cyclic_interval({v - 1 for v in vals}, n)
 
@@ -51,6 +65,9 @@ class CircleOn:
     """The 2n-point signed circle: 1..n at indices 0..n-1, then -j at n+j-1."""
 
     n: int
+
+    def __post_init__(self):
+        _positive(self.n)
 
     def index(self, v: int) -> int:
         if not isinstance(v, int) or v == 0 or abs(v) > self.n:
@@ -166,82 +183,42 @@ def is_b_arc(p: SignedPermutation) -> bool:
 # -- growth rules and families -------------------------------------------------
 #
 # Each family grows its words one entry at a time, left to right except for
-# B-arc, which grows right to left.  A rule gives the first entries and,
-# from a state, the (next state, value) moves in the generator's order.  The
-# state is the interval the placed entries occupy; it fixes which values may
-# come next.  ``family_moves`` runs a rule once per (family, n) and records
-# every move with the statistics it adds, and ``Family`` reads those tables
-# both to list the words and to walk the enumerator.
+# B-arc, which grows right to left.  One rule serves all four: it gives the
+# first entries and, from a state, the (next state, value) moves in the
+# generator's order.  The state is the circle interval the placed entries
+# occupy; it fixes which values may come next.  ``family_moves`` runs the
+# rule once per (family, n) and records every move with the statistics it
+# adds, and ``Family`` reads those tables both to list the words and to walk
+# the enumerator.
 
 
-def _arc_rule(n: int):
-    # state (lo, size): the prefix occupies the residues lo..lo+size-1 mod n;
-    # the lower-end extension comes before the upper-end one
-    def step(state, position):
-        lo, size = state
-        below, above = (lo - 1) % n, (lo + size) % n
-        moves = [((below, size + 1), below + 1)]
-        if above != below:
-            moves.append(((lo, size + 1), above + 1))
-        return moves
-
-    return [((v - 1, 1), v) for v in range(1, n + 1)], step
-
-
-def _left_unimodal_rule(n: int):
-    # state (lo, hi): the prefix occupies the values lo..hi; this is the arc
-    # rule with the extensions that wrap around skipped
-    def step(state, position):
-        lo, hi = state
-        moves = []
-        if lo > 1:
-            moves.append(((lo - 1, hi), lo - 1))
-        if hi < n:
-            moves.append(((lo, hi + 1), hi + 1))
-        return moves
-
-    return [((v, v), v) for v in range(1, n + 1)], step
-
-
-def _signed_arc_rule(n: int):
-    # the arc rule on absolute values; an interior entry is positive exactly
-    # when it extends the upper end (then |p(i)|-1 precedes it), and the
-    # first and last entries take either sign
-    starts, arc_step = _arc_rule(n)
-
-    def step(state, position):
-        moves = []
-        for after, a in arc_step(state, position):
-            if position == n:
-                moves += [(after, a), (after, -a)]
-            else:
-                moves.append((after, a if after[0] == state[0] else -a))
-        return moves
-
-    return [(state, s * v) for state, v in starts for s in (1, -1)], step
-
-
-def _b_arc_rule(n: int):
-    # state (lo, size): the suffix occupies the circle indices lo..lo+size-1
-    # mod 2n; starting points follow the circle order 1..n,-1..-n, and each
-    # earlier entry extends the low end first, then the high end
-    point = CircleOn(n).point
+def _rule(name: str, n: int):
+    # state (lo, size): the placed entries occupy the points lo..lo+size-1 of
+    # the m-point circle, and point[i] names point i (i + 1 for i < n).  The
+    # high end is skipped when it places the low end's point, as the last
+    # arc entry does; an interior signed arc entry at the high end has
+    # |p(i)|-1 before it, so it is positive
+    m = 2 * n if name == "b-arc" else n
+    point = list(map(CircleOn(n).point, range(m)))
+    free = (1, -1) if name == "signed-arc" else (1,)
 
     def step(state, position):
         lo, size = state
-        below, above = (lo - 1) % (2 * n), (lo + size) % (2 * n)
-        return [((below, size + 1), point(below)), ((lo, size + 1), point(above))]
+        below = (lo - 1) % m
+        moves = []
+        # (new lo, point placed, signs of an interior entry): (-1,) at the low
+        # end on signed arc, else (1,)
+        for start, i, signs in ((below, below, free[-1:]), (lo, (lo + size) % m, (1,))):
+            if name == "left-unimodal" and start + size >= m or moves and i == below:
+                continue
+            for s in free if position == n else signs:
+                moves.append(((start, size + 1), s * point[i]))
+        return moves
 
-    return [((i, 1), point(i)) for i in range(2 * n)], step
+    return [((i, 1), s * point[i]) for i in range(m) for s in free], step
 
 
-_RULES = {
-    "arc": _arc_rule,
-    "left-unimodal": _left_unimodal_rule,
-    "signed-arc": _signed_arc_rule,
-    "b-arc": _b_arc_rule,
-}
-FAMILY_NAMES = tuple(_RULES)
+FAMILY_NAMES = ("arc", "left-unimodal", "signed-arc", "b-arc")
 
 
 # One entry placed: (target, value, position, descent, inv).  target is the
@@ -262,7 +239,7 @@ def family_moves(name: str, n: int) -> tuple[tuple[tuple[Move, ...], ...], ...]:
     statistic reads.  Descents compare in the order -1 < ... < -n < 1 < ... < n
     (integer order on unsigned words), as ``perms.descent_positions`` does.
     """
-    starts, step = _RULES[name](n)
+    starts, step = _rule(name, n)
     leftward = name == "b-arc"
     ids = {(None, 0, None): 0}
     layers = []
@@ -301,11 +278,9 @@ class Family:
     __slots__ = ("name", "n")
 
     def __init__(self, name: str, n: int):
-        if name not in _RULES:
-            raise ValueError(f"unknown family {name!r}; choose from {', '.join(_RULES)}")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError("n must be positive")
-        self.name, self.n = name, n
+        if name not in FAMILY_NAMES:
+            raise ValueError(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}")
+        self.name, self.n = name, _positive(n)
 
     def __repr__(self) -> str:
         return f"Family({self.name!r}, {self.n})"
@@ -335,11 +310,11 @@ class Family:
     def __iter__(self):
         words = [((), 0)]
         for layer in self.moves():
-            if self.name == "b-arc":
-                words = [((v,) + w, target) for w, s in words for target, v, _, _, _ in layer[s]]
-            else:
-                words = [(w + (v,), target) for w, s in words for target, v, _, _, _ in layer[s]]
+            words = [(w + (v,), target) for w, s in words for target, v, _, _, _ in layer[s]]
         words = [w for w, _ in words]
+        if self.name == "b-arc":  # grown right to left; in place, to hold one copy
+            for i, w in enumerate(words):
+                words[i] = w[::-1]
         if self.name == "signed-arc":
             # The generator's order has the two free signs innermost, the
             # first entry's outside the last's, but the walk chooses the
@@ -393,9 +368,7 @@ def generate_b_arc(n: int) -> list[SignedPermutation]:
 
 def generate_symmetric(n: int, limit: int = SYMMETRIC_LIMIT) -> list[Permutation]:
     """All of S_n in lexicographic order; refuses n beyond ``limit``."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > limit:
+    if _positive(n) > limit:
         raise ValueError(f"n={n} exceeds the exhaustive-generation limit {limit}")
     return [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
 

@@ -56,6 +56,8 @@ PATTERNS, PATTERNS_ORACLE = "src/arcperm/patterns.py", "tests/test_patterns_orac
 GROUPED = f"{POLY_ORACLE}::test_grouped_decode_matches_reference"
 PAIRS = f"{POLY_ORACLE}::test_pairs_are_counted_exactly_in_the_given_order"
 CANONICAL, CANONICAL_TESTS = "src/arcperm/canonical.py", "tests/test_canonical.py"
+ARCSETS, ARCSETS_TESTS = "src/arcperm/arcsets.py", "tests/test_arcsets.py"
+ITERATION = f"{FAMILY_WALK}::test_iteration_is_the_generator"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", WALK,
@@ -212,6 +214,30 @@ LEDGER = [
     Mutant("exponents-kept-as-given", CANONICAL,
            '        object.__setattr__(self, "k", tuple(self.k))\n', "",
            (f"{CANONICAL_TESTS}::test_exponents_are_plain_integers_kept_as_a_tuple",)),
+    # the one interval-growth rule of the four families
+    Mutant("rule-ends-swapped", ARCSETS,
+           "((below, below, free[-1:]), (lo, (lo + size) % m, (1,)))",
+           "((lo, (lo + size) % m, (1,)), (below, below, free[-1:]))", (ITERATION,)),
+    Mutant("left-unimodal-wraps-around", ARCSETS,
+           'if name == "left-unimodal" and start + size >= m or moves and i == below:',
+           "if moves and i == below:", (ITERATION,)),
+    Mutant("arc-last-value-from-both-ends", ARCSETS,
+           'start + size >= m or moves and i == below:', "start + size >= m:", (ITERATION,)),
+    Mutant("interior-sign-reversed", ARCSETS,
+           "(below, below, free[-1:])", "(below, below, free[:1])", (ITERATION,)),
+    Mutant("b-arc-on-an-n-point-circle", ARCSETS,
+           'm = 2 * n if name == "b-arc" else n', "m = n", (ITERATION,)),
+    Mutant("last-entry-with-one-sign", ARCSETS,
+           "for s in free if position == n else signs:", "for s in signs:", (ITERATION,)),
+    Mutant("first-entry-with-one-sign", ARCSETS,
+           "for i in range(m) for s in free]", "for i in range(m) for s in (1,)]",
+           (f"{FAMILY_WALK}::test_the_rule_past_brute_force_sizes",)),
+    Mutant("circle-without-its-n-check", ARCSETS,
+           "    def __post_init__(self):\n        _positive(self.n)\n", "",
+           (f"{ARCSETS_TESTS}::test_circle_needs_a_positive_int",)),
+    Mutant("cyclic-interval-trusts-its-indices", ARCSETS,
+           "or not 0 <= i < size:", "or False:",
+           (f"{ARCSETS_TESTS}::test_interval_helpers_refuse_what_is_no_index_or_value",)),
 ]
 
 

@@ -36,6 +36,25 @@ def test_interval_zn():
         is_interval_zn({0, 1}, 3)
 
 
+def test_interval_helpers_refuse_what_is_no_index_or_value():
+    # an index past either end, a size of 0 and a bool once answered
+    for indices, size in (({5}, 3), ({-1, 0}, 3), ({0, 1}, 0), ({True}, 3), ({1.0}, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            is_cyclic_interval(indices, size)
+    with pytest.raises(ValueError, match="out of range 1..3"):
+        is_interval_zn({True}, 3)
+    assert is_cyclic_interval(set(), 0) and is_cyclic_interval({2, 0}, 3)
+
+
+def test_circle_needs_a_positive_int():
+    # CircleOn(0).point(0) divided by zero; CircleOn(-2).point(1) was -2 and
+    # CircleOn(2.0).point(1) was 2.0
+    for n in (0, -2, 2.0, True, False, "3"):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            CircleOn(n)
+    assert CircleOn(1).point(1) == -1
+
+
 def test_circle_index_is_a_bijection():
     circle = CircleOn(4)
     points = [circle.point(i) for i in range(8)]
@@ -166,6 +185,11 @@ def test_size_guards():
         generate_symmetric(0)
     with pytest.raises(ValueError):
         generate_b_arc(-1)
+    # generate_symmetric(True) was S_1 and generate_symmetric(2.0) failed in range
+    for n in (True, False, 2.0):
+        for generate in (generate_symmetric, generate_hyperoctahedral):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                generate(n)
 
 
 def test_hyperoctahedral_signs_each_element_of_the_symmetric_group_in_turn():

@@ -357,6 +357,22 @@ def test_box_and_size_equal_the_path_pass(family):
             assert (fam.size, *_box(layers)) == _path_pass(layers), (n, spec)
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_the_rule_past_brute_force_sizes(family):
+    # at n = 64 no state has two moves that place the same value, so distinct
+    # paths spell distinct words, and one backward pass of path counts gives
+    # the closed-form size
+    fam = Family(family, 64)
+    paths = None  # paths from each state of the layer after to the end
+    for layer in reversed(fam.moves()):
+        for moves in layer:
+            values = [v for _, v, _, _, _ in moves]
+            assert len(set(values)) == len(values)
+        paths = [sum(1 if paths is None else paths[target] for target, *_ in moves)
+                 for moves in layer]
+    assert paths == [fam.size]
+
+
 def test_walk_decodes_bounds_that_no_path_reaches():
     t, q = var("t"), var("q")
     # the layers' largest t are 1 and 2 and their largest q 2 and 3, but the
