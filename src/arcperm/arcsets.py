@@ -33,17 +33,27 @@ SYMMETRIC_LIMIT = 9
 HYPEROCTAHEDRAL_LIMIT = 7
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _positive(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError("n must be positive")
     return n
 
 
+def _size(size: int) -> None:
+    if not _is_int(size) or size < 0:
+        raise ValueError(f"size {size!r} is not a non-negative int")
+
+
 def is_cyclic_interval(indices: Iterable[int], size: int) -> bool:
     """True iff ``indices`` (a subset of 0..size-1) form one cyclic run."""
+    _size(size)
     idx = set(indices)
     for i in idx:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < size:
+        if not _is_int(i) or not 0 <= i < size:
             raise ValueError(f"index {i!r} out of range 0..{size - 1}")
     if len(idx) in (0, size):
         return True
@@ -53,9 +63,10 @@ def is_cyclic_interval(indices: Iterable[int], size: int) -> bool:
 
 def is_interval_zn(values: Iterable[int], n: int) -> bool:
     """Cyclic-interval test for subsets of {1..n}; empty and full sets count."""
+    _size(n)
     vals = set(values)
     for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+        if not _is_int(v) or not 1 <= v <= n:
             raise ValueError(f"value {v!r} out of range 1..{n}")
     return is_cyclic_interval({v - 1 for v in vals}, n)
 

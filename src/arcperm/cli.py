@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
+from stat import S_ISREG
 
 from . import canonical, formulas
 from .arcsets import (
@@ -87,18 +91,30 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(self, message)
 
 
-def _emit(chunks: list[str], out_path: str | None):
-    """Write the chunks in turn, so that the whole text is never one string,
-    and end with a newline: on stdout always, in a file only when the text
-    does not end with one already."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-            if not next(filter(None, reversed(chunks)), "").endswith("\n"):
-                handle.write("\n")
-    else:
+def _emit(chunks: Iterable[str], out_path: str | None):
+    """Write the chunks as they come, so that the whole text is never one
+    string, and end with a newline: on stdout always, in a file only when
+    the text does not end with one already.  A file is rewritten in place
+    and then cut to the length written, so a shorter text leaves no stale
+    tail (on ext4, opening with O_TRUNC waits for the writeback of a file
+    written just before)."""
+    if not out_path:
         sys.stdout.writelines(chunks)
         sys.stdout.write("\n")
+        return
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as handle:
+        try:
+            last = ""
+            for chunk in chunks:
+                handle.write(chunk)
+                last = chunk or last
+            if not last.endswith("\n"):
+                handle.write("\n")
+        finally:
+            handle.flush()
+            if S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be cut
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _dumps(payload) -> str:
@@ -107,52 +123,57 @@ def _dumps(payload) -> str:
     return "".join(_json_chunks(payload))
 
 
-def _json_chunks(payload) -> list[str]:
-    """The text of ``_dumps`` as a list of chunks; TypeError for a float, a
-    non-str key or no ``to_json``.  A polynomial writes its own text
-    (``SparsePolynomial.json_text``), once per object and depth: an EQUAL
-    row's lhs and rhs are one polynomial."""
-    out, memo = [], {}  # memo: (id, depth) -> (text, polynomial); holding it keeps its id unique
-
-    def write(obj, depth: int, encode=json.encoder.encode_basestring_ascii):
-        if isinstance(obj, str):
-            out.append(encode(obj))
-        elif obj is None or isinstance(obj, int):  # bool is an int: test it first
-            out.append("null" if obj is None else "true" if obj is True
-                       else "false" if obj is False else int.__repr__(obj))
-        elif isinstance(obj, SparsePolynomial):
-            key = id(obj), depth
-            if key not in memo:
-                memo[key] = obj.json_text(depth), obj
-            out.append(memo[key][0])
-        elif isinstance(obj, (list, tuple)):
-            sep = "\n" + "  " * (depth + 1)
-            for i, item in enumerate(obj):
-                out.append(("," if i else "[") + sep)
-                write(item, depth + 1)
-            out.append(sep[:-2] + "]" if obj else "[]")
-        elif isinstance(obj, dict):
-            sep = "\n" + "  " * (depth + 1)
-            for i, (name, value) in enumerate(obj.items()):  # encode(name) rejects non-str
-                out.append(("," if i else "{") + sep + encode(name) + ": ")
-                write(value, depth + 1)
-            out.append(sep[:-2] + "}" if obj else "{}")
-        elif hasattr(obj, "to_json"):
-            write(obj.to_json(), depth)
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-    write(payload, 0)
-    return out
+def _json_chunks(payload, depth: int = 0,
+                 encode=json.encoder.encode_basestring_ascii) -> Iterator[str]:
+    """The text of ``_dumps`` chunk by chunk, written as the walk reaches each
+    value; TypeError for a float, a non-str key or no ``to_json``.  An
+    iterator is written as a list, item by item as it yields them, so its
+    items need not exist at once.  A polynomial writes its own text
+    (``SparsePolynomial.json_text``)."""
+    if isinstance(payload, str):
+        yield encode(payload)
+    elif payload is None or isinstance(payload, int):  # bool is an int: test it first
+        yield ("null" if payload is None else "true" if payload is True
+               else "false" if payload is False else int.__repr__(payload))
+    elif isinstance(payload, SparsePolynomial):
+        yield payload.json_text(depth)
+    elif isinstance(payload, dict):
+        sep, opening = "\n" + "  " * (depth + 1), "{"
+        for name, value in payload.items():  # encode(name) rejects non-str
+            yield opening + sep + encode(name) + ": "
+            yield from _json_chunks(value, depth + 1)
+            opening = ","
+        yield "{}" if opening == "{" else sep[:-2] + "}"
+    elif isinstance(payload, (list, tuple, Iterator)):
+        sep, opening = "\n" + "  " * (depth + 1), "["
+        for item in payload:
+            yield opening + sep
+            yield from _json_chunks(item, depth + 1)
+            opening = ","
+            del item  # an iterator's next item may be computed without this one
+        yield "[]" if opening == "[" else sep[:-2] + "]"
+    elif hasattr(payload, "to_json"):
+        yield from _json_chunks(payload.to_json(), depth)
+    else:
+        raise TypeError(f"Object of type {type(payload).__name__} is not JSON serializable")
 
 
-def _render(args, payload, lines: list[str], csv: list[str]):
-    """Write one record in args.format: the payload as JSON (see ``_dumps``),
-    else the lines or the csv rows."""
+def _joined(lines: Iterable[str]) -> Iterator[str]:
+    """The text of ``"\n".join(lines)``, line by line."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
+
+
+def _render(args, payload, lines: Iterable[str], csv: Iterable[str]):
+    """Write one record in args.format as it is produced: the payload as
+    JSON (see ``_dumps``), else the lines or the csv rows.  Only the chosen
+    one is iterated, so a lazy one for another format never runs."""
     if args.format == "json":
         chunks = _json_chunks(payload)
     else:
-        chunks = ["\n".join(csv if args.format == "csv" else lines)]
+        chunks = _joined(csv if args.format == "csv" else lines)
     _emit(chunks, args.out)
 
 
@@ -271,23 +292,32 @@ def cmd_verify(args) -> int:
         groups.setdefault(limit, []).append(name)
     _guard(args.n_max, args.force,
            {limit: ", ".join(group) for limit, group in sorted(groups.items())})
-    rows = formulas.verify_many(names, range(1, args.n_max + 1))
-    lines = []
-    for r in rows:
-        line = f"{r.formula} n={r.n} {r.status}"
+    counts = dict.fromkeys((formulas.EQUAL, formulas.MISMATCH, formulas.OUT_OF_STATED_RANGE), 0)
+
+    def counted(r):
+        counts[r.status] += 1
+        return r
+
+    def line(r) -> list[str]:
+        text = f"{r.formula} n={r.n} {r.status}"
         if r.note and r.status != formulas.EQUAL:
-            line += f" ({r.note})"
-        lines.append(line)
+            text += f" ({r.note})"
         if r.status == formulas.MISMATCH and r.diff is not None:
-            lines.append(f"  diff: {r.diff}")
-    counts = {s: sum(1 for r in rows if r.status == s)
-              for s in (formulas.EQUAL, formulas.MISMATCH, formulas.OUT_OF_STATED_RANGE)}
-    lines.append(
-        "summary: {EQUAL} EQUAL, {MISMATCH} MISMATCH, "
-        "{OUT_OF_STATED_RANGE} OUT_OF_STATED_RANGE".format(**counts)
-    )
-    csv = ["formula,n,status,note"] + [f"{r.formula},{r.n},{r.status},\"{r.note}\"" for r in rows]
-    _render(args, [r.record() for r in rows], lines, csv)
+            return [text, f"  diff: {r.diff}"]
+        return [text]
+
+    def summary():  # runs after the last row, when every row is counted
+        yield ("summary: {EQUAL} EQUAL, {MISMATCH} MISMATCH, "
+               "{OUT_OF_STATED_RANGE} OUT_OF_STATED_RANGE".format(**counts))
+
+    # One iterator of rows, which only the chosen format consumes.  map and
+    # chain keep no row once it is written, so each row is freed before the
+    # next one is computed.
+    rows = map(counted, formulas.verify_many(names, range(1, args.n_max + 1)))
+    _render(args, map(formulas.VerifyRow.record, rows),
+            chain(chain.from_iterable(map(line, rows)), summary()),
+            chain(["formula,n,status,note"],
+                  map(lambda r: f"{r.formula},{r.n},{r.status},\"{r.note}\"", rows)))
     return 1 if counts[formulas.MISMATCH] else 0
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .arcsets import FAMILY_NAMES, Family
 from .perms import Character
@@ -305,16 +305,14 @@ class VerifyRow:
 
     def record(self) -> dict:
         """The row's JSON schema with its polynomials as objects: ``to_json``
-        converts them, the CLI writes their text."""
-        return {
-            "formula": self.formula,
-            "n": self.n,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "diff": self.diff,
-            "note": self.note or None,
-        }
+        converts them, the CLI writes their text.  An EQUAL row's two sides
+        are one polynomial and its diff is zero, so it writes that polynomial
+        once; every other row writes lhs, rhs and diff."""
+        head = {"formula": self.formula, "n": self.n, "status": self.status}
+        if self.status == EQUAL:
+            return {**head, "polynomial": self.rhs, "note": self.note or None}
+        return {**head, "lhs": self.lhs, "rhs": self.rhs, "diff": self.diff,
+                "note": self.note or None}
 
     def to_json(self) -> dict:
         return {key: value.to_json() if isinstance(value, SparsePolynomial) else value
@@ -440,7 +438,7 @@ def verify_formula(name, ns, set_cache: dict | None = None) -> list[VerifyRow]:
             set_cache[key] = _FAMILIES[entry.family](n)
         rhs = enumerator(set_cache[key], entry.weights)
         lhs = entry.build(n) if n >= entry.evaluable_from else None
-        if lhs == rhs:  # keep one polynomial, so the CLI formats its terms once
+        if lhs == rhs:  # keep one polynomial: the built one is freed at once
             lhs = rhs
         diff = None if lhs is None else const(0) if lhs is rhs else lhs - rhs
         if not entry.claimed(n):
@@ -456,9 +454,13 @@ def verify_formula(name, ns, set_cache: dict | None = None) -> list[VerifyRow]:
     return rows
 
 
-def verify_many(names, ns) -> list[VerifyRow]:
+def verify_many(names, ns) -> Iterator[VerifyRow]:
+    """Each identity's rows in turn, in the order of ``names`` and then of
+    ``ns``, with one family cache for all.  Each row is yielded as its own
+    ``verify_formula`` call returns it, so a caller that writes the rows as
+    they come holds one row at a time: a call over all of ``ns`` would hold
+    an identity's earlier rows while it computes the largest n."""
     cache: dict = {}
-    rows = []
     for name in names:
-        rows.extend(verify_formula(name, ns, set_cache=cache))
-    return rows
+        for n in ns:
+            yield from verify_formula(name, [n], set_cache=cache)

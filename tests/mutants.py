@@ -57,6 +57,7 @@ GROUPED = f"{POLY_ORACLE}::test_grouped_decode_matches_reference"
 PAIRS = f"{POLY_ORACLE}::test_pairs_are_counted_exactly_in_the_given_order"
 CANONICAL, CANONICAL_TESTS = "src/arcperm/canonical.py", "tests/test_canonical.py"
 ARCSETS, ARCSETS_TESTS = "src/arcperm/arcsets.py", "tests/test_arcsets.py"
+CLI = "src/arcperm/cli.py"
 ITERATION = f"{FAMILY_WALK}::test_iteration_is_the_generator"
 
 LEDGER = [
@@ -238,6 +239,18 @@ LEDGER = [
     Mutant("cyclic-interval-trusts-its-indices", ARCSETS,
            "or not 0 <= i < size:", "or False:",
            (f"{ARCSETS_TESTS}::test_interval_helpers_refuse_what_is_no_index_or_value",)),
+    Mutant("interval-size-unchecked", ARCSETS,
+           "    if not _is_int(size) or size < 0:\n", "    if False:\n",
+           (f"{ARCSETS_TESTS}::test_interval_helpers_refuse_a_size_that_is_no_count",)),
+    Mutant("equal-row-writes-both-sides", FORMULAS,
+           "        if self.status == EQUAL:\n", "        if False:\n",
+           ("tests/test_formulas.py::test_report_json_schema",)),
+    Mutant("streamed-row-without-its-comma", CLI,
+           '            opening = ","\n            del item', '            opening = ""\n            del item',
+           ("tests/test_cli_json.py::test_bools_are_not_ints",)),
+    Mutant("out-rewrite-not-cut-to-length", CLI,
+           "os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))", "pass",
+           ("tests/test_cli.py::test_output_file_is_rewritten_to_its_new_length",)),
 ]
 
 

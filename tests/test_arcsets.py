@@ -46,6 +46,18 @@ def test_interval_helpers_refuse_what_is_no_index_or_value():
     assert is_cyclic_interval(set(), 0) and is_cyclic_interval({2, 0}, 3)
 
 
+def test_interval_helpers_refuse_a_size_that_is_no_count():
+    # is_interval_zn({1}, True) and is_cyclic_interval({0}, 3.0) answered True,
+    # and is_cyclic_interval({0, 2}, 2.5) took 2 for an index
+    for indices, size in ((set(), -1), ({0}, True), ({0}, 3.0), ({0, 2}, 2.5), ({0}, "3")):
+        with pytest.raises(ValueError, match="^size .* is not a non-negative int$"):
+            is_cyclic_interval(indices, size)
+    for values, n in ((set(), -1), ({1}, True), ({1}, 3.0), ({1}, "3"), (set(), False)):
+        with pytest.raises(ValueError, match="^size .* is not a non-negative int$"):
+            is_interval_zn(values, n)
+    assert is_cyclic_interval(set(), 0) and is_interval_zn(set(), 0)
+
+
 def test_circle_needs_a_positive_int():
     # CircleOn(0).point(0) divided by zero; CircleOn(-2).point(1) was -2 and
     # CircleOn(2.0).point(1) was 2.0

@@ -1,6 +1,11 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from arcperm.cli import VERIFY_LIMIT, VERIFY_TQ_LIMIT, main
 from arcperm.formulas import REGISTRY, formula_names
@@ -277,7 +282,82 @@ def test_unwritable_output_file(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_output_file_is_rewritten_to_its_new_length(tmp_path, capsys):
+    # the file is rewritten in place and then cut: a shorter text leaves no
+    # tail of the longer one before it
+    target = tmp_path / "out.txt"
+    for n in ("4", "2"):
+        code, out, _ = run(capsys, "enumerate", "--set", "arc", "--n", n, "--out", str(target))
+        assert code == 0 and out == ""
+    assert target.read_text() == "[1,2]\n[2,1]\ncount 2\n"
+    # created with the mode open(..., "w") gives, following a symlink
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    assert target.stat().st_mode == plain.stat().st_mode
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run(capsys, "enumerate", "--set", "arc", "--n", "1", "--out", str(link))[0] == 0
+    assert link.is_symlink() and target.read_text() == "[1]\ncount 1\n"
+
+
+def test_output_to_a_device_and_to_a_directory(tmp_path, capsys):
+    # /dev/null cannot be cut to length, and is not; a directory cannot be opened
+    code, out, err = run(capsys, "verify", "--formula", "f_A_maj", "--n-max", "3",
+                         "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run(capsys, "verify", "--formula", "f_A_maj", "--n-max", "3",
+                         "--format", "json", "--out", str(tmp_path))
+    assert code == 2 and out == "" and "error" in json.loads(err)
+
+
+def test_an_error_after_written_rows_exits_2(monkeypatch, capsys, tmp_path):
+    # f_A_des builds from n = 3, after the rows of the three identities before
+    # it were written: they stay written, and the error follows on stderr
+    def broken(n):
+        raise ValueError("no closed form today")
+
+    monkeypatch.setitem(REGISTRY, "f_A_des", dataclasses.replace(REGISTRY["f_A_des"], build=broken))
+    argv = ["verify", "--formula", "all", "--n-max", "3", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and json.loads(err) == {"error": "no closed form today"}
+    assert out.startswith("[\n  {\n") and not out.endswith("\n")
+    assert '"formula": "f_A_des_maj",\n    "n": 3,' in out
+    assert '"formula": "f_A_des",\n    "n": 2,' in out and '"n": 3,\n    "status": "EQUAL"' in out
+    target = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(target)) == (2, "", err)
+    assert target.read_text() == out
+    code, out, err = run(capsys, *argv[:-2])
+    assert code == 2 and err == "error: no closed form today\n"
+    assert out.splitlines()[-1] == "f_A_des n=2 OUT_OF_STATED_RANGE (stated validity is n >= 3; " \
+        "literal form carries (1+t)^(n-3); brute-force value reported as rhs)"
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "verify", "--formula", "f_AB_des_set", "--n-max", "6", "--format", "json")
     second = run(capsys, "verify", "--formula", "f_AB_des_set", "--n-max", "6", "--format", "json")
     assert first == second
+
+
+# verify computes each row, writes it and drops it before the next.  The
+# largest row of f_As_des_neg_inv at n <= 14 is n = 14's.  A fresh process
+# peaked at 125.8 MB writing one row at a time, at 149.1 MB holding the
+# identity's earlier rows while it computed n = 14, and at 157.8 MB holding
+# every row until the end (three runs each, within 0.3 MB; 2-vCPU VM,
+# Python 3.11.7).  The bound is 12 MB above the first figure.
+PEAK_ARGV = ["verify", "--formula", "f_As_des_neg_inv", "--n-max", "14"]
+PEAK_BOUND_MB = 138
+
+
+def test_verify_holds_one_row_at_a_time():
+    # a parent of its own reads the CLI's peak: RUSAGE_CHILDREN of the test
+    # process would hold the largest child of any earlier test too
+    script = ("import resource, subprocess, sys\n"
+              "subprocess.run([sys.executable, '-m', 'arcperm.cli', *sys.argv[1:]], check=True,"
+              " stdout=subprocess.DEVNULL)\n"
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script, *PEAK_ARGV], env=env, check=True,
+                          capture_output=True, text=True)
+    peak_mb = int(done.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert peak_mb < PEAK_BOUND_MB

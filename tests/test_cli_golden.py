@@ -1,6 +1,6 @@
 """CLI output frozen byte for byte: exit code, stdout and stderr of every
 subcommand in every --format, against the recorded tests/golden/cli.json.
-One case is too large to record (3.56 MB): ``verify --formula all --n-max 8
+One case is too large to record (1.81 MB): ``verify --formula all --n-max 8
 --format json`` is checked against ``json.dumps`` of the rows' ``to_json``.
 
 The schema tests in test_cli.py say what the output means; this file says
@@ -59,7 +59,7 @@ def _cases():
         yield ["verify", "--formula", "all", "--n-max", "1" if fmt == "json" else "2",
                "--format", fmt]
         if fmt == "json":
-            # EQUAL rows, whose lhs and rhs are one shared term list
+            # EQUAL rows, which write their one polynomial once
             yield ["verify", "--formula", "all", "--n-max", "4", "--format", fmt]
         for formula in ("f_AB_fdes_fmaj", "negative-control"):
             yield ["verify", "--formula", formula, "--n-max", "3", "--format", fmt]

@@ -4,6 +4,7 @@ Polynomials are written from their own text (``SparsePolynomial.json_text``),
 compared here with ``json.dumps`` of their ``to_json`` at every depth."""
 
 import json
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,12 +55,20 @@ def test_writer_matches_json_dumps(payload):
 @given(st.data())
 def test_shared_containers_at_any_depth(data):
     # one container object reached several times, at one depth and at
-    # several: the memo may repeat it only where the indent is the same
+    # several: each time at its own indent
     shared = data.draw(containers(payloads(SCALARS)))
     payload = data.draw(payloads(SCALARS | st.just(shared) | st.builds(Box, st.just(shared))))
     pair = {"lhs": shared, "rhs": shared, "deeper": [shared, {"again": shared}]}
     for obj in (payload, pair, [pair, pair]):
         assert cli._dumps(obj) == reference(obj)
+
+
+@settings(max_examples=100)
+@given(st.lists(payloads(SCALARS), max_size=4))
+def test_an_iterator_is_written_as_a_list(items):
+    # verify's rows reach the writer as an iterator and are written as they come
+    assert cli._dumps(iter(items)) == reference(items)
+    assert cli._dumps({"rows": map(Box, items)}) == reference({"rows": items})
 
 
 def test_bools_are_not_ints():
@@ -97,15 +106,15 @@ def test_polynomial_text_matches_json_dumps(poly):
 @settings(max_examples=100)
 @given(POLYNOMIALS, POLYNOMIALS)
 def test_polynomials_met_twice(a, b):
-    # the memo keys on the object and the depth: one polynomial at one depth
-    # and at several, and an equal but distinct one, keep their own text
+    # one polynomial at one depth and at several, and an equal but distinct
+    # one, each written at its own indent
     twin = SparsePolynomial.from_json(a.to_json())
     payload = {"lhs": a, "rhs": a, "twin": twin, "deeper": [a, {"again": a, "b": b}], "b": b}
     assert cli._dumps(payload) == reference(payload)
 
 
 def test_verify_rows_n_max_8():
-    rows = formulas.verify_many(formulas.formula_names(), range(1, 9))
+    rows = list(formulas.verify_many(formulas.formula_names(), range(1, 9)))
     assert any(r.status == formulas.EQUAL for r in rows)
     assert cli._dumps(rows) == reference(rows)
 
@@ -132,6 +141,8 @@ def test_each_subcommand_payload(argv, monkeypatch, capsys):
     render = cli._render
 
     def capture(args, payload, *rest):
+        if isinstance(payload, Iterator):  # verify's rows, written as they come
+            payload = list(payload)
         seen.append(payload)
         render(args, payload, *rest)
 

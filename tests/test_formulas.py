@@ -224,12 +224,24 @@ def test_negative_control_mismatches():
 
 
 def test_report_json_schema():
-    rows = verify_many(["f_A_maj", "f_A_des"], range(1, 4))
+    # one key set per status: an EQUAL row writes its one polynomial once
+    rows = [*verify_many(["f_A_maj", "f_A_des"], range(1, 4)),
+            *verify_many(["negative-control"], range(2, 3))]
+    assert {row.status for row in rows} == {EQUAL, MISMATCH, OUT_OF_STATED_RANGE}
     for row in rows:
         data = row.to_json()
-        assert set(data) == {"formula", "n", "status", "lhs", "rhs", "diff", "note"}
-        assert data["status"] in (EQUAL, MISMATCH, OUT_OF_STATED_RANGE)
-        assert isinstance(data["rhs"], list)
+        if row.status == EQUAL:
+            assert list(data) == ["formula", "n", "status", "polynomial", "note"]
+            assert data["polynomial"] == row.lhs.to_json() == row.rhs.to_json()
+        else:
+            assert list(data) == ["formula", "n", "status", "lhs", "rhs", "diff", "note"]
+            assert isinstance(data["rhs"], list)
+
+
+def test_verify_formula_returns_a_list():
+    # a list, not a generator: callers time the call and then read its rows
+    rows = verify_formula("f_A_maj", range(1, 4))
+    assert type(rows) is list and [r.status for r in rows] == [OUT_OF_STATED_RANGE, EQUAL, EQUAL]
 
 
 def test_registry_names_are_exact():
