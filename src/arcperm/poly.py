@@ -11,13 +11,14 @@ exponent.  The top bit of a field is a guard that a valid key never sets, so
 exponents are at most 2**31 - 1 and a product of monomials is the sum of
 their keys: two fields below 2**31 add up to less than 2**32 and never carry
 into the next field.  Every key that product, power, substitution,
-``from_terms``, ``exact_div`` or ``walk.enumerator`` builds is checked, and
-an exponent past 2**31 - 1 raises OverflowError; nothing wraps.
+``from_terms`` or ``walk.enumerator`` builds is checked, and an exponent
+past 2**31 - 1 raises OverflowError; nothing wraps.  ``exact_div`` builds no
+exponent above its dividend's, so its keys need no check.
 
-Keys are decoded only at the edges (printing, JSON, ``variables``, the
-exponent vectors of ``exact_div``).  Printing and JSON list terms in graded
-order: total degree, then exponents in the variable order t < q < u < y < z
-< x0 < x1 < ... < y1 < y2 < ..., never in the order fields were assigned.
+Keys are decoded only at the edges (printing, JSON, ``variables``).
+Printing and JSON list terms in graded order: total degree, then exponents
+in the variable order t < q < u < y < z < x0 < x1 < ... < y1 < y2 < ...,
+never in the order fields were assigned.
 ``str``, ``to_json``, pickling and ``json_text`` share one decode
 (``_graded``), which takes the occurring variables four at a time and
 decodes each distinct exponent tuple of a group once.
@@ -33,11 +34,12 @@ shift and add per term, and the rows are decoded once.  The pairs are
 counted exactly, in the order the factors are given, from the sumset of the
 keys of each partial product; the count stops at the box, so it never does
 more work than the dict product it decides against.
-A substitution is one pass over the terms.  An exact division by a
-divisor in at most one variable is long division, row by row of the
-dividend: O(S + R * D) for rows of S slots in all, R quotient terms and a
-D-term divisor.  Otherwise, or when that refuses, it takes O(R * D *
-log(R * D)) for R reduction steps, picking each leading term from a heap.
+A substitution is one pass over the terms.  An exact division, by a
+divisor in at most one variable, is long division row by row of the
+dividend: sorting the dividend's T terms within their rows, O(T log T),
+then O(D) dict updates per reduction step for a D-term divisor, and one
+bisected insert for each exponent a step writes outside the dividend's
+row, so a gap in a row costs nothing.
 The slot codec at the end of this module (``_pack``, ``_unpack``,
 ``_from_slots``) serves both the packed product and the packed walk in
 ``walk``.  Output costs each
@@ -52,9 +54,9 @@ rows the JSON writer takes 59 ms against 88 ms reading one field at a time
 
 from __future__ import annotations
 
-import heapq
 import re
 import struct
+from bisect import insort
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
 from math import prod
@@ -169,7 +171,7 @@ class SparsePolynomial:
             mono = 0
             for name, exp in exponents.items():
                 _SHIFTS[name]  # raises ValueError outside the alphabet
-                if not isinstance(exp, int) or exp < 0:
+                if not _is_count(exp):
                     raise ValueError(f"exponent {exp!r} of {name} must be a nonnegative integer")
                 mono += _power(name, exp)
             _add_term(acc, mono, _coefficient(coeff))
@@ -282,7 +284,7 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> SparsePolynomial:
-        if not isinstance(k, int) or k < 0:
+        if not _is_count(k):
             raise ValueError(f"exponent {k!r} must be a nonnegative integer")
         if len(self._terms) == 1:  # k times the key, which no field carries out of in range
             ((mono, coeff),) = self._terms.items()
@@ -447,6 +449,12 @@ def _binding(value) -> SparsePolynomial | int:
     """A substitution value: an int when it is constant, else a polynomial."""
     value = _operand(value, "a binding")
     return value.constant_value() if value._terms.keys() <= {0} else value
+
+
+def _is_count(k) -> bool:
+    """Whether k is a nonnegative int and not a bool: a size, a power or an
+    exponent."""
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
 
 
 def _coefficient(c) -> int:
@@ -622,7 +630,7 @@ def _times(acc: dict[int, int], before: dict[int, tuple[int, int]],
 
 def q_bracket(n: int, base: SparsePolynomial | int) -> SparsePolynomial:
     """The sum 1 + base + base^2 + ... + base^(n-1); zero when n = 0."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_count(n):
         raise ValueError(f"bracket size {n!r} must be a nonnegative integer")
     base = _operand(base, "the bracket base")
     terms: dict[Monomial, int] = {}
@@ -643,123 +651,63 @@ class ExactDivisionError(ArithmeticError):
 
 
 def exact_div(p: SparsePolynomial | int, d: SparsePolynomial | int) -> SparsePolynomial:
-    """Exact quotient p / d in the polynomial ring.
+    """Exact quotient p / d in the polynomial ring, for a divisor d in at
+    most one variable (a constant included); ValueError for any other
+    divisor, a monomial such as t*q among them.  ExactDivisionError, with
+    the remainder, when d does not divide p.
 
-    When d lies in at most one variable, long division by rows finds the
-    quotient (``_long_div``); otherwise, and whenever that refuses, the heap
-    reduction decides (``_heap_div``).
+    Long division by rows (docs/DECISIONS.md §7): a row of p is its terms
+    that agree outside d's field, and d's variable occurs in no other field,
+    so each row is divided alone.  A row is reduced from its top exponent by
+    d's leading coefficient.  A term below d's top exponent, or whose
+    coefficient that one does not divide, goes to the remainder, and the
+    reduction goes on below it: this is the reduction in the graded order,
+    one row at a time, so the quotient of an exact division is the only one
+    it can find.  A row's exponents are sorted once and taken from the top;
+    a step that writes outside them inserts that exponent by bisection,
+    within d's span of the end, so a gap in a row costs nothing.  Every step
+    writes below the term it reduces, so no key passes p's and none is
+    checked.
     """
     p, d = _operand(p, "the dividend"), _operand(d, "the divisor")
     if d.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    quotient = _long_div(p, d)
-    return _heap_div(p, d) if quotient is None else quotient
-
-
-def _long_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial | None:
-    """p / d by schoolbook long division, for d in at most one variable, or
-    None to leave the division to the heap reduction (docs/DECISIONS.md §7).
-
-    A row of p is its terms that agree outside d's field; d's variable
-    occurs in no other field, so each row is divided alone.  Laid out
-    densely from its lowest exponent, a row is reduced from the top by d's
-    leading coefficient, and the quotient of an exact division is the only
-    one this can find.  None when a coefficient does not divide, when a
-    term is left where no step can clear it (below d's top exponent, or
-    where a step would write below the row's lowest exponent), and when
-    the rows' summed spans are more slots than p and d have term pairs.
-    """
     fields = list(islice(_fields(_occurring([d])), 2))
     if len(fields) > 1:
-        return None
+        raise ValueError(f"the divisor {d} is in more than one variable")
     inner = fields[0] if fields else 0
     mask = _MAX << inner if fields else 0  # no field: each term is a row
-    rows: dict[Monomial, list[tuple[int, int]]] = {}
+    rows: dict[Monomial, dict[int, int]] = {}
     for mono, coeff in p._terms.items():
         e = mono & mask
-        rows.setdefault(mono - e, []).append((e >> inner, coeff))
-    spans = [(rest, min(row)[0], max(row)[0], row) for rest, row in rows.items()]
-    if sum([top - low + 1 for _, low, top, _ in spans]) > len(p._terms) * len(d._terms):
-        return None
+        rows.setdefault(mono - e, {})[e >> inner] = coeff
     divisor = sorted([(mono >> inner, coeff) for mono, coeff in d._terms.items()])
-    (d_low, _), (d_top, lead) = divisor[0], divisor[-1]
-    steps = [(d_top - e, coeff) for e, coeff in divisor[:-1]]
-    terms: dict[Monomial, int] = {}
-    for rest, low, top, row in spans:
-        dense = [0] * (top - low + 1)
-        for e, coeff in row:
-            dense[e - low] = coeff
-        # a step at index i writes down to i - (d_top - d_low), and its
-        # quotient exponent is low + i - d_top: neither may be negative
-        stop = d_top - min(d_low, low)
-        for i in range(top - low, stop - 1, -1):
-            coeff = dense[i]
-            if coeff:
-                if coeff % lead:
-                    return None
-                coeff //= lead
-                for offset, c in steps:
-                    dense[i - offset] -= coeff * c
-                terms[rest + (low + i - d_top << inner)] = coeff
-        if any(dense[:stop]):
-            return None
-    return SparsePolynomial(terms)
-
-
-def _heap_div(p: SparsePolynomial, d: SparsePolynomial) -> SparsePolynomial:
-    """Exact quotient p / d by the single-divisor reduction in a graded
-    order; when d divides p every leading coefficient step is an exact
-    integer division, and a nonzero final remainder proves
-    non-divisibility (ExactDivisionError).
-
-    Leading terms come off a heap keyed on the graded order, so R steps
-    with a D-term divisor cost O(R * D * log(R * D)).  A monomial is pushed
-    once, when it enters the work set; it stays there until popped, and a
-    popped one whose coefficient has cancelled to 0 is skipped.  This is
-    sound because every term a step adds lies below the current leading
-    term, so a popped monomial never comes back.
-    """
-    names, shifts = _layout([p, d])
-
-    def to_vec(mono: Monomial) -> tuple[int, ...]:
-        return tuple(mono >> shift & _MAX for shift in shifts)
-
-    def heap_key(vec: tuple[int, ...]):
-        # heapq pops the smallest entry: negate the graded key (degree, vec)
-        return (-sum(vec), tuple(-e for e in vec), vec)
-
-    def from_vecs(vecs: dict[tuple[int, ...], int]) -> SparsePolynomial:
-        return SparsePolynomial({sum(map(_power, names, vec)): c for vec, c in vecs.items()})
-
-    work = {to_vec(m): c for m, c in p._terms.items()}
-    divisor = {to_vec(m): c for m, c in d._terms.items()}
-    d_lead = min(heap_key(vec) for vec in divisor)[2]
-    d_coeff = divisor.pop(d_lead)
-
-    heap = [heap_key(vec) for vec in work]
-    heapq.heapify(heap)
-    quotient: dict[tuple[int, ...], int] = {}
-    remainder: dict[tuple[int, ...], int] = {}
-    while heap:
-        lead = heapq.heappop(heap)[2]
-        coeff = work.pop(lead)
-        if not coeff:
-            continue
-        if all(a >= b for a, b in zip(lead, d_lead)) and coeff % d_coeff == 0:
-            q_vec = tuple(a - b for a, b in zip(lead, d_lead))
-            q_coeff = coeff // d_coeff
-            quotient[q_vec] = q_coeff
-            for vec, c in divisor.items():
-                target = tuple(a + b for a, b in zip(q_vec, vec))
-                if target not in work:
-                    work[target] = 0
-                    heapq.heappush(heap, heap_key(target))
-                work[target] -= q_coeff * c
-        else:
-            remainder[lead] = coeff
+    d_top, lead = divisor.pop()
+    steps = [(d_top - e, -coeff) for e, coeff in divisor]
+    quotient: dict[Monomial, int] = {}
+    remainder: dict[Monomial, int] = {}
+    for rest, row in rows.items():
+        exps = sorted(row)
+        while exps:
+            e = exps.pop()
+            coeff = row[e]
+            if not coeff:
+                continue
+            if e < d_top or coeff % lead:
+                remainder[rest + (e << inner)] = coeff
+                continue
+            coeff //= lead
+            quotient[rest + (e - d_top << inner)] = coeff
+            for offset, c in steps:
+                target = e - offset
+                if target in row:
+                    row[target] += coeff * c
+                else:
+                    row[target] = coeff * c
+                    insort(exps, target)
     if remainder:
-        raise ExactDivisionError(from_vecs(remainder))
-    return from_vecs(quotient)
+        raise ExactDivisionError(SparsePolynomial(remainder))
+    return SparsePolynomial(quotient)
 
 
 def _from_slots(packed: int, width: int, keys: Sequence[Monomial]) -> SparsePolynomial:

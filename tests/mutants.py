@@ -157,22 +157,29 @@ LEDGER = [
            "    for _ in range(n + 1):\n        for mono, coeff in power._terms.items():",
            (POLY_TESTS,)),
     # the long division
-    Mutant("long-division-without-its-divisibility-check", POLY,
-           "                if coeff % lead:\n                    return None\n", "",
+    Mutant("division-takes-a-non-dividing-coefficient-as-exact", POLY,
+           "            if e < d_top or coeff % lead:", "            if e < d_top:",
            (f"{POLY_TESTS}::test_exact_div_coerces_int_operands",)),
-    Mutant("long-division-without-its-below-the-row-check", POLY,
-           "        if any(dense[:stop]):\n            return None\n", "",
-           (f"{POLY_TESTS}::test_exact_div_failure_reports_remainder",)),
-    Mutant("long-division-quotient-one-exponent-high", POLY,
-           "terms[rest + (low + i - d_top << inner)] = coeff",
-           "terms[rest + (low + i - d_top + 1 << inner)] = coeff", (f"{POLY_TESTS}::test_exact_div",)),
-    Mutant("long-division-allows-negative-exponents", POLY,
-           "        stop = d_top - min(d_low, low)", "        stop = d_top - d_low",
-           (f"{POLY_ORACLE}::test_row_division_refuses_as_the_heap_does",)),
-    Mutant("long-division-box-rule-ge-for-gt", POLY,
-           "    if sum([top - low + 1 for _, low, top, _ in spans]) > len(p._terms) * len(d._terms):",
-           "    if sum([top - low + 1 for _, low, top, _ in spans]) >= len(p._terms) * len(d._terms):",
-           (f"{POLY_ORACLE}::test_long_division_answers_without_the_heap",)),
+    # one exponent below the top only, and caught by a test whose divisor's
+    # field lies below the dividend's: a quotient exponent below 0 borrows
+    # from the field above, and a negative key would never decode
+    Mutant("division-reduces-a-term-below-the-top", POLY,
+           "            if e < d_top or coeff % lead:", "            if e < d_top - 1 or coeff % lead:",
+           (f"{POLY_ORACLE}::test_a_term_below_the_divisors_top_is_remainder",)),
+    Mutant("division-never-visits-what-steps-write-outside-the-row", POLY,
+           "                    insort(exps, target)\n", "",
+           (f"{POLY_TESTS}::test_exact_div",)),
+    Mutant("division-quotient-one-exponent-high", POLY,
+           "quotient[rest + (e - d_top << inner)] = coeff",
+           "quotient[rest + (e - d_top + 1 << inner)] = coeff", (f"{POLY_TESTS}::test_exact_div",)),
+    Mutant("division-stops-at-the-first-remainder-term", POLY,
+           "                remainder[rest + (e << inner)] = coeff\n                continue\n",
+           "                remainder[rest + (e << inner)] = coeff\n                break\n",
+           (f"{POLY_ORACLE}::test_row_division_refuses_as_the_reference_does",)),
+    Mutant("count-accepts-a-bool", POLY,
+           "    return isinstance(k, int) and not isinstance(k, bool) and k >= 0",
+           "    return isinstance(k, int) and k >= 0",
+           (f"{POLY_TESTS}::test_a_bool_size_power_or_exponent_is_refused",)),
     # the grouped output decode
     Mutant("group-part-without-its-degree", POLY,
            "part = self[mono] = ((sum(exps) << self.degree) + (fields << self.offset),",

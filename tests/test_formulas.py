@@ -36,7 +36,7 @@ from arcperm.formulas import (
 from arcperm.perms import Character
 from arcperm.poly import const, poly_product, var
 from arcperm.walk import WeightSpec, enumerator
-from test_poly_oracle import long_div_spy, packed_spy
+from test_poly_oracle import packed_spy
 
 T = var("t")
 Q = var("q")
@@ -127,30 +127,19 @@ LARGE_BUILDS = [
 
 
 def test_large_builds_match_the_dict_product(monkeypatch):
-    """The packed product and the long division give real-size results as
-    the dict product and the heap reduction compute them, term for term:
-    every closed form to n = 12 by its terms (which fix its text), and the
-    benchmark's large builds by their text."""
+    """The packed product gives real-size results as the dict product
+    computes them, term for term: every closed form to n = 12 by its terms
+    (which fix its text), and the benchmark's large builds by their text."""
     small = [(name, n) for name, entry in REGISTRY.items() for n in range(entry.evaluable_from, 13)]
-    with packed_spy() as taken, long_div_spy() as divided:
+    with packed_spy() as taken:
         packed = {(name, n): REGISTRY[name].build(n) for name, n in small + LARGE_BUILDS}
     assert sum(taken) >= 16  # two packed products in each character build at least
-    assert sum(divided) >= 10  # f_AB_fdes_fmaj's division, n = 3 to 12 and 16
     texts = {build: str(packed[build]) for build in LARGE_BUILDS}
     monkeypatch.setattr(poly, "_packed_product", lambda factors: None)
-    monkeypatch.setattr(poly, "_long_div", lambda p, d: None)
     for name, n in small:
         assert REGISTRY[name].build(n) == packed[name, n], (name, n)
     for (name, n), text in texts.items():
         assert str(REGISTRY[name].build(n)) == text, (name, n)
-
-
-def test_f_AB_fdes_fmaj_divides_by_long_division():
-    """The closed form's one division, by 1 - q, never needs the heap."""
-    with long_div_spy() as divided:
-        for n in range(3, 17):
-            f_AB_fdes_fmaj(n)
-    assert divided == [True] * 14
 
 
 def test_sign_twisted_form_is_the_inversion_form_at_minus_one():

@@ -114,6 +114,12 @@ def test_exact_div_coerces_int_operands():
         exact_div(6, 4)
 
 
+def test_exact_div_refuses_a_divisor_in_two_variables():
+    for d in (1 + T * Q, T * Q, X1 + var("y2")):
+        with pytest.raises(ValueError, match="more than one variable"):
+            exact_div(d * Q, d)
+
+
 def test_exact_div_names_a_bad_operand():
     with pytest.raises(TypeError, match="the divisor .* not str"):
         exact_div(Q, "x")
@@ -138,6 +144,18 @@ def test_from_terms_takes_int_coefficients_only():
     assert SparsePolynomial.from_terms([({"t": 1}, True)]) == T
     with pytest.raises(TypeError, match="coefficient must be an int, not float"):
         SparsePolynomial.from_terms([({"t": 1}, 1.5)])
+
+
+def test_a_bool_size_power_or_exponent_is_refused():
+    """A bool is no count, though a bool coefficient reads as 0 or 1."""
+    with pytest.raises(ValueError, match="bracket size True"):
+        q_bracket(True, Q)
+    with pytest.raises(ValueError, match="exponent True"):
+        Q**True
+    for exp in (True, False):
+        with pytest.raises(ValueError, match=f"exponent {exp} of q"):
+            SparsePolynomial.from_terms([({"q": exp}, 1)])
+    assert q_bracket(1, Q) == 1 and Q**1 == Q
 
 
 def test_a_bool_coefficient_is_written_as_an_int():
@@ -196,8 +214,18 @@ def test_substitute_is_a_homomorphism(a, b):
     assert (a + b).substitute(bindings) == a.substitute(bindings) + b.substitute(bindings)
 
 
+# exact_div takes a divisor in one variable, whose field lies below, between
+# or above those of the dividend's other variables
+_divisors = st.builds(
+    lambda name, terms: SparsePolynomial.from_terms([({name: e} if e else {}, c) for e, c in terms]),
+    st.sampled_from(["t", "q", "x1", "x40"]),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                       st.integers(min_value=-5, max_value=5)), max_size=4),
+)
+
+
 @settings(max_examples=60)
-@given(_polys, _polys)
+@given(_polys, _divisors)
 def test_exact_div_inverts_multiplication(p, d):
     if d.is_zero:
         return

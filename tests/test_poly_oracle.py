@@ -9,6 +9,7 @@ order from an explicit list of the alphabet.
 
 import json
 import pickle
+import tracemalloc
 from contextlib import contextmanager
 from functools import reduce
 from math import comb
@@ -153,6 +154,15 @@ _ints = st.integers(min_value=-2, max_value=2)
 _names = st.sampled_from(VARS)
 
 
+def _divisor_terms(max_terms, exps=st.integers(0, 3)):
+    """Up to ``max_terms`` terms in one variable, as exact_div takes: t, q,
+    x1 or x40, whose fields lie below, among and above the other fields of
+    a dividend in VARS.  An exponent of 0 is a constant term."""
+    return st.tuples(st.sampled_from(["t", "q", "x1", "x40"]), st.lists(
+        st.tuples(exps, st.integers(min_value=-5, max_value=5)), max_size=max_terms)).map(
+        lambda drawn: [({drawn[0]: e} if e else {}, c) for e, c in drawn[1]])
+
+
 @given(_data, _data, st.integers(min_value=0, max_value=3))
 def test_ring_operations_match_reference(a, b, k):
     (pa, ra), (pb, rb) = pair(a), pair(b)
@@ -181,7 +191,7 @@ def test_products_near_the_exponent_limit_match_reference(a, b):
 
 
 @settings(max_examples=60)
-@given(_terms(4, exps=_small_or_half), _terms(3, exps=_small_or_half))
+@given(_terms(4, exps=_small_or_half), _divisor_terms(3, exps=st.just(0) | _small_or_half))
 def test_exact_div_near_the_exponent_limit_inverts_product(a, d):
     (pa, ra), (pd, _) = pair(a), pair(d)
     if pd.is_zero:
@@ -218,7 +228,7 @@ def test_substitute_default_matches_reference(a, raw, default):
 
 
 @settings(max_examples=80)
-@given(_data, _terms(3))
+@given(_data, _divisor_terms(3))
 def test_exact_div_inverts_product(a, d):
     (pa, ra), (pd, _) = pair(a), pair(d)
     if pd.is_zero:
@@ -227,7 +237,7 @@ def test_exact_div_inverts_product(a, d):
 
 
 @settings(max_examples=80)
-@given(_data, _terms(3))
+@given(_data, _divisor_terms(3))
 def test_exact_div_matches_reference_division(a, d):
     (pa, ra), (pd, rd) = pair(a), pair(d)
     if pd.is_zero:
@@ -249,6 +259,19 @@ def test_exact_div_error_remainder():
         exact_div(q, 1 - q)
     assert str(info.value.remainder) == str(remainder) == "1"
     assert str(info.value) == "division is not exact; remainder 1"
+
+
+def test_a_term_below_the_divisors_top_is_remainder():
+    """y98 holds no x99, so 1 - x99 cannot reduce it.  x99's field lies
+    below y98's (FRESH), so a step that took it below x99^0 would show as
+    a large power of x99 in place of y98."""
+    x99, y98 = var("x99"), var("y98")
+    _, remainder = Ref.from_terms([({"y98": 1}, 1)]).divmod(
+        Ref.from_terms([({}, 1), ({"x99": 1}, -1)]))
+    with pytest.raises(ExactDivisionError) as info:
+        exact_div(y98, 1 - x99)
+    assert_same(info.value.remainder, remainder)
+    assert str(remainder) == "y98"
 
 
 # -- the packed univariate product ----------------------------------------------
@@ -642,25 +665,6 @@ def test_colliding_dict_products_match_reference(a, b, text):
 # -- the row-wise exact division ------------------------------------------------
 
 
-@contextmanager
-def long_div_spy():
-    """Records, per call of the long division, whether it found the
-    quotient (True) or left the division to the heap reduction (False)."""
-    original = poly._long_div
-    taken = []
-
-    def spy(p, d):
-        result = original(p, d)
-        taken.append(result is not None)
-        return result
-
-    poly._long_div = spy
-    try:
-        yield taken
-    finally:
-        poly._long_div = original
-
-
 _q_divisor = st.lists(st.tuples(st.integers(0, 5), _nonzero), min_size=1, max_size=4).map(
     lambda terms: [({"q": e} if e else {}, c) for e, c in terms])
 _binomial_divisor = st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1]),
@@ -675,14 +679,15 @@ _tqx_dividend = st.one_of(_rectangle(), st.lists(st.tuples(
 
 @settings(max_examples=80)
 @given(_tqx_dividend, _divisor)
-def test_row_division_of_multiples_matches_the_heap(a, d):
-    (pa, ra), (pd, _) = pair(a), pair(d)
+def test_row_division_of_multiples_matches_reference(a, d):
+    (pa, ra), (pd, rd) = pair(a), pair(d)
     if pd.is_zero:
         return
-    product = pa * pd
-    got = exact_div(product, pd)
+    got = exact_div(pa * pd, pd)
     assert_same(got, ra)
-    assert got == poly._heap_div(product, pd)
+    quotient, remainder = (ra * rd).divmod(rd)
+    assert not remainder.terms
+    assert_same(got, quotient)
 
 
 @given(st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
@@ -690,17 +695,13 @@ def test_row_division_of_multiples_matches_the_heap(a, d):
                            max_size=shape[0] * shape[1]).map(lambda sizes: (shape, sizes))),
     st.sampled_from([1, -1]), st.sampled_from([1, -1]))
 def test_row_division_by_one_plus_or_minus_q_needs_no_heap(rectangle, c0, s):
-    """d = c0 (1 + s q) divides p = a d by long division alone, however
-    large the coefficients.  Signs s^b in each row keep p from cancelling,
-    so its box passes."""
+    """d = c0 (1 + s q) divides p = a d, however large the coefficients.
+    Signs s^b in each row keep p from cancelling."""
     (rows, cols), sizes = rectangle
     data = [({name: e for name, e in (("t", a), ("q", b)) if e}, s**b * size)
             for (a, b), size in zip(((a, b) for a in range(rows) for b in range(cols)), sizes)]
     (pa, ra), pd = pair(data), c0 * (1 + s * var("q"))
-    with long_div_spy() as taken:
-        got = exact_div(pa * pd, pd)
-    assert taken == [True]
-    assert_same(got, ra)
+    assert_same(exact_div(pa * pd, pd), ra)
 
 
 @settings(max_examples=80)
@@ -709,27 +710,25 @@ def test_row_division_by_one_plus_or_minus_q_needs_no_heap(rectangle, c0, s):
 @example([({}, 1), ({"q": 1}, 1), ({"q": 2}, 1)], [({}, 1), ({"q": 1}, 1)])
 # 1 + q = q^-1 (q + q^2): no step may give the quotient a negative exponent
 @example([({}, 1), ({"q": 1}, 1)], [({"q": 1}, 1), ({"q": 2}, 1)])
-def test_row_division_refuses_as_the_heap_does(p_data, d):
-    (pp, _), (pd, _) = pair(p_data), pair(d)
+def test_row_division_refuses_as_the_reference_does(p_data, d):
+    (pp, rp), (pd, rd) = pair(p_data), pair(d)
     if pd.is_zero:
         return
-    try:
-        want = poly._heap_div(pp, pd)
-    except ExactDivisionError as error:
+    quotient, remainder = rp.divmod(rd)
+    if remainder.terms:
         with pytest.raises(ExactDivisionError) as info:
             exact_div(pp, pd)
-        assert str(info.value.remainder) == str(error.remainder)
-        assert info.value.remainder == error.remainder
+        assert_same(info.value.remainder, remainder)
+        assert str(info.value) == f"division is not exact; remainder {remainder}"
     else:
-        assert exact_div(pp, pd) == want
+        assert_same(exact_div(pp, pd), quotient)
 
 
 def test_long_division_answers_without_the_heap():
     """Coefficients past 64 bits in dividend and quotient, a quotient whose
-    coefficients peak far above the dividend's, a closed form's numerator
-    and a constant divisor all divide by long division alone, as the heap
-    divides them.
-    A row whose span is more slots than the term pairs goes to the heap."""
+    coefficients peak far above the dividend's, a closed form's numerator,
+    rows with a gap of 10^6 exponents and a constant divisor all divide
+    exactly."""
     from arcperm.formulas import f_AB_fdes_fmaj
 
     t, q = var("t"), var("q")
@@ -740,22 +739,28 @@ def test_long_division_answers_without_the_heap():
     tent = SparsePolynomial.from_terms([({"q": j} if j else {}, 1 if j < 200 else -1)
                                         for j in range(400)])
     peak = poly.q_bracket(200, q) ** 2
-    # a row laid out from its lowest exponent: two slots
     far = q**10**6
     cases += [(tent, 1 - q, peak), (f_AB_fdes_fmaj(10) * (1 - q), 1 - q, f_AB_fdes_fmaj(10)),
-              (far * (1 - q), 1 - q, far),
-              # a constant divisor: each term is a row of one slot, as many as the pairs
+              (far * (1 - q), 1 - q, far), ((1 + far) * (1 - q), 1 - q, 1 + far),
+              # a constant divisor: each term is a row of one term
               (-6 * quotients[1], const(-6), quotients[1])]
-    with long_div_spy() as taken:
-        assert [exact_div(p, d) for p, d, _ in cases] == [want for *_, want in cases]
-    assert taken == [True] * len(cases)
+    assert [exact_div(p, d) for p, d, _ in cases] == [want for *_, want in cases]
     assert max(c for _, c in peak.sorted_terms()) == 200
-    assert all(poly._heap_div(p, d) == want for p, d, want in cases)
-    # 10^6 + 2 slots for 8 term pairs
-    sparse = (1 + far) * (1 - q)
-    with long_div_spy() as taken:
-        assert exact_div(sparse, 1 - q) == 1 + far
-    assert taken == [False]
+
+
+def test_a_gap_in_a_row_costs_no_memory():
+    """(1 + q^(10^6))(1 - q) has four terms; laid out densely its row would
+    take 10^6 + 2 slots, about 8 MB of list alone."""
+    q = var("q")
+    sparse = (1 + q**10**6) * (1 - q)
+    tracemalloc.start()
+    try:
+        got = exact_div(sparse, 1 - q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 1 + q**10**6
+    assert peak < 2**20
 
 
 # -- powers and q-brackets of one term -----------------------------------------

@@ -91,14 +91,20 @@ def test_substitute_at_the_limit():
 
 
 def test_exact_div_at_the_limit():
-    d = Y**2 + X
+    """Divisors in x40 and in y33 divide a dividend at exponent LIMIT in
+    both fields.  No step writes above the dividend's exponents, so none
+    overflows, and the remainder is read off at the limit too."""
+    top = mono(x40=LIMIT, y33=LIMIT)
+    assert exact_div(top - mono(x40=LIMIT - 1, y33=LIMIT), X - 1) == mono(x40=LIMIT - 1, y33=LIMIT)
+    assert exact_div(top + mono(x40=LIMIT, y33=LIMIT - 1), 1 + Y) == mono(x40=LIMIT, y33=LIMIT - 1)
+    # x40^LIMIT y33^LIMIT = y33^LIMIT (x40^LIMIT - x40) + x40 y33^LIMIT
     with pytest.raises(ExactDivisionError) as info:
-        exact_div(mono(y33=2, x40=LIMIT - 1), d)
+        exact_div(top, X**LIMIT - X)
+    assert str(info.value.remainder) == f"x40*y33^{LIMIT}"
+    # and = x40^LIMIT (y33^LIMIT + 1) - x40^LIMIT
+    with pytest.raises(ExactDivisionError) as info:
+        exact_div(top, Y**LIMIT + 1)
     assert str(info.value.remainder) == f"-x40^{LIMIT}"
-    # the remainder would need x40^(LIMIT + 1)
-    with pytest.raises(OverflowError):
-        exact_div(mono(y33=2, x40=LIMIT), d)
-    assert exact_div(mono(y33=2, x40=LIMIT - 1) + mono(x40=LIMIT), d) == mono(x40=LIMIT - 1)
 
 
 def _with_maj(n: int, maj: int) -> Permutation:
