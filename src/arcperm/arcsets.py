@@ -81,7 +81,8 @@ class CircleOn:
         _positive(self.n)
 
     def index(self, v: int) -> int:
-        if not isinstance(v, int) or v == 0 or abs(v) > self.n:
+        # a plain int takes one test, as a perms entry does; a bool is refused
+        if type(v) is not int and not _is_int(v) or v == 0 or abs(v) > self.n:
             raise ValueError(f"value {v!r} is not a point of the {2 * self.n}-point circle")
         return v - 1 if v > 0 else self.n - v - 1
 

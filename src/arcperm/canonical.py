@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Permutation, SignedPermutation
+from .perms import Permutation, SignedPermutation, _integer
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,7 @@ class _ExponentVector:
 
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(self.k))
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise TypeError(f"size {self.n!r} is not an integer")
-        if self.n < 1 or len(self.k) != self.n - self.first:
+        if _integer(self.n, "size") < 1 or len(self.k) != self.n - self.first:
             raise ValueError(f"need {self.n - self.first} exponents for size {self.n}")
         step = self.step
         for i, ki in enumerate(self.k, self.first):
@@ -85,7 +83,7 @@ def cycle_B(m: int, n: int) -> SignedPermutation:
 
 
 def _cycle(m: int, n: int, vector: type[_ExponentVector]):
-    if not vector.first <= m < n:
+    if not vector.first <= _integer(m, "m") < _integer(n, "size"):
         raise ValueError(f"need {vector.first} <= m < n, got m={m}, n={n}")
     return vector.group(_power_word(m, n, 1, vector.group.signed)[1 : n + 1])
 

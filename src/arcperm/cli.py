@@ -128,15 +128,15 @@ def _json_chunks(payload, depth: int = 0,
     """The text of ``_dumps`` chunk by chunk, written as the walk reaches each
     value; TypeError for a float, a non-str key or no ``to_json``.  An
     iterator is written as a list, item by item as it yields them, so its
-    items need not exist at once.  A polynomial writes its own text
-    (``SparsePolynomial.json_text``)."""
+    items need not exist at once.  A polynomial writes its own text in runs
+    of terms (``SparsePolynomial.json_chunks``)."""
     if isinstance(payload, str):
         yield encode(payload)
     elif payload is None or isinstance(payload, int):  # bool is an int: test it first
         yield ("null" if payload is None else "true" if payload is True
                else "false" if payload is False else int.__repr__(payload))
     elif isinstance(payload, SparsePolynomial):
-        yield payload.json_text(depth)
+        yield from payload.json_chunks(depth)
     elif isinstance(payload, dict):
         sep, opening = "\n" + "  " * (depth + 1), "{"
         for name, value in payload.items():  # encode(name) rejects non-str

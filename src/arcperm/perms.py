@@ -21,6 +21,14 @@ def b_order_key(v: int) -> tuple[int, int]:
     return (0, -v) if v < 0 else (1, v)
 
 
+def _integer(v, what: str) -> int:
+    """v if it is an int and not a bool, which is an int subclass but no size,
+    position or exponent; TypeError otherwise.  A plain int takes one test."""
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
+        raise TypeError(f"{what} {v!r} is not an integer")
+    return v
+
+
 def _parse_word(text: str, *, signed: bool) -> list[int]:
     s = text.strip()
     if s.startswith("["):
@@ -118,7 +126,7 @@ class _PermutationBase:
 
     @classmethod
     def identity(cls, n: int):
-        return cls(range(1, n + 1))
+        return cls(range(1, _integer(n, "size") + 1))
 
     @classmethod
     def parse(cls, text: str):
@@ -136,7 +144,7 @@ class _PermutationBase:
     def __call__(self, i: int) -> int:
         """Image of position i, extended to negative positions by p(-a) = -p(a)."""
         w = self.word
-        if i == 0 or abs(i) > len(w):
+        if _integer(i, "position") == 0 or abs(i) > len(w):
             raise IndexError(f"position {i} out of range for size {len(w)}")
         return w[i - 1] if i > 0 else -w[-i - 1]
 
@@ -168,7 +176,7 @@ class _PermutationBase:
         return type(self)(out)
 
     def __pow__(self, k: int):
-        base = self if k >= 0 else self.inverse()
+        base = self if _integer(k, "exponent") >= 0 else self.inverse()
         result = self.identity(self.n)
         for _ in range(abs(k)):
             result = base * result

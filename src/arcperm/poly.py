@@ -33,7 +33,8 @@ with no gaps is one big-int multiply per row of the other, any other row a
 shift and add per term, and the rows are decoded once.  The pairs are
 counted exactly, in the order the factors are given, from the sumset of the
 keys of each partial product; the count stops at the box, so it never does
-more work than the dict product it decides against.
+more work than the dict product it decides against.  A power of one term
+is its key times k; any other power is ``poly_product`` of its k copies.
 A substitution is one pass over the terms.  An exact division, by a
 divisor in at most one variable, is long division row by row of the
 dividend: sorting the dividend's T terms within their rows, O(T log T),
@@ -42,12 +43,12 @@ bisected insert for each exponent a step writes outside the dividend's
 row, so a gap in a row costs nothing.
 The slot codec at the end of this module (``_pack``, ``_unpack``,
 ``_from_slots``) serves both the packed product and the packed walk in
-``walk``.  Output costs each
-of T terms one mask, one dict lookup and two additions per group of four
-of its k variables, O(T * k / 4), plus one decode per distinct exponent
-tuple of a group, and sorts the terms on one int key each; ``json_text``
-builds each term's text from a few fixed pieces and its groups' cached
-``"name": exp`` entries, with no per-term dict.  On the n <= 8 ``verify``
+``walk``.  Output costs each of T terms one mask, one dict lookup and two
+additions per group of four of its k variables, O(T * k / 4), plus one
+decode per distinct exponent tuple of a group, and sorts the terms on one
+int key each; ``json_chunks`` builds each term's text from a few fixed
+pieces and its groups' cached ``"name": exp`` entries, with no per-term
+dict, and yields the text in runs of 1,024 terms.  On the n <= 8 ``verify``
 rows the JSON writer takes 59 ms against 88 ms reading one field at a time
 (medians of 20 alternating passes, 2-vCPU VM, Python 3.11.7).
 """
@@ -284,6 +285,13 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> SparsePolynomial:
+        """self**k.  One term is its key times k; any other polynomial is
+        ``poly_product`` of k copies of itself, one packed product in at
+        most two variables (docs/DECISIONS.md §7).  That beats square and
+        multiply for every power a closed form takes: the registry's only
+        powers of more than one term are (1 + t)^3, (1 + t)^(n - 3) and
+        (1 + t^2)^(n - 3), with n - 3 <= 29 under verify's t/q guard.  Past
+        k of about 30, or in three or more variables, it is slower."""
         if not _is_count(k):
             raise ValueError(f"exponent {k!r} must be a nonnegative integer")
         if len(self._terms) == 1:  # k times the key, which no field carries out of in range
@@ -292,15 +300,7 @@ class SparsePolynomial:
             if max(mono >> shift & _MAX for shift in fields) * k > _MAX:
                 raise OverflowError(f"an exponent exceeds {_MAX}")
             return SparsePolynomial({mono * k: coeff**k})
-        result = const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return poly_product(repeat(self, k))
 
     def substitute(
         self,
@@ -377,10 +377,13 @@ class SparsePolynomial:
 
     def json_text(self, depth: int = 0) -> str:
         """``json.dumps(self.to_json(), indent=2)`` as it reads nested
-        ``depth`` levels deep, byte for byte, built from the graded decode
-        without the term dicts."""
-        if not self._terms:
-            return "[]"
+        ``depth`` levels deep, byte for byte: ``json_chunks`` joined."""
+        return "".join(self.json_chunks(depth))
+
+    def json_chunks(self, depth: int = 0) -> Iterator[str]:
+        """The text of ``json_text`` in runs of 1,024 terms, built from the
+        graded decode without the term dicts, so that a writer holds one run
+        of the text at a time, not the whole text."""
         term, entry, field = ("\n" + "  " * (depth + i) for i in (1, 2, 3))
         head = term + "{" + entry + '"coeff": "'
         middle = '",' + entry + '"monomial": {'
@@ -389,10 +392,14 @@ class SparsePolynomial:
         def render(pairs):
             return "".join([f',{field}"{name}": {exp}' for name, exp in pairs])
 
-        # a rendered monomial starts with the comma that its first entry drops
-        texts = [f"{head}{coeff}{middle}{mono[1:]}{tail}" if mono
-                 else f"{head}{coeff}{middle}}}{term}}}" for _, mono, coeff in self._graded(render, "")]
-        return "[" + ",".join(texts) + term[:-2] + "]"
+        rows, opening = self._graded(render, ""), "["
+        for start in range(0, len(rows), 1024):
+            # a rendered monomial starts with the comma that its first entry drops
+            yield opening + ",".join([f"{head}{coeff}{middle}{mono[1:]}{tail}" if mono
+                                      else f"{head}{coeff}{middle}}}{term}}}"
+                                      for _, mono, coeff in rows[start:start + 1024]])
+            opening = ","
+        yield "[]" if opening == "[" else term[:-2] + "]"
 
     @classmethod
     def from_json(cls, data: list[dict]) -> SparsePolynomial:

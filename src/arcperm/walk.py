@@ -22,9 +22,9 @@ character only, or in x variables and a character only, a state is one int
 with a fixed-width slot per term (an x term's slot has bit d - 1 set for
 each x_d in it), and a move is one big-int shift and add; the slots are
 sized from each layer's largest move and the family's size, with no pass
-over the states.  Over any other iterable ``enumerator`` reads each word
-once, at O(n) per element (inv adds O(n^2) bit work), and builds one key per
-distinct statistic key.
+over the states.  Over any other iterable ``enumerator`` reads each word's
+``stats()`` once, at O(n) per element plus the O(n^2) bit work of its
+inversions, and builds one monomial per distinct statistic key.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .arcsets import Family
-from .perms import (Character, Permutation, SignedPermutation, abs_inv, descent_positions,
-                    neg_positions)
+from .perms import Character, Permutation, SignedPermutation
 from .poly import (_MAX, _SHIFTS, Monomial, SparsePolynomial, _checked, _from_slots, _power,
                    _slot_width)
 
@@ -87,55 +86,35 @@ def enumerator(
     Given an ``arcsets.Family``, this walks the family's growth graph and
     never builds a word: one int per state when the spec packs
     (``_packed_walk``), else a term map per state (``_dict_walk``).  Any
-    other iterable takes one pass: each word is read once, and only the
-    statistics the spec asks for are computed.  Elements are counted by (t exponent, q exponent, descent
-    positions, negative positions), with the character value folded into
-    the count, and one packed monomial is built per distinct key at the end.
+    other iterable takes one pass, reading each element's ``stats()`` once:
+    that is the brute-force oracle, so it shares no table with the walk.
+    Elements are counted by (t exponent, q exponent, descent set, negative
+    set), with the character value folded into the count, and one monomial
+    is built per distinct key at the end (``SparsePolynomial.from_terms``).
     """
     t_stat, q_stat, chi = spec.t_stat, spec.q_stat, spec.character
-    descent_vars, neg_vars = spec.descent_vars, spec.neg_vars
-    flags = t_stat == "fdes" or q_stat == "fmaj" or neg_vars
+    flags = t_stat == "fdes" or q_stat == "fmaj" or spec.neg_vars
     if isinstance(elements, Family):
         if flags and not elements.signed:
             raise ValueError("flag statistics need signed permutations")
         letters = spec.packs and spec.descent_vars
         layers = _weighed(elements, spec, letters)
         return _packed_walk(layers, elements.size, letters) if spec.packs else _dict_walk(layers)
-    want_des = descent_vars or t_stat in ("des", "fdes") or q_stat is not None
-    want_neg = q_stat == "fmaj" or neg_vars or chi in (Character.SIGN, Character.NEG_PARITY)
-    want_inv = t_stat == "inv" or chi in (Character.SIGN, Character.SIGN_ABS)
     counts: dict[tuple, int] = {}
     for p in elements:
-        word = p.word
-        signed = p.signed
-        if flags and not signed:
+        # an unsigned word's stats() would read fmaj as 2 maj and fdes as 2 des
+        if flags and not p.signed:
             raise ValueError("flag statistics need signed permutations")
-        des = descent_positions(word, signed) if want_des else ()
-        neg = neg_positions(word) if want_neg else ()
-        inv = abs_inv(word) if want_inv else 0
-        if t_stat == "inv":
-            t = inv
-        elif t_stat == "des":
-            t = len(des)
-        elif t_stat == "fdes":
-            t = 2 * len(des) + (word[0] < 0)
-        else:
-            t = 0
-        if q_stat == "maj":
-            q = sum(des)
-        elif q_stat == "fmaj":
-            q = 2 * sum(des) + len(neg)
-        else:
-            q = 0
-        key = (t, q, des if descent_vars else (), neg if neg_vars else ())
-        counts[key] = counts.get(key, 0) + (1 if chi is None else chi.of_stats(inv, len(neg)))
-    terms: dict[Monomial, int] = {}
-    for (t, q, des, neg), coeff in counts.items():
-        if coeff:
-            mono = (_power("t", t) if t else 0) + (_power("q", q) if q else 0)
-            mono += sum(1 << _SHIFTS[f"x{i}"] for i in des)
-            terms[mono + sum(1 << _SHIFTS[f"y{i}"] for i in neg)] = coeff
-    return SparsePolynomial(terms)
+        stats = p.stats()
+        key = (t_stat and getattr(stats, t_stat), q_stat and getattr(stats, q_stat),
+               stats.des_set if spec.descent_vars else (), stats.neg_set if spec.neg_vars else ())
+        sign = 1 if chi is None else chi.of_stats(stats.inv, stats.neg)
+        counts[key] = counts.get(key, 0) + sign
+    # only nonzero exponents, so that a variable the spec lacks gets no field
+    return SparsePolynomial.from_terms(
+        ({name: exp for name, exp in [("t", t), ("q", q), *[(f"x{i}", 1) for i in des],
+                                      *[(f"y{i}", 1) for i in neg]] if exp}, coeff)
+        for (t, q, des, neg), coeff in counts.items() if coeff)
 
 
 # t and q as linear forms in (inv, descent > 0, negative at position 1) and

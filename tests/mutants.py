@@ -9,7 +9,8 @@ Run from the root of a checkout (stdlib only; pytest must be importable):
 For each mutant the whole tree is copied to a temporary directory, the old
 text is replaced by the new one (it must occur exactly once), and
 ``python -m pytest -x -q`` runs on the mutant's tests in the copy; a failing
-run means caught.  A test is a file, or one test in it as a pytest node id
+run means caught.  Each run has a timeout (``TIMEOUT_S``) and a cap on its
+address space (``MEMORY_CAP``), so a mutant that runs away ends as an outcome.  A test is a file, or one test in it as a pytest node id
 (``tests/test_x.py::test_name``): naming the test that catches a mutant
 spares the replay the slower tests before it in the file.  The whole tree is
 copied because pyproject.toml's ``pythonpath = ["src"]`` overrides
@@ -25,6 +26,7 @@ of each change to the ledger instead of reporting them in prose.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -35,6 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 900  # per pytest run
+# the address space of each pytest run and its children, in bytes: a mutant
+# whose memory grows without bound then fails with MemoryError and ends as an
+# outcome, instead of taking the machine's memory until its timeout
+MEMORY_CAP = 4 << 30
 CAUGHT, SURVIVES = "caught", "survives"
 
 
@@ -59,6 +65,7 @@ CANONICAL, CANONICAL_TESTS = "src/arcperm/canonical.py", "tests/test_canonical.p
 ARCSETS, ARCSETS_TESTS = "src/arcperm/arcsets.py", "tests/test_arcsets.py"
 CLI = "src/arcperm/cli.py"
 ITERATION = f"{FAMILY_WALK}::test_iteration_is_the_generator"
+WORDS = "tests/test_enumerator_oracle.py::test_every_spec_on_whole_groups"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", WALK,
@@ -258,12 +265,39 @@ LEDGER = [
     Mutant("out-rewrite-not-cut-to-length", CLI,
            "os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))", "pass",
            ("tests/test_cli.py::test_output_file_is_rewritten_to_its_new_length",)),
+    Mutant("json-run-without-its-comma", POLY,
+           '            opening = ","\n        yield "[]"', '            opening = ""\n        yield "[]"',
+           ("tests/test_cli_json.py::test_a_polynomial_is_written_in_runs_of_terms",)),
+    # a power of more than one term is one product of its copies
+    Mutant("power-one-factor-short", POLY,
+           "poly_product(repeat(self, k))", "poly_product(repeat(self, k - 1))",
+           (f"{POLY_ORACLE}::test_multi_term_powers_match_the_binomial_expansion",)),
+    # the brute-force word loop reads stats()
+    Mutant("word-loop-reads-des-set-for-neg-set", WALK,
+           "stats.neg_set if spec.neg_vars", "stats.des_set if spec.neg_vars", (WORDS,)),
+    Mutant("word-loop-without-the-character", WALK,
+           "        sign = 1 if chi is None else chi.of_stats(stats.inv, stats.neg)\n",
+           "        sign = 1\n", (WORDS,)),
+    Mutant("word-loop-accepts-unsigned-flags", WALK,
+           "        if flags and not p.signed:\n", "        if False:\n", (WORDS,)),
+    # bools refused where they read as 0 or 1
+    Mutant("circle-index-accepts-a-bool", ARCSETS,
+           "if type(v) is not int and not _is_int(v) or v == 0", "if not isinstance(v, int) or v == 0",
+           ("tests/test_perms.py::test_a_bool_position_power_size_or_point_is_refused",)),
 ]
 
 
 def _copy(dest: Path) -> Path:
     return Path(shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".out")))
+
+
+def _capped() -> None:
+    """Lower the soft limit of the address space to ``MEMORY_CAP``, in the
+    child before it starts pytest; the hard limit stays."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = MEMORY_CAP if hard == resource.RLIM_INFINITY else min(MEMORY_CAP, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 def _pytest(tree: Path, tests) -> tuple[str, float]:
@@ -276,7 +310,7 @@ def _pytest(tree: Path, tests) -> tuple[str, float]:
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                               *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+                             stderr=subprocess.DEVNULL, timeout=TIMEOUT_S, preexec_fn=_capped)
     except subprocess.TimeoutExpired:
         return "timeout", time.perf_counter() - start
     outcome = {0: "passed", 1: "failed"}.get(run.returncode, "error")

@@ -1,7 +1,8 @@
 """The CLI's JSON writer against ``json.dumps(obj, indent=2, default=...)``:
 the same text for every payload it accepts, and TypeError for the rest.
-Polynomials are written from their own text (``SparsePolynomial.json_text``),
-compared here with ``json.dumps`` of their ``to_json`` at every depth."""
+Polynomials are written from their own text in runs of terms
+(``SparsePolynomial.json_chunks``, joined by ``json_text``), compared here
+with ``json.dumps`` of their ``to_json`` at every depth."""
 
 import json
 from collections.abc import Iterator
@@ -101,6 +102,17 @@ def test_polynomial_text_matches_json_dumps(poly):
         assert poly.json_text(depth) == flat.replace("\n", "\n" + "  " * depth)
         assert cli._dumps(nested) == reference(nested)
         nested = [nested]
+
+
+def test_a_polynomial_is_written_in_runs_of_terms():
+    # 2,049 terms: two full runs of 1,024, one of a single term, and the close
+    poly = SparsePolynomial.from_terms(({"t": i % 64, "q": i // 64}, i - 1000) for i in range(2050))
+    assert len(poly.to_json()) == 2049
+    assert len(list(poly.json_chunks())) == 4
+    flat = json.dumps(poly.to_json(), indent=2)
+    for depth in range(3):
+        assert poly.json_text(depth) == flat.replace("\n", "\n" + "  " * depth)
+    assert cli._dumps({"rows": [poly]}) == reference({"rows": [poly]})
 
 
 @settings(max_examples=100)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arcperm.arcsets import CircleOn, is_interval_on
+from arcperm.canonical import cycle_A, cycle_B
 from arcperm.perms import (
     Character,
     Permutation,
@@ -235,6 +237,24 @@ def test_a_bool_entry_is_not_an_integer():
         with pytest.raises(TypeError, match="is not an integer"):
             cls(word)
     assert Permutation([1, 2]).word == (1, 2)
+
+
+def test_a_bool_position_power_size_or_point_is_refused():
+    # each of these read True as 1 and False as 0
+    p = Permutation.parse("231")
+    for call in (lambda: p(True), lambda: p ** True, lambda: p ** False,
+                 lambda: Permutation.identity(True), lambda: SignedPermutation.identity(True),
+                 lambda: cycle_A(True, 3), lambda: cycle_B(False, 2), lambda: cycle_B(0, True)):
+        with pytest.raises(TypeError, match="is not an integer"):
+            call()
+    # a point of the circle keeps its ValueError
+    for call in (lambda: CircleOn(3).index(True), lambda: CircleOn(3).index(False),
+                 lambda: is_interval_on({True}, 3)):
+        with pytest.raises(ValueError, match="is not a point of the 6-point circle"):
+            call()
+    assert (p(1), p ** 1, cycle_A(1, 3), cycle_B(0, 2)) == (
+        2, p, Permutation([2, 1, 3]), SignedPermutation([-1, 2]))
+    assert CircleOn(3).index(1) == 0 and is_interval_on({1}, 3)
 
 
 @given(st.permutations(list(range(1, 7))), st.lists(st.booleans(), min_size=6, max_size=6))

@@ -175,6 +175,17 @@ def test_ring_operations_match_reference(a, b, k):
     assert_same(k - pb, Ref({frozenset(): k}) + neg_b)
 
 
+def test_multi_term_powers_match_the_binomial_expansion():
+    # a power of more than one term is poly_product of its copies; the
+    # expansions are built from math.comb, with no product at all
+    t, q = var("t"), var("q")
+    for base, exponents in ((1 + t, lambda i: {"t": i}), (1 + t**2, lambda i: {"t": 2 * i}),
+                            (1 + t * q, lambda i: {"t": i, "q": i})):
+        for k in range(41):
+            want = SparsePolynomial.from_terms((exponents(i), comb(k, i)) for i in range(k + 1))
+            assert base**k == want, (base, k)
+
+
 @given(_terms(4, exps=_near_limit), _terms(4, exps=_near_limit))
 def test_products_near_the_exponent_limit_match_reference(a, b):
     (pa, ra), (pb, rb) = pair(a), pair(b)
