@@ -8,7 +8,14 @@ signs), and B-arc permutations (every suffix is an interval of the signed
 
 Each predicate is backed by a ``*_violation`` function that returns a
 human-readable description of the first definition failure, or None; the
-CLI uses these directly for diagnostics.
+CLI uses these directly for diagnostics.  They read one interval test: each
+point after the first extends the interval of the points before it at its
+low or its high end, or that prefix is no interval.  Arc words are read on
+the n-point circle, left-unimodal words on 2n points (where no interval of
+1..n wraps around) and B-arc words backwards on the signed circle; signed
+arc reads absolute values in a loop of its own, since the end an interior
+entry extends fixes its sign.  They share no code with the growth rule
+below, which the tests check them against.
 
 All four grow by one rule: each new entry extends an interval of m points
 on a circle (m = 2n for B-arc, n otherwise) at its low or its high end, low
@@ -25,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .perms import Permutation, SignedPermutation, b_order_key
 
@@ -87,6 +94,9 @@ class CircleOn:
         return v - 1 if v > 0 else self.n - v - 1
 
     def point(self, i: int) -> int:
+        # any int, read mod 2n; a bool or a float is refused
+        if not _is_int(i):
+            raise ValueError(f"index {i!r} is not an index of the {2 * self.n}-point circle")
         i %= 2 * self.n
         return i + 1 if i < self.n else -(i - self.n + 1)
 
@@ -104,16 +114,25 @@ def is_interval_on(values: Iterable[int], n: int) -> bool:
 # -- definition-level predicates --------------------------------------------
 
 
+def _first_gap(points: Iterator[int], m: int) -> int | None:
+    # the length of the first prefix of points that is no interval of the
+    # m-point circle, or None.  With size points placed at lo..lo+size-1
+    # (mod m), a point at offset d = v - lo extends the low end when
+    # d = m - 1 and the high end when d = size
+    lo = next(points)
+    for size, v in enumerate(points, 1):
+        d = (v - lo) % m
+        if d == m - 1:
+            lo = v
+        elif d != size:
+            return size + 1
+    return None
+
+
 def arc_violation(p: Permutation) -> str | None:
-    n = p.n
-    lo, size = p.word[0] - 1, 1  # the prefix is the residues lo..lo+size-1 mod n
-    for j, v in enumerate(p.word[1:], 2):
-        if v - 1 == (lo - 1) % n:
-            lo = v - 1
-        elif v - 1 != (lo + size) % n:
-            vals = sorted(p.word[:j])
-            return f"prefix of length {j} has values {vals}, not a cyclic interval of 1..{n}"
-        size += 1
+    if j := _first_gap(iter(p.word), p.n):
+        vals = sorted(p.word[:j])
+        return f"prefix of length {j} has values {vals}, not a cyclic interval of 1..{p.n}"
     return None
 
 
@@ -123,12 +142,10 @@ def is_arc(p: Permutation) -> bool:
 
 
 def left_unimodal_violation(p: Permutation) -> str | None:
-    lo = hi = p.word[0]
-    for j, v in enumerate(p.word[1:], 2):
-        lo, hi = min(lo, v), max(hi, v)
-        if hi - lo >= j:
-            vals = sorted(p.word[:j])
-            return f"prefix of length {j} has values {vals}, not an interval of the integers"
+    # on 2n points no interval of values in 1..n wraps around
+    if j := _first_gap(iter(p.word), 2 * p.n):
+        vals = sorted(p.word[:j])
+        return f"prefix of length {j} has values {vals}, not an interval of the integers"
     return None
 
 
@@ -138,26 +155,25 @@ def is_left_unimodal(p: Permutation) -> bool:
 
 
 def signed_arc_violation(p: SignedPermutation) -> str | None:
-    n = p.n
-    lo, size = abs(p.word[0]) - 1, 1  # as in arc_violation, on absolute values
-    for i, v in enumerate(p.word[1:-1], 2):
-        a = abs(v)
-        at_top = a - 1 == (lo + size) % n  # then a-1 precedes it, else a+1 does
-        if a - 1 == (lo - 1) % n:
-            lo = a - 1
-        elif not at_top:
-            vals = sorted(abs(u) for u in p.word[:i])
+    # _first_gap's test on the absolute values of the entries before the
+    # last, which also tells the end an interior entry extends: at the high
+    # end |v| - 1 came before it and it is positive, at the low end |v| + 1
+    # did and it is negative (values mod n)
+    n, lo = p.n, abs(p.word[0])
+    for size, v in enumerate(p.word[1:-1], 1):
+        d = (abs(v) - lo) % n
+        if d == n - 1:
+            lo = abs(v)
+        elif d != size:
             return (
-                f"prefix of length {i} has absolute values {vals}, "
-                f"not a cyclic interval of 1..{n}"
+                f"prefix of length {size + 1} has absolute values "
+                f"{sorted(abs(u) for u in p.word[:size + 1])}, not a cyclic interval of 1..{n}"
             )
-        size += 1
-        if (v > 0) != at_top:
-            neighbour = (n if a == 1 else a - 1) if at_top else (1 if a == n else a + 1)
-            return (
-                f"entry {v} at position {i} must be "
-                f"{'positive' if at_top else 'negative'}: {neighbour} precedes it"
-            )
+        # so a wrong sign names |v| - 1 = -v - 1 for a negative v, and
+        # |v| + 1 = v + 1 for a positive one
+        if (v > 0) != (d == size):
+            sign, neighbour = ("positive", (-v - 2) % n + 1) if v < 0 else ("negative", v % n + 1)
+            return f"entry {v} at position {size + 1} must be {sign}: {neighbour} precedes it"
     return None
 
 
@@ -170,20 +186,14 @@ def is_signed_arc(p: SignedPermutation) -> bool:
 
 
 def b_arc_violation(p: SignedPermutation) -> str | None:
-    n = p.n
-    index = CircleOn(n).index
-    lo, size = index(p.word[-1]), 1  # the suffix is the indices lo..lo+size-1 mod 2n
-    for j in range(n - 1, 0, -1):
-        i = index(p.word[j - 1])
-        if i == (lo - 1) % (2 * n):
-            lo = i
-        elif i != (lo + size) % (2 * n):
-            vals = sorted(p.word[j - 1 :], key=index)
-            return (
-                f"suffix starting at position {j} has values {vals}, "
-                f"not an interval of the {2 * n}-point signed circle"
-            )
-        size += 1
+    # the suffixes are the prefixes of the reversed word
+    n, index = p.n, CircleOn(p.n).index
+    if k := _first_gap(map(index, reversed(p.word)), 2 * n):
+        return (
+            f"suffix starting at position {n - k + 1} has values "
+            f"{sorted(p.word[n - k:], key=index)}, "
+            f"not an interval of the {2 * n}-point signed circle"
+        )
     return None
 
 

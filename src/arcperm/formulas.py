@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .arcsets import FAMILY_NAMES, Family
-from .perms import Character
+from .perms import Character, _integer
 from .poly import SparsePolynomial, const, exact_div, poly_product, q_bracket, var
 from .walk import WeightSpec, enumerator
 
@@ -45,7 +45,7 @@ def _y(i: int) -> SparsePolynomial:
 
 
 def _need(n: int, low: int):
-    if n < low:
+    if _integer(n, "n") < low:
         raise ValueError(f"formula requires n >= {low}, got {n}")
 
 
@@ -418,7 +418,7 @@ def formula_names(include_hidden: bool = False) -> list[str]:
     return [n for n, e in REGISTRY.items() if include_hidden or not e.hidden]
 
 
-def verify_formula(name, ns, set_cache: dict | None = None) -> list[VerifyRow]:
+def verify_formula(name: str, ns, set_cache: dict | None = None) -> list[VerifyRow]:
     """Compare closed form against the enumerator for each n.
 
     The truth side walks the family's growth states (a transfer-matrix
@@ -428,7 +428,7 @@ def verify_formula(name, ns, set_cache: dict | None = None) -> list[VerifyRow]:
     evaluable there, both sides and their difference are included as
     evidence.
     """
-    entry = REGISTRY[name] if isinstance(name, str) else name
+    entry = REGISTRY[name]
     if set_cache is None:
         set_cache = {}
     rows = []

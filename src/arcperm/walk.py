@@ -64,6 +64,9 @@ class WeightSpec:
             raise ValueError(f"unknown q statistic {self.q_stat!r}")
         if self.character is not None and not isinstance(self.character, Character):
             raise ValueError(f"unknown character {self.character!r}")
+        for flag, value in (("descent_vars", self.descent_vars), ("neg_vars", self.neg_vars)):
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} {value!r} is not a bool")
 
     @property
     def letters(self) -> bool:

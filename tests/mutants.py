@@ -66,6 +66,9 @@ ARCSETS, ARCSETS_TESTS = "src/arcperm/arcsets.py", "tests/test_arcsets.py"
 CLI = "src/arcperm/cli.py"
 ITERATION = f"{FAMILY_WALK}::test_iteration_is_the_generator"
 WORDS = "tests/test_enumerator_oracle.py::test_every_spec_on_whole_groups"
+SET_DEFINITIONS = f"{ARCSETS_TESTS}::test_predicates_match_the_set_definitions"
+WRONG_TYPES = ("tests/test_perms.py::"
+               "test_a_formula_size_circle_index_or_weight_flag_that_reads_as_a_number_is_refused")
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", WALK,
@@ -284,6 +287,21 @@ LEDGER = [
     Mutant("circle-index-accepts-a-bool", ARCSETS,
            "if type(v) is not int and not _is_int(v) or v == 0", "if not isinstance(v, int) or v == 0",
            ("tests/test_perms.py::test_a_bool_position_power_size_or_point_is_refused",)),
+    Mutant("circle-point-accepts-a-float", ARCSETS,
+           "        if not _is_int(i):\n", "        if isinstance(i, bool):\n", (WRONG_TYPES,)),
+    Mutant("formula-n-accepts-a-bool", FORMULAS,
+           'if _integer(n, "n") < low:', "if n < low:", (WRONG_TYPES,)),
+    Mutant("weight-flag-accepts-a-non-bool", WALK,
+           "            if not isinstance(value, bool):\n", "            if False:\n",
+           (WRONG_TYPES,)),
+    # the membership predicates' one interval scan
+    Mutant("gap-low-end-off-by-one", ARCSETS, "if d == m - 1:", "if d == m - 2:", (SET_DEFINITIONS,)),
+    Mutant("left-unimodal-on-an-n-point-circle", ARCSETS,
+           "_first_gap(iter(p.word), 2 * p.n)", "_first_gap(iter(p.word), p.n)", (SET_DEFINITIONS,)),
+    Mutant("b-arc-scan-not-reversed", ARCSETS,
+           "map(index, reversed(p.word))", "map(index, p.word)", (SET_DEFINITIONS,)),
+    Mutant("signed-sign-rule-reversed", ARCSETS,
+           "if (v > 0) != (d == size):", "if (v > 0) == (d == size):", (SET_DEFINITIONS,)),
 ]
 
 

@@ -19,6 +19,7 @@ from arcperm.arcsets import (
     is_interval_zn,
     is_left_unimodal,
     is_signed_arc,
+    left_unimodal_violation,
     signed_arc_violation,
 )
 from arcperm.canonical import cycle_B
@@ -210,8 +211,9 @@ def test_hyperoctahedral_signs_each_element_of_the_symmetric_group_in_turn():
     assert len(set(generate_hyperoctahedral(4))) == 2**4 * 24
 
 
-# -- the predicates track interval ends; these read the definitions literally,
-# testing every prefix or suffix set with is_cyclic_interval
+# -- the predicates scan for the first gap in a growing interval; these read
+# the definitions literally, testing every prefix or suffix set with
+# is_cyclic_interval, or with max - min + 1 for an interval of the integers
 
 
 def _arc_reference(p):
@@ -220,6 +222,14 @@ def _arc_reference(p):
         if not is_cyclic_interval({v - 1 for v in p.word[:j]}, n):
             vals = sorted(p.word[:j])
             return f"prefix of length {j} has values {vals}, not a cyclic interval of 1..{n}"
+    return None
+
+
+def _left_unimodal_reference(p):
+    for j in range(1, p.n + 1):
+        vals = sorted(p.word[:j])
+        if vals[-1] - vals[0] + 1 != j:
+            return f"prefix of length {j} has values {vals}, not an interval of the integers"
     return None
 
 
@@ -264,6 +274,7 @@ def test_predicates_match_the_set_definitions():
     for n in range(1, 8):
         for p in symmetric(n):
             assert arc_violation(p) == _arc_reference(p)
+            assert left_unimodal_violation(p) == _left_unimodal_reference(p)
     for n in range(1, 6):
         for p in hyperoctahedral(n):
             assert signed_arc_violation(p) == _signed_arc_reference(p)

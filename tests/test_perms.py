@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from arcperm.arcsets import CircleOn, is_interval_on
 from arcperm.canonical import cycle_A, cycle_B
+from arcperm.formulas import f_A_des, f_AB_character_fmaj, f_As_des_neg, f_L_des_set
 from arcperm.perms import (
     Character,
     Permutation,
     SignedPermutation,
     b_order_key,
 )
+from arcperm.walk import WeightSpec
 from helpers import det, doubled_matrix, hyperoctahedral, signed_matrix, symmetric
 
 
@@ -255,6 +257,32 @@ def test_a_bool_position_power_size_or_point_is_refused():
     assert (p(1), p ** 1, cycle_A(1, 3), cycle_B(0, 2)) == (
         2, p, Permutation([2, 1, 3]), SignedPermutation([-1, 2]))
     assert CircleOn(3).index(1) == 0 and is_interval_on({1}, 3)
+
+
+def test_a_formula_size_circle_index_or_weight_flag_that_reads_as_a_number_is_refused():
+    # f_L_des_set(True) was 1, f_As_des_neg(True) 1 + y1 and
+    # f_AB_character_fmaj(True, SIGN) 1 - q; f_A_des(3.0) and f_L_des_set(2.0)
+    # failed inside the build
+    for call in (lambda: f_L_des_set(True), lambda: f_L_des_set(False), lambda: f_As_des_neg(True),
+                 lambda: f_AB_character_fmaj(True, Character.SIGN), lambda: f_A_des(3.0),
+                 lambda: f_L_des_set(2.0)):
+        with pytest.raises(TypeError, match="^n .* is not an integer$"):
+            call()
+    # below its range a builder keeps its ValueError
+    with pytest.raises(ValueError, match="^formula requires n >= 3, got 2$"):
+        f_A_des(2)
+    # CircleOn(3).point(1.5) was 2.5 and point(True) was 2
+    for i in (1.5, 2.0, True, False, "1"):
+        with pytest.raises(ValueError, match="is not an index of the 6-point circle"):
+            CircleOn(3).point(i)
+    # WeightSpec(descent_vars="no") weighted descents, as if it read True
+    for flags in ({"descent_vars": "no"}, {"descent_vars": 1}, {"neg_vars": 0.0},
+                  {"neg_vars": None}):
+        with pytest.raises(ValueError, match="is not a bool"):
+            WeightSpec(**flags)
+    assert (str(f_L_des_set(1)), str(f_As_des_neg(1))) == ("1", "1 + y1")
+    assert [CircleOn(3).point(i) for i in (-1, 0, 7)] == [-3, 1, 2]
+    assert WeightSpec(descent_vars=True, neg_vars=False).letters
 
 
 @given(st.permutations(list(range(1, 7))), st.lists(st.booleans(), min_size=6, max_size=6))
