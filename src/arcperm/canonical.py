@@ -88,7 +88,7 @@ def _cycle(m: int, n: int, vector: type[_ExponentVector]):
     return vector.group(_power_word(m, n, 1, vector.group.signed)[1 : n + 1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # one table per (m, n, k, signed): bounded for large n
 def _power_word(m: int, n: int, k: int, signed: bool) -> tuple[int, ...]:
     """c_m ** k, which moves k steps along the orbit m+1, m, ..., 1 (and on
     through -(m+1), ..., -1 in B_n), indexed by signed value: entry v is the

@@ -117,45 +117,27 @@ def _emit(chunks: Iterable[str], out_path: str | None):
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
-def _dumps(payload) -> str:
-    """``json.dumps(payload, indent=2, default=lambda obj: obj.to_json())`` byte
-    for byte: the chunks of ``_json_chunks`` joined."""
-    return "".join(_json_chunks(payload))
-
-
-def _json_chunks(payload, depth: int = 0,
-                 encode=json.encoder.encode_basestring_ascii) -> Iterator[str]:
-    """The text of ``_dumps`` chunk by chunk, written as the walk reaches each
-    value; TypeError for a float, a non-str key or no ``to_json``.  An
-    iterator is written as a list, item by item as it yields them, so its
-    items need not exist at once.  A polynomial writes its own text in runs
-    of terms (``SparsePolynomial.json_chunks``)."""
-    if isinstance(payload, str):
-        yield encode(payload)
-    elif payload is None or isinstance(payload, int):  # bool is an int: test it first
-        yield ("null" if payload is None else "true" if payload is True
-               else "false" if payload is False else int.__repr__(payload))
-    elif isinstance(payload, SparsePolynomial):
-        yield from payload.json_chunks(depth)
-    elif isinstance(payload, dict):
-        sep, opening = "\n" + "  " * (depth + 1), "{"
-        for name, value in payload.items():  # encode(name) rejects non-str
-            yield opening + sep + encode(name) + ": "
-            yield from _json_chunks(value, depth + 1)
-            opening = ","
-        yield "{}" if opening == "{" else sep[:-2] + "}"
-    elif isinstance(payload, (list, tuple, Iterator)):
-        sep, opening = "\n" + "  " * (depth + 1), "["
-        for item in payload:
-            yield opening + sep
-            yield from _json_chunks(item, depth + 1)
-            opening = ","
-            del item  # an iterator's next item may be computed without this one
-        yield "[]" if opening == "[" else sep[:-2] + "]"
-    elif hasattr(payload, "to_json"):
-        yield from _json_chunks(payload.to_json(), depth)
-    else:
-        raise TypeError(f"Object of type {type(payload).__name__} is not JSON serializable")
+def _json_rows(records: Iterable[dict]) -> Iterator[str]:
+    """The text of ``json.dumps(rows, indent=2)`` for verify's rows, given
+    as their ``VerifyRow.record`` dicts: each key and scalar through
+    ``json.dumps``, each polynomial as its own text in runs of terms
+    (``SparsePolynomial.json_chunks``).  A record is dropped before the next
+    one is asked for, so the rows need not exist at once."""
+    opening = "["
+    for record in records:
+        yield opening + "\n  {"
+        sep = "\n    "
+        for name, value in record.items():
+            yield sep + json.dumps(name) + ": "
+            if isinstance(value, SparsePolynomial):
+                yield from value.json_chunks(2)
+            else:
+                yield json.dumps(value)
+            sep = ",\n    "
+        yield "\n  }"
+        opening = ","
+        del record  # the next row may be computed without this one
+    yield "[]" if opening == "[" else "\n]"
 
 
 def _joined(lines: Iterable[str]) -> Iterator[str]:
@@ -168,10 +150,13 @@ def _joined(lines: Iterable[str]) -> Iterator[str]:
 
 def _render(args, payload, lines: Iterable[str], csv: Iterable[str]):
     """Write one record in args.format as it is produced: the payload as
-    JSON (see ``_dumps``), else the lines or the csv rows.  Only the chosen
-    one is iterated, so a lazy one for another format never runs."""
+    JSON, else the lines or the csv rows.  Only the chosen one is iterated,
+    so a lazy one for another format never runs.  A dict payload streams
+    from the chunks that ``json.dumps(payload, indent=2)`` joins; an iterator
+    of verify's records goes through ``_json_rows``."""
     if args.format == "json":
-        chunks = _json_chunks(payload)
+        chunks = (json.JSONEncoder(indent=2).iterencode(payload) if isinstance(payload, dict)
+                  else _json_rows(payload))
     else:
         chunks = _joined(csv if args.format == "csv" else lines)
     _emit(chunks, args.out)

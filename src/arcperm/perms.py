@@ -40,11 +40,12 @@ def _parse_word(text: str, *, signed: bool) -> list[int]:
         values = []
         for token in inner.split(","):
             token = token.strip()
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise ValueError(f"token {token!r} is not an integer") from None
-    elif s.isdigit():
+            # int() would also read "1_0", other scripts' digits and "²"
+            digits = token[1:] if token.startswith(("+", "-")) else token
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"token {token!r} is not an integer")
+            values.append(int(token))
+    elif s.isascii() and s.isdigit():
         # compact digit form, usable for n <= 9 only
         if "0" in s:
             raise ValueError(f"digit '0' is not a valid entry in {s!r}")

@@ -67,6 +67,8 @@ CLI = "src/arcperm/cli.py"
 ITERATION = f"{FAMILY_WALK}::test_iteration_is_the_generator"
 WORDS = "tests/test_enumerator_oracle.py::test_every_spec_on_whole_groups"
 SET_DEFINITIONS = f"{ARCSETS_TESTS}::test_predicates_match_the_set_definitions"
+DROPPED = "tests/test_cli_json.py::test_a_record_is_dropped_before_the_next_is_asked_for"
+PAYLOADS = "tests/test_cli_json.py::test_each_subcommand_payload"
 WRONG_TYPES = ("tests/test_perms.py::"
                "test_a_formula_size_circle_index_or_weight_flag_that_reads_as_a_number_is_refused")
 
@@ -259,12 +261,27 @@ LEDGER = [
     Mutant("interval-size-unchecked", ARCSETS,
            "    if not _is_int(size) or size < 0:\n", "    if False:\n",
            (f"{ARCSETS_TESTS}::test_interval_helpers_refuse_a_size_that_is_no_count",)),
+    Mutant("cycle-power-cache-unbounded", CANONICAL,
+           "@lru_cache(maxsize=1024)", "@lru_cache(maxsize=None)",
+           (f"{CANONICAL_TESTS}::test_cycle_power_cache_is_bounded",)),
+    Mutant("token-of-any-script-digits", "src/arcperm/perms.py",
+           "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",
+           ("tests/test_perms.py::test_parse_errors_name_the_token",)),
     Mutant("equal-row-writes-both-sides", FORMULAS,
            "        if self.status == EQUAL:\n", "        if False:\n",
            ("tests/test_formulas.py::test_report_json_schema",)),
     Mutant("streamed-row-without-its-comma", CLI,
-           '            opening = ","\n            del item', '            opening = ""\n            del item',
-           ("tests/test_cli_json.py::test_bools_are_not_ints",)),
+           '        opening = ","\n        del record', '        opening = ""\n        del record',
+           (DROPPED,)),
+    # dict payloads through the stdlib's encoder, verify's rows through _json_rows
+    Mutant("row-polynomial-at-depth-1", CLI,
+           "value.json_chunks(2)", "value.json_chunks(1)",
+           ("tests/test_cli_json.py::test_polynomial_text_matches_json_dumps",)),
+    Mutant("dict-payload-without-indent", CLI,
+           "json.JSONEncoder(indent=2)", "json.JSONEncoder()", (PAYLOADS,)),
+    Mutant("row-kept-while-the-next-is-computed", CLI,
+           "        del record  # the next row may be computed without this one\n", "",
+           (DROPPED,)),
     Mutant("out-rewrite-not-cut-to-length", CLI,
            "os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))", "pass",
            ("tests/test_cli.py::test_output_file_is_rewritten_to_its_new_length",)),

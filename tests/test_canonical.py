@@ -1,6 +1,7 @@
 """Cyclic elements, canonical factorizations, and exponent criteria."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from arcperm.arcsets import generate_b_arc, is_arc, is_b_arc
 from arcperm.canonical import (
     ExponentVectorA,
     ExponentVectorB,
+    _power_word,
     cycle_A,
     cycle_B,
     decompose_A,
@@ -92,6 +94,21 @@ def test_round_trip_and_statistics_b():
         assert fmaj_from_exponents(e) == p.fmaj()
         assert is_b_arc_by_exponents(e) == is_b_arc(p)
 
+
+
+def test_cycle_power_cache_is_bounded():
+    # one cycle power per (m, n, k, signed) met: 40 random signed words of
+    # size 60 meet more of them than the cache keeps, and the factorizations
+    # stay right as the older ones are evicted
+    rng = random.Random(1)
+    _power_word.cache_clear()
+    for _ in range(40):
+        word = rng.sample(range(1, 61), 60)
+        p = SignedPermutation([v if rng.random() < 0.5 else -v for v in word])
+        e = decompose_B(p)
+        assert recompose_B(e) == p and fmaj_from_exponents(e) == p.fmaj()
+    info = _power_word.cache_info()
+    assert info.maxsize is not None and info.misses > info.maxsize >= info.currsize
 
 def test_exponent_criteria():
     assert not is_arc_by_exponents(ExponentVectorA(4, (0, 1, 2)))

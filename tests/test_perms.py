@@ -1,5 +1,7 @@
 """Core permutation types, statistics, characters, and parsing."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +51,16 @@ def test_parse_errors_name_the_token():
         Permutation.parse("10293")
     with pytest.raises(ValueError):
         SignedPermutation.parse("[2,2]")
+    # int() reads "0_1" and "١" as numbers and fails on "²" with a message of
+    # its own; a token is an optional sign followed by ASCII digits
+    for text, token in [("[0_1]", "0_1"), ("[١,2]", "١"), ("[1,²]", "²"),
+                        ("[+-1,2]", "+-1"), ("[1, +]", "+")]:
+        with pytest.raises(ValueError, match=re.escape(f"token {token!r} is not an integer")):
+            SignedPermutation.parse(text)
+    for text in ["١٢", "²1", "1_2"]:
+        with pytest.raises(ValueError, match="cannot parse permutation from"):
+            Permutation.parse(text)
+    assert SignedPermutation.parse("[+1,-2]") == SignedPermutation([1, -2])
 
 
 def test_printer_emits_bracketed_form():
