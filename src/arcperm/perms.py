@@ -16,7 +16,10 @@ from typing import Iterable
 def b_order_key(v: int) -> tuple[int, int]:
     """Sort key realizing the order -1 < -2 < ... < -n < 1 < 2 < ... < n.
 
-    Single source of truth for every type-B descent computation.
+    The family walk (``arcsets.family_moves``) compares the entries it
+    places with it.  The descents of a word (``descent_positions``), the
+    brute-force side the walk is checked against, read the same order
+    through an arithmetic map of their own, so the two share no code.
     """
     return (0, -v) if v < 0 else (1, v)
 
@@ -57,24 +60,14 @@ def _parse_word(text: str, *, signed: bool) -> list[int]:
     return values
 
 
-class _RankCache(dict):
-    """n -> rank of each of ±1..±n in the type-B order, built once per n."""
-
-    def __missing__(self, n):
-        values = sorted([*range(-n, 0), *range(1, n + 1)], key=b_order_key)
-        ranks = self[n] = {v: i for i, v in enumerate(values)}
-        return ranks
-
-
-_B_RANKS = _RankCache()
-
-
 def descent_positions(word, signed: bool) -> tuple[int, ...]:
     """Positions i with word[i-1] > word[i]: integer order on unsigned words,
-    the order of ``b_order_key`` on signed ones (compared through ranks)."""
+    the order of ``b_order_key`` on signed ones, read as integer order after
+    mapping each negative v to -v - n - 1: -1, ..., -n go to -n, ..., -1,
+    below every positive entry."""
     if signed:
-        rank = _B_RANKS[len(word)]
-        word = [rank[v] for v in word]
+        n = len(word)
+        word = [v if v > 0 else -v - n - 1 for v in word]
     return tuple([i for i in range(1, len(word)) if word[i - 1] > word[i]])
 
 

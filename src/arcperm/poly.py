@@ -35,7 +35,9 @@ counted exactly, in the order the factors are given, from the sumset of the
 keys of each partial product; the count stops at the box, so it never does
 more work than the dict product it decides against.  A power of one term
 is its key times k; any other power is ``poly_product`` of its k copies.
-A substitution is one pass over the terms.  An exact division, by a
+A substitution is one pass over the terms with one multiply per bound
+variable of a term: of ints while its bindings are ints, else of
+polynomials, no power shared between terms.  An exact division, by a
 divisor in at most one variable, is long division row by row of the
 dividend: sorting the dividend's T terms within their rows, O(T log T),
 then O(D) dict updates per reduction step for a D-term divisor, and one
@@ -48,9 +50,11 @@ additions per group of four of its k variables, O(T * k / 4), plus one
 decode per distinct exponent tuple of a group, and sorts the terms on one
 int key each; ``json_chunks`` builds each term's text from a few fixed
 pieces and its groups' cached ``"name": exp`` entries, with no per-term
-dict, and yields the text in runs of 1,024 terms.  On the n <= 8 ``verify``
-rows the JSON writer takes 59 ms against 88 ms reading one field at a time
-(medians of 20 alternating passes, 2-vCPU VM, Python 3.11.7).
+dict, and yields the text in runs of 1,024 terms; ``str`` joins its
+groups' cached ``*name^exp`` factors (``_factors``) the same way.  On the
+n <= 8 ``verify`` rows the JSON writer takes 59 ms against 88 ms reading one
+field at a time (medians of 20 alternating passes, 2-vCPU VM, Python
+3.11.7).
 """
 
 from __future__ import annotations
@@ -310,61 +314,36 @@ class SparsePolynomial:
         """Image under the ring homomorphism sending each bound variable to its
         binding; unbound variables stay themselves unless ``default`` is given.
 
-        One pass over the terms, reading only the fields of variables with a
-        binding: integer (and constant) bindings fold into the coefficient
-        and the unbound fields stay in the key.  A term with polynomial
-        bindings adds the product of their powers, each power computed once.
+        One pass over the terms: a term's image starts as its coefficient,
+        and each bound variable in it leaves the key and multiplies the image
+        by its binding's power, so the image stays an int while every binding
+        it meets is one.  The image's terms are added at the key that is left.
         """
         bound = {check_variable(name): _binding(value) for name, value in bindings.items()}
         if default is not None:
             default = _binding(default)
         targets = [(_SHIFTS[name], value) for name in _NAMES
                    if (value := bound.get(name, default)) is not None]
-        powers: dict[tuple[int, int], SparsePolynomial] = {}
         terms: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            kept = mono
-            image = None
+        for mono, image in self._terms.items():
             for shift, value in targets:
-                exp = mono >> shift & _MAX
-                if not exp:
-                    continue
-                kept -= exp << shift
-                if isinstance(value, int):
-                    coeff *= value**exp
-                else:
-                    power = powers.get((shift, exp))
-                    if power is None:
-                        power = powers[(shift, exp)] = value**exp
-                    image = power if image is None else image * power
-            if image is None:
-                _add_term(terms, kept, coeff)
+                if exp := mono >> shift & _MAX:
+                    mono -= exp << shift
+                    image = image * value**exp
+            if isinstance(image, int):
+                _add_term(terms, mono, image)
             else:
                 for m, c in image._terms.items():
-                    _add_term(terms, kept + m, coeff * c)
+                    _add_term(terms, mono + m, c)
         return SparsePolynomial(_checked(terms))
 
     # -- presentation ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for mono, coeff in self.sorted_terms():
-            body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            chunks.append((coeff < 0, text))
-        negative, text = chunks[0]
-        out = ("-" if negative else "") + text
-        for negative, text in chunks[1:]:
-            out += (" - " if negative else " + ") + text
-        return out
+        text = "".join([(" - " if coeff < 0 else " + ")
+                        + (factors[1:] if factors and abs(coeff) == 1 else f"{abs(coeff)}{factors}")
+                        for _, factors, coeff in self._graded(_factors, "")])
+        return ("-" if text.startswith(" - ") else "") + text[3:] if text else "0"
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self})"
@@ -434,6 +413,12 @@ class _Group(dict):
         part = self[mono] = ((sum(exps) << self.degree) + (fields << self.offset),
                              self.render([(name, e) for name, e in zip(self.names, exps) if e]))
         return part
+
+
+def _factors(pairs) -> str:
+    """The text of a term's (name, exp) pairs, each after a ``*``, as
+    ``str`` renders them: ``*t*q^2``."""
+    return "".join([f"*{name}" if exp == 1 else f"*{name}^{exp}" for name, exp in pairs])
 
 
 def _coerce(value) -> SparsePolynomial:

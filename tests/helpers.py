@@ -1,4 +1,5 @@
-"""Shared test utilities: cached exhaustive groups and an exact determinant."""
+"""Shared test utilities: cached exhaustive groups, an exact determinant and
+a short report of where two long texts differ."""
 
 from functools import lru_cache
 
@@ -55,3 +56,22 @@ def doubled_matrix(p):
     for u in list(range(-n, 0)) + list(range(1, n + 1)):
         m[idx(p(u))][idx(u)] = 1
     return m
+
+
+def first_difference(a: str, b: str, context: int = 40):
+    """None when the texts are equal; otherwise both lengths, the offset of
+    the first character where they differ and up to ``context`` characters
+    of each on either side of it.  ``assert first_difference(a, b) is None``
+    fails at once on texts of megabytes, where ``assert a == b`` has pytest
+    diff all of them."""
+    if a == b:
+        return None
+    low, high = 0, min(len(a), len(b))  # the common prefix is low..high long
+    while low < high:
+        mid = (low + high + 1) // 2
+        if a[:mid] == b[:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    start = max(low - context, 0)
+    return len(a), len(b), low, a[start:low + context], b[start:low + context]

@@ -319,6 +319,27 @@ LEDGER = [
            "map(index, reversed(p.word))", "map(index, p.word)", (SET_DEFINITIONS,)),
     Mutant("signed-sign-rule-reversed", ARCSETS,
            "if (v > 0) != (d == size):", "if (v > 0) == (d == size):", (SET_DEFINITIONS,)),
+    # substitute's one multiply path and str's graded render
+    Mutant("substitute-keeps-the-bound-field", POLY,
+           "                    mono -= exp << shift\n", "", (f"{POLY_TESTS}::test_substitute",)),
+    Mutant("substitute-ignores-the-coefficient", POLY,
+           "for mono, image in self._terms.items():",
+           "for mono, image in dict.fromkeys(self._terms, 1).items():",
+           (f"{POLY_TESTS}::test_substitute",)),
+    Mutant("substitute-unchecked", POLY,
+           "        return SparsePolynomial(_checked(terms))\n\n    # -- presentation",
+           "        return SparsePolynomial(terms)\n\n    # -- presentation",
+           (f"{PACKED}::test_substitute_at_the_limit",)),
+    Mutant("str-prints-a-unit-coefficient", POLY,
+           'factors[1:] if factors and abs(coeff) == 1 else f"{abs(coeff)}{factors}"',
+           'f"{abs(coeff)}{factors}"', (f"{POLY_TESTS}::test_printing_is_graded_and_stable",)),
+    Mutant("str-drops-the-leading-minus", POLY,
+           '("-" if text.startswith(" - ") else "") + text[3:]', "text[3:]",
+           (f"{POLY_TESTS}::test_printing_is_graded_and_stable",)),
+    # the type-B order of a word's descents, one arithmetic map
+    Mutant("b-order-negatives-in-integer-order", "src/arcperm/perms.py",
+           "v if v > 0 else -v - n - 1 for v in word", "v if v > 0 else v - n - 1 for v in word",
+           ("tests/test_perms.py::test_descent_set_b_examples",)),
 ]
 
 

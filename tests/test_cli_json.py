@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from arcperm import cli, formulas
 from arcperm.poly import SparsePolynomial, const
+from helpers import first_difference
 
 
 def rows_text(records) -> str:
@@ -51,7 +52,8 @@ POLYNOMIALS = st.lists(st.tuples(st.dictionaries(NAMES, EXPONENTS, max_size=4), 
 def test_polynomial_text_matches_json_dumps(poly):
     flat = json.dumps(poly.to_json(), indent=2)
     for depth in range(4):
-        assert poly.json_text(depth) == flat.replace("\n", "\n" + "  " * depth)
+        indented = flat.replace("\n", "\n" + "  " * depth)
+        assert first_difference(poly.json_text(depth), indented) is None
     assert rows_text([row(poly)]) == reference([row(poly)])
 
 
@@ -62,7 +64,8 @@ def test_a_polynomial_is_written_in_runs_of_terms():
     assert len(list(poly.json_chunks())) == 4
     flat = json.dumps(poly.to_json(), indent=2)
     for depth in range(3):
-        assert poly.json_text(depth) == flat.replace("\n", "\n" + "  " * depth)
+        indented = flat.replace("\n", "\n" + "  " * depth)
+        assert first_difference(poly.json_text(depth), indented) is None
     assert rows_text([row(poly)]) == reference([row(poly)])
 
 
@@ -84,11 +87,20 @@ def test_a_record_is_dropped_before_the_next_is_asked_for():
 
     assert rows_text(records()) == reference([row(const(1)), row(const(2))])
 
+def test_first_difference_reports_where_texts_part():
+    assert first_difference("same", "same") is None
+    assert first_difference("abcdef", "abXdef", context=2) == (6, 6, 2, "abcd", "abXd")
+    assert first_difference("abc", "abcd") == (3, 4, 3, "abc", "abcd")
+    long = "x" * 100_000
+    assert first_difference(long + "a", long + "b")[2] == 100_000
+
+
 def test_verify_rows_n_max_8():
     rows = list(formulas.verify_many(formulas.formula_names(), range(1, 9)))
     assert {r.status for r in rows} == {formulas.EQUAL, formulas.OUT_OF_STATED_RANGE}
-    assert rows_text(map(formulas.VerifyRow.record, rows)) == json.dumps(
-        [r.to_json() for r in rows], indent=2)
+    # a report of the first difference, not pytest's diff of two 1.8 MB texts
+    assert first_difference(rows_text(map(formulas.VerifyRow.record, rows)),
+                            json.dumps([r.to_json() for r in rows], indent=2)) is None
 
 
 SUBCOMMANDS = [

@@ -79,6 +79,8 @@ def test_substitute():
     assert (var("x0") * Q).substitute({"x0": 1}) == Q
     assert (T * Q).substitute({}, default=1) == const(1)
     assert (T + Q).substitute({"t": Q}) == 2 * Q
+    # a coefficient other than 1 multiplies an int image and a polynomial one
+    assert (2 * X1 - 3 * T * Q).substitute({"x1": T * Q, "t": -1}) == 2 * T * Q + 3 * Q
 
 
 def test_q_bracket():
