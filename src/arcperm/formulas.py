@@ -11,20 +11,25 @@ checked against brute force in tier-1.  It yields the same polynomial as
 the brute-force sum over every word, so a row's note still calls its rhs
 the brute-force value.
 
-Two univariate specializations are only evaluated from n = 3 on, because
-their printed forms carry the factor (1+t)^(n-3) or (1+t^2)^(n-3); below
-that the verifier reports the brute-force truth with an annotation instead
-of silently extending validity.  Two bivariate forms (des/maj on arc
-permutations, fdes/fmaj on signed arc permutations) are stated from n = 2
-in their source but provably disagree with the 8-element brute force there;
-the registry marks them as starting at n = 3 and the n = 2 rows carry the
-nonzero difference as evidence.
+Each builder states its identity once, in the ``_identity`` declaration
+above it: its family, weights, the n from which the identity is claimed
+(``claimed_from``) and the n from which the builder can be evaluated
+(``evaluable_from``, by default ``claimed_from``).  The declaration enters it
+in ``REGISTRY`` and makes the builder refuse a smaller n, whether ``verify``
+or a caller asks.  Two univariate specializations are only evaluated from
+n = 3 on, because their printed forms carry the factor (1+t)^(n-3) or
+(1+t^2)^(n-3); below that the verifier reports the brute-force truth with an
+annotation instead of silently extending validity.  Two bivariate forms
+(des/maj on arc permutations, fdes/fmaj on signed arc permutations) are
+stated from n = 2 in their source but provably disagree with the 8-element
+brute force there; they are claimed from n = 3, evaluable from n = 2, and
+the n = 2 rows carry the nonzero difference as evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import partial, wraps
 from typing import Callable, Iterator
 
 from .arcsets import FAMILY_NAMES, Family
@@ -44,9 +49,57 @@ def _y(i: int) -> SparsePolynomial:
     return var(f"y{i}")
 
 
-def _need(n: int, low: int):
-    if _integer(n, "n") < low:
-        raise ValueError(f"formula requires n >= {low}, got {n}")
+# -- registry -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FormulaEntry:
+    name: str
+    build: Callable[[int], SparsePolynomial]
+    family: str
+    weights: WeightSpec
+    claimed_from: int
+    even_only: bool = False
+    evaluable_from: int = 1
+    note: str = ""
+    hidden: bool = False
+
+    def claimed(self, n: int) -> bool:
+        return n >= self.claimed_from and not (self.even_only and n % 2)
+
+    @property
+    def claim_text(self) -> str:
+        return f"{'even ' if self.even_only else ''}n >= {self.claimed_from}"
+
+
+REGISTRY: dict[str, FormulaEntry] = {}
+
+
+def _identity(family: str, weights: WeightSpec, claimed_from: int,
+              evaluable_from: int | None = None, *, by_character: bool = False, **facts):
+    """Declare the decorated builder's identity, once: enter it in REGISTRY
+    under its own name, and make it refuse an n below ``evaluable_from``
+    (``claimed_from`` unless given).  A builder ``by_character`` takes a
+    ``Character`` too and is entered once per character, as ``name.chi``."""
+    low = claimed_from if evaluable_from is None else evaluable_from
+
+    def declare(build):
+        @wraps(build)
+        def checked(n, *args, **kwargs):
+            if _integer(n, "n") < low:
+                raise ValueError(f"formula requires n >= {low}, got {n}")
+            return build(n, *args, **kwargs)
+
+        variants = [(build.__name__, checked, weights)]
+        if by_character:
+            variants = [(f"{build.__name__}.{chi.value}", partial(checked, chi=chi),
+                         replace(weights, character=chi)) for chi in Character]
+        for name, fn, spec in variants:
+            REGISTRY[name] = FormulaEntry(name, fn, family, spec, claimed_from,
+                                          evaluable_from=low, **facts)
+        return checked
+
+    return declare
 
 
 def _layered(m, left, head, right=None, scale=1) -> SparsePolynomial:
@@ -68,10 +121,12 @@ def _layered(m, left, head, right=None, scale=1) -> SparsePolynomial:
 
 # -- arc permutations ---------------------------------------------------------
 
+_FAILS_AT_2 = "printed claim starts at n = 2 but the identity fails there"
 
+
+@_identity("arc", WeightSpec(t_stat="inv", descent_vars=True), 2)
 def f_A_inv_des(n: int) -> SparsePolynomial:
     """Joint inversion / descent-set distribution on arc permutations."""
-    _need(n, 2)
     return _inv_des(n, T)
 
 
@@ -86,48 +141,48 @@ def _inv_des(n: int, t: SparsePolynomial | int) -> SparsePolynomial:
     )
 
 
+@_identity("arc", WeightSpec(descent_vars=True), 2)
 def f_A_des_set(n: int) -> SparsePolynomial:
     """Descent-set distribution on arc permutations, cleared product form."""
-    _need(n, 2)
     return _layered(n - 1, left=lambda i: 1 + _x(i), head=lambda j: _x(j) + _x(j + 1))
 
 
+@_identity("arc", WeightSpec(t_stat="des", q_stat="maj"), 3, 2, note=_FAILS_AT_2)
 def f_A_des_maj(n: int) -> SparsePolynomial:
     """Joint des/maj distribution on arc permutations (valid from n = 3)."""
-    _need(n, 2)
     head = 1 + 2 * T * Q * q_bracket(n - 1, Q) + T**2 * Q**n
     return poly_product(1 + T * Q**i for i in range(2, n - 1)) * head
 
 
+@_identity("arc", WeightSpec(t_stat="des"), 3, note="literal form carries (1+t)^(n-3)")
 def f_A_des(n: int) -> SparsePolynomial:
     """Descent-number distribution on arc permutations (literal form, n >= 3)."""
-    _need(n, 3)
     return (1 + T) ** (n - 3) * (1 + 2 * (n - 1) * T + T**2)
 
 
+@_identity("arc", WeightSpec(q_stat="maj"), 2)
 def f_A_maj(n: int) -> SparsePolynomial:
     """Major-index distribution on arc permutations."""
-    _need(n, 2)
     return q_bracket(n, Q) * poly_product(1 + Q**i for i in range(1, n - 1))
 
 
+@_identity("arc", WeightSpec(q_stat="maj", character=Character.SIGN), 2)
 def f_A_signed_maj(n: int) -> SparsePolynomial:
     """Sign-twisted major-index distribution on arc permutations."""
-    _need(n, 2)
     base = Q if n % 2 else -Q
     return q_bracket(n, base) * poly_product(1 + (-Q) ** i for i in range(1, n - 1))
 
 
+@_identity("arc", WeightSpec(descent_vars=True, character=Character.SIGN), 2)
 def f_sign_des_set(n: int) -> SparsePolynomial:
     """Sign-twisted descent-set distribution: f_A_inv_des via t -> -1, built
     layer by layer at t = -1 instead of substituting into its expansion."""
-    _need(n, 2)
     return _inv_des(n, -1)
 
 
+@_identity("arc", WeightSpec(descent_vars=True, character=Character.SIGN), 2, even_only=True)
 def f_sign_des_set_even(n: int) -> SparsePolynomial:
     """Simplified sign-twisted descent-set product, valid for even n."""
-    _need(n, 2)
     return _layered(
         n - 1,
         left=lambda i: 1 + (-1) ** i * _x(i),
@@ -135,9 +190,9 @@ def f_sign_des_set_even(n: int) -> SparsePolynomial:
     )
 
 
+@_identity("left-unimodal", WeightSpec(descent_vars=True), 1)
 def f_L_des_set(n: int) -> SparsePolynomial:
     """Descent-set distribution on left-unimodal permutations."""
-    _need(n, 1)
     return poly_product(1 + _x(i) for i in range(1, n))
 
 
@@ -149,9 +204,9 @@ def _x_or_one(i: int) -> SparsePolynomial:
     return _x(i) if i else const(1)
 
 
+@_identity("signed-arc", WeightSpec(descent_vars=True, neg_vars=True), 1)
 def f_As_des_neg(n: int) -> SparsePolynomial:
     """Joint descent-set / negative-set distribution on signed arc permutations."""
-    _need(n, 1)
     return _layered(
         n,
         left=lambda i: 1 + _x_or_one(i - 1) * _y(i),
@@ -159,9 +214,9 @@ def f_As_des_neg(n: int) -> SparsePolynomial:
     )
 
 
+@_identity("signed-arc", WeightSpec(t_stat="inv", descent_vars=True, neg_vars=True), 1)
 def f_As_des_neg_inv(n: int) -> SparsePolynomial:
     """The refinement of f_As_des_neg by inversions of the absolute word."""
-    _need(n, 1)
     return _layered(
         n,
         left=lambda i: 1 + T ** (i - 1) * _x_or_one(i - 1) * _y(i),
@@ -171,9 +226,9 @@ def f_As_des_neg_inv(n: int) -> SparsePolynomial:
     )
 
 
+@_identity("signed-arc", WeightSpec(t_stat="fdes", q_stat="fmaj"), 3, 2, note=_FAILS_AT_2)
 def f_As_fdes_fmaj(n: int) -> SparsePolynomial:
     """Joint fdes/fmaj distribution on signed arc permutations (valid from n = 3)."""
-    _need(n, 2)
     head = (
         1
         + T * Q * (1 + Q)
@@ -186,9 +241,9 @@ def f_As_fdes_fmaj(n: int) -> SparsePolynomial:
     )
 
 
+@_identity("signed-arc", WeightSpec(t_stat="fdes"), 3, note="literal form carries (1+t^2)^(n-3)")
 def f_As_fdes(n: int) -> SparsePolynomial:
     """fdes distribution on signed arc permutations (literal form, n >= 3)."""
-    _need(n, 3)
     return (
         (1 + T)
         * (1 + T**2) ** (n - 3)
@@ -211,9 +266,9 @@ def _fmaj_product(n: int, chi: Character) -> SparsePolynomial:
     return poly_product(1 + a * b**i * Q ** (2 * i - 1) for i in range(1, n))
 
 
+@_identity("signed-arc", WeightSpec(q_stat="fmaj"), 1, by_character=True)
 def f_As_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
     """Character-twisted fmaj distribution on signed arc permutations."""
-    _need(n, 1)
     a, b = _CHARACTER_SIGNS[chi]
     if n % 2 and b == -1:
         return (1 - a * Q) * q_bracket(n, -(Q**2)) * _fmaj_product(n, chi)
@@ -223,20 +278,20 @@ def f_As_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
 # -- B-arc permutations ---------------------------------------------------------
 
 
+@_identity("b-arc", WeightSpec(q_stat="fmaj"), 1, by_character=True)
 def f_AB_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
     """Character-twisted fmaj distribution on B-arc permutations."""
-    _need(n, 1)
     a, b = _CHARACTER_SIGNS[chi]
     return q_bracket(2 * n, a * b**n * Q) * _fmaj_product(n, chi)
 
 
+@_identity("b-arc", WeightSpec(t_stat="fdes", q_stat="fmaj"), 2)
 def f_AB_fdes_fmaj(n: int) -> SparsePolynomial:
     """Joint fdes/fmaj distribution on B-arc permutations.
 
     The closed form has denominator 1 - q; the numerator is built exactly
     and the division is asserted exact at runtime.
     """
-    _need(n, 2)
     odd = poly_product(1 + T**2 * Q ** (2 * i + 1) for i in range(1, n - 1))
     even = poly_product(1 + T**2 * Q ** (2 * i + 2) for i in range(1, n - 1))
     numerator = (1 + T * Q) * (1 + T * Q**n) * (
@@ -245,15 +300,15 @@ def f_AB_fdes_fmaj(n: int) -> SparsePolynomial:
     return exact_div(numerator, 1 - Q)
 
 
+@_identity("b-arc", WeightSpec(t_stat="fdes"), 3, note="literal form carries (1+t^2)^(n-3)")
 def f_AB_fdes(n: int) -> SparsePolynomial:
     """fdes distribution on B-arc permutations (literal form, n >= 3)."""
-    _need(n, 3)
     return (1 + T) ** 3 * (1 + T**2) ** (n - 3) * (1 + (n - 2) * T + T**2)
 
 
+@_identity("b-arc", WeightSpec(descent_vars=True), 2)
 def f_AB_des_set(n: int) -> SparsePolynomial:
     """Descent-set distribution on B-arc permutations, cleared product form."""
-    _need(n, 2)
     return _layered(
         n - 1, left=lambda i: 1 + _x(i), head=lambda j: 2 * (_x(j) + _x(j + 1)), scale=2 + n
     )
@@ -264,33 +319,20 @@ def f_negative_control(n: int) -> SparsePolynomial:
     return f_A_maj(n) + 1
 
 
-# -- registry and verification ---------------------------------------------------
+# f_A_maj refuses n < 2 for it; hidden from ``formula_names()``
+REGISTRY["negative-control"] = FormulaEntry(
+    "negative-control", f_negative_control, "arc", WeightSpec(q_stat="maj"), 2, evaluable_from=2,
+    note="deliberately corrupted fixture; a MISMATCH here is expected", hidden=True,
+)
+
+
+# -- verification -----------------------------------------------------------------
 
 EQUAL = "EQUAL"
 MISMATCH = "MISMATCH"
 OUT_OF_STATED_RANGE = "OUT_OF_STATED_RANGE"
 
 _FAMILIES = {name: partial(Family, name) for name in FAMILY_NAMES}
-
-
-@dataclass(frozen=True)
-class FormulaEntry:
-    name: str
-    build: Callable[[int], SparsePolynomial]
-    family: str
-    weights: WeightSpec
-    claimed_from: int
-    even_only: bool = False
-    evaluable_from: int = 1
-    note: str = ""
-    hidden: bool = False
-
-    def claimed(self, n: int) -> bool:
-        return n >= self.claimed_from and not (self.even_only and n % 2)
-
-    @property
-    def claim_text(self) -> str:
-        return f"{'even ' if self.even_only else ''}n >= {self.claimed_from}"
 
 
 @dataclass(frozen=True)
@@ -317,101 +359,6 @@ class VerifyRow:
     def to_json(self) -> dict:
         return {key: value.to_json() if isinstance(value, SparsePolynomial) else value
                 for key, value in self.record().items()}
-
-
-def _entries() -> list[FormulaEntry]:
-    out = [
-        FormulaEntry(
-            "f_A_inv_des", f_A_inv_des, "arc",
-            WeightSpec(t_stat="inv", descent_vars=True), 2, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "f_A_des_set", f_A_des_set, "arc",
-            WeightSpec(descent_vars=True), 2, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "f_A_des_maj", f_A_des_maj, "arc",
-            WeightSpec(t_stat="des", q_stat="maj"), 3, evaluable_from=2,
-            note="printed claim starts at n = 2 but the identity fails there",
-        ),
-        FormulaEntry(
-            "f_A_des", f_A_des, "arc",
-            WeightSpec(t_stat="des"), 3, evaluable_from=3,
-            note="literal form carries (1+t)^(n-3)",
-        ),
-        FormulaEntry(
-            "f_A_maj", f_A_maj, "arc",
-            WeightSpec(q_stat="maj"), 2, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "f_A_signed_maj", f_A_signed_maj, "arc",
-            WeightSpec(q_stat="maj", character=Character.SIGN), 2, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "f_sign_des_set", f_sign_des_set, "arc",
-            WeightSpec(descent_vars=True, character=Character.SIGN), 2, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "f_sign_des_set_even", f_sign_des_set_even, "arc",
-            WeightSpec(descent_vars=True, character=Character.SIGN),
-            2, even_only=True, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "f_L_des_set", f_L_des_set, "left-unimodal",
-            WeightSpec(descent_vars=True), 1,
-        ),
-        FormulaEntry(
-            "f_As_des_neg", f_As_des_neg, "signed-arc",
-            WeightSpec(descent_vars=True, neg_vars=True), 1,
-        ),
-        FormulaEntry(
-            "f_As_des_neg_inv", f_As_des_neg_inv, "signed-arc",
-            WeightSpec(t_stat="inv", descent_vars=True, neg_vars=True), 1,
-        ),
-        FormulaEntry(
-            "f_As_fdes_fmaj", f_As_fdes_fmaj, "signed-arc",
-            WeightSpec(t_stat="fdes", q_stat="fmaj"), 3, evaluable_from=2,
-            note="printed claim starts at n = 2 but the identity fails there",
-        ),
-        FormulaEntry(
-            "f_As_fdes", f_As_fdes, "signed-arc",
-            WeightSpec(t_stat="fdes"), 3, evaluable_from=3,
-            note="literal form carries (1+t^2)^(n-3)",
-        ),
-    ]
-    for family, build in (("signed-arc", f_As_character_fmaj), ("b-arc", f_AB_character_fmaj)):
-        out += [
-            FormulaEntry(
-                f"{build.__name__}.{chi.value}", partial(build, chi=chi), family,
-                WeightSpec(q_stat="fmaj", character=chi), 1,
-            )
-            for chi in Character
-        ]
-    out += [
-        FormulaEntry(
-            "f_AB_fdes_fmaj", f_AB_fdes_fmaj, "b-arc",
-            WeightSpec(t_stat="fdes", q_stat="fmaj"), 2, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "f_AB_fdes", f_AB_fdes, "b-arc",
-            WeightSpec(t_stat="fdes"), 3, evaluable_from=3,
-            note="literal form carries (1+t^2)^(n-3)",
-        ),
-        FormulaEntry(
-            "f_AB_des_set", f_AB_des_set, "b-arc",
-            WeightSpec(descent_vars=True), 2, evaluable_from=2,
-        ),
-        FormulaEntry(
-            "negative-control", f_negative_control, "arc",
-            WeightSpec(q_stat="maj"), 2, evaluable_from=2,
-            note="deliberately corrupted fixture; a MISMATCH here is expected",
-            hidden=True,
-        ),
-    ]
-    return out
-
-
-REGISTRY: dict[str, FormulaEntry] = {e.name: e for e in _entries()}
 
 
 def formula_names(include_hidden: bool = False) -> list[str]:

@@ -69,6 +69,7 @@ WORDS = "tests/test_enumerator_oracle.py::test_every_spec_on_whole_groups"
 SET_DEFINITIONS = f"{ARCSETS_TESTS}::test_predicates_match_the_set_definitions"
 DROPPED = "tests/test_cli_json.py::test_a_record_is_dropped_before_the_next_is_asked_for"
 PAYLOADS = "tests/test_cli_json.py::test_each_subcommand_payload"
+REGISTRY_TABLE = "tests/test_formulas.py::test_registry_is_the_recorded_table"
 WRONG_TYPES = ("tests/test_perms.py::"
                "test_a_formula_size_circle_index_or_weight_flag_that_reads_as_a_number_is_refused")
 
@@ -91,11 +92,8 @@ LEDGER = [
            "Character.SIGN_ABS: (-1, -1)", "Character.SIGN_ABS: (-1, 1)",
            ("tests/test_formulas.py",)),
     Mutant("f-A-des-from-n-2", FORMULAS,
-           'Descent-number distribution on arc permutations (literal form, n >= 3)."""\n'
-           '    _need(n, 3)',
-           'Descent-number distribution on arc permutations (literal form, n >= 3)."""\n'
-           '    _need(n, 2)',
-           ("tests/test_formulas.py::test_range_errors",)),
+           '@_identity("arc", WeightSpec(t_stat="des"), 3,',
+           '@_identity("arc", WeightSpec(t_stat="des"), 2,', (REGISTRY_TABLE,)),
     Mutant("first-pass-without-its-length-check", POLY,
            "if len(terms) == len(a._terms) * len(right):", "if True:", (POLY_ORACLE,)),
     Mutant("first-pass-without-its-guard-test", POLY,
@@ -308,6 +306,15 @@ LEDGER = [
            "        if not _is_int(i):\n", "        if isinstance(i, bool):\n", (WRONG_TYPES,)),
     Mutant("formula-n-accepts-a-bool", FORMULAS,
            'if _integer(n, "n") < low:', "if n < low:", (WRONG_TYPES,)),
+    # each identity's facts declared once, by _identity beside its builder
+    Mutant("formula-refuses-its-lowest-n", FORMULAS,
+           'if _integer(n, "n") < low:', 'if _integer(n, "n") <= low:',
+           ("tests/test_formulas.py::test_range_errors",)),
+    Mutant("twisted-registration-skips-a-character", FORMULAS,
+           "for chi in Character]", "for chi in list(Character)[1:]]", (REGISTRY_TABLE,)),
+    Mutant("evaluable-from-defaults-to-1", FORMULAS,
+           "low = claimed_from if evaluable_from is None", "low = 1 if evaluable_from is None",
+           (REGISTRY_TABLE,)),
     Mutant("weight-flag-accepts-a-non-bool", WALK,
            "            if not isinstance(value, bool):\n", "            if False:\n",
            (WRONG_TYPES,)),

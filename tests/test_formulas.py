@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from arcperm import poly
+from arcperm import formulas, poly
 from arcperm.arcsets import generate_signed_arc
 from arcperm.formulas import (
     EQUAL,
@@ -62,8 +62,10 @@ def test_spot_values():
 
 
 def test_range_errors():
-    # each builder's own lower bound is its registry entry's evaluable_from;
-    # a builder that raised inside the range would make verify exit 2
+    # each builder's lower bound is declared once, as its entry's
+    # evaluable_from (pinned by REGISTRY_TABLE): the builder refuses the n
+    # below it and builds at it; a builder that raised inside the range
+    # would make verify exit 2
     for name, entry in REGISTRY.items():
         if entry.evaluable_from > 1:
             low = entry.evaluable_from
@@ -233,16 +235,76 @@ def test_verify_formula_returns_a_list():
     assert type(rows) is list and [r.status for r in rows] == [OUT_OF_STATED_RANGE, EQUAL, EQUAL]
 
 
+W = WeightSpec
+FAILS_AT_2 = "printed claim starts at n = 2 but the identity fails there"
+# Every registry entry in order: name, family, weights, claimed_from,
+# evaluable_from, even_only, hidden, note.  Written out here rather than read
+# from the declarations in formulas.py, so that a declaration that drifts
+# (a range, a family, a skipped character) fails against it.
+REGISTRY_TABLE = [
+    ("f_A_inv_des", "arc", W(t_stat="inv", descent_vars=True), 2, 2, False, False, ""),
+    ("f_A_des_set", "arc", W(descent_vars=True), 2, 2, False, False, ""),
+    ("f_A_des_maj", "arc", W(t_stat="des", q_stat="maj"), 3, 2, False, False, FAILS_AT_2),
+    ("f_A_des", "arc", W(t_stat="des"), 3, 3, False, False, "literal form carries (1+t)^(n-3)"),
+    ("f_A_maj", "arc", W(q_stat="maj"), 2, 2, False, False, ""),
+    ("f_A_signed_maj", "arc", W(q_stat="maj", character=Character.SIGN), 2, 2, False, False, ""),
+    ("f_sign_des_set", "arc", W(descent_vars=True, character=Character.SIGN), 2, 2, False, False,
+     ""),
+    ("f_sign_des_set_even", "arc", W(descent_vars=True, character=Character.SIGN), 2, 2, True,
+     False, ""),
+    ("f_L_des_set", "left-unimodal", W(descent_vars=True), 1, 1, False, False, ""),
+    ("f_As_des_neg", "signed-arc", W(descent_vars=True, neg_vars=True), 1, 1, False, False, ""),
+    ("f_As_des_neg_inv", "signed-arc", W(t_stat="inv", descent_vars=True, neg_vars=True), 1, 1,
+     False, False, ""),
+    ("f_As_fdes_fmaj", "signed-arc", W(t_stat="fdes", q_stat="fmaj"), 3, 2, False, False,
+     FAILS_AT_2),
+    ("f_As_fdes", "signed-arc", W(t_stat="fdes"), 3, 3, False, False,
+     "literal form carries (1+t^2)^(n-3)"),
+    ("f_As_character_fmaj.trivial", "signed-arc", W(q_stat="fmaj", character=Character.TRIVIAL),
+     1, 1, False, False, ""),
+    ("f_As_character_fmaj.sign", "signed-arc", W(q_stat="fmaj", character=Character.SIGN),
+     1, 1, False, False, ""),
+    ("f_As_character_fmaj.neg_parity", "signed-arc",
+     W(q_stat="fmaj", character=Character.NEG_PARITY), 1, 1, False, False, ""),
+    ("f_As_character_fmaj.sign_abs", "signed-arc", W(q_stat="fmaj", character=Character.SIGN_ABS),
+     1, 1, False, False, ""),
+    ("f_AB_character_fmaj.trivial", "b-arc", W(q_stat="fmaj", character=Character.TRIVIAL),
+     1, 1, False, False, ""),
+    ("f_AB_character_fmaj.sign", "b-arc", W(q_stat="fmaj", character=Character.SIGN),
+     1, 1, False, False, ""),
+    ("f_AB_character_fmaj.neg_parity", "b-arc", W(q_stat="fmaj", character=Character.NEG_PARITY),
+     1, 1, False, False, ""),
+    ("f_AB_character_fmaj.sign_abs", "b-arc", W(q_stat="fmaj", character=Character.SIGN_ABS),
+     1, 1, False, False, ""),
+    ("f_AB_fdes_fmaj", "b-arc", W(t_stat="fdes", q_stat="fmaj"), 2, 2, False, False, ""),
+    ("f_AB_fdes", "b-arc", W(t_stat="fdes"), 3, 3, False, False,
+     "literal form carries (1+t^2)^(n-3)"),
+    ("f_AB_des_set", "b-arc", W(descent_vars=True), 2, 2, False, False, ""),
+    ("negative-control", "arc", W(q_stat="maj"), 2, 2, False, True,
+     "deliberately corrupted fixture; a MISMATCH here is expected"),
+]
+
+
+def test_registry_is_the_recorded_table():
+    assert [(name, e.family, e.weights, e.claimed_from, e.evaluable_from, e.even_only, e.hidden,
+             e.note) for name, e in REGISTRY.items()] == REGISTRY_TABLE
+    # each entry's build is the module's public builder (bound to its
+    # character), so a direct call is refused exactly as verify refuses it
+    for name, entry in REGISTRY.items():
+        base, _, chi = name.partition(".")
+        assert entry.name == name
+        if entry.hidden:
+            assert entry.build is formulas.f_negative_control
+        elif chi:
+            assert entry.build.func is getattr(formulas, base)
+            assert entry.build.keywords == {"chi": Character(chi)}
+        else:
+            assert entry.build is getattr(formulas, base)
+    with pytest.raises(ValueError, match="^formula requires n >= 3, got 2$"):
+        f_A_des(2)
+
+
 def test_registry_names_are_exact():
-    expected = {
-        "f_A_inv_des", "f_A_des_set", "f_A_des_maj", "f_A_des", "f_A_maj",
-        "f_A_signed_maj", "f_sign_des_set", "f_sign_des_set_even", "f_L_des_set",
-        "f_As_des_neg", "f_As_des_neg_inv", "f_As_fdes_fmaj", "f_As_fdes",
-        "f_As_character_fmaj.trivial", "f_As_character_fmaj.sign",
-        "f_As_character_fmaj.neg_parity", "f_As_character_fmaj.sign_abs",
-        "f_AB_character_fmaj.trivial", "f_AB_character_fmaj.sign",
-        "f_AB_character_fmaj.neg_parity", "f_AB_character_fmaj.sign_abs",
-        "f_AB_fdes_fmaj", "f_AB_fdes", "f_AB_des_set",
-    }
-    assert set(formula_names()) == expected
-    assert set(REGISTRY) == expected | {"negative-control"}
+    names = [row[0] for row in REGISTRY_TABLE]
+    assert formula_names(include_hidden=True) == names
+    assert formula_names() == [row[0] for row in REGISTRY_TABLE if not row[6]]
