@@ -24,17 +24,27 @@ annotation instead of silently extending validity.  Two bivariate forms
 stated from n = 2 in their source but provably disagree with the 8-element
 brute force there; they are claimed from n = 3, evaluable from n = 2, and
 the n = 2 rows carry the nonzero difference as evidence.
+
+Seven descent-set forms share one layered shape (``_layered``).  The four
+whose pieces are multilinear in x's alone, ``f_A_des_set``,
+``f_sign_des_set``, ``f_sign_des_set_even`` and ``f_AB_des_set``, are
+evaluated at x_d = 2^(W·2^(d−1)) by one backward recursion of shift-adds on
+one int and decoded once; the three in t or y are expanded in dicts
+(docs/DECISIONS.md §8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial, wraps
+from functools import partial, reduce, wraps
+from itertools import chain
+from operator import add, mul, or_
 from typing import Callable, Iterator
 
 from .arcsets import FAMILY_NAMES, Family
 from .perms import Character, _integer
-from .poly import SparsePolynomial, const, exact_div, poly_product, q_bracket, var
+from .poly import (SparsePolynomial, _from_slots, _letter_keys, _letter_slots, _slot_width, const,
+                   exact_div, poly_product, q_bracket, var)
 from .walk import WeightSpec, enumerator
 
 T = var("t")
@@ -106,16 +116,83 @@ def _layered(m, left, head, right=None, scale=1) -> SparsePolynomial:
     """scale·∏_{i=1}^{m} left(i) + Σ_{j=1}^{m−1} head(j)·∏_{i<j} left(i)·∏_{i=j+2}^{m} right(i).
 
     The printed shape of the descent-set forms: head j spans layers j and
-    j + 1, and right defaults to left.  The left prefix is carried from one
-    j to the next (docs/DECISIONS.md §8).
+    j + 1, and right defaults to left.  Each piece is built once.  In x's
+    alone the sum is evaluated at one point and decoded once
+    (``_letters_sum``); any other sum is expanded (``_dict_sum``)
+    (docs/DECISIONS.md §8).
     """
-    right = right or left
     lefts = [left(i) for i in range(1, m + 1)]
+    heads = [head(j) for j in range(1, m)]
+    rights = lefts[2:] if right is None else [right(i) for i in range(3, m + 1)]
+    packed = _letters_sum(lefts, heads, rights, scale)
+    return _dict_sum(lefts, heads, rights, scale) if packed is None else packed
+
+
+def _dict_sum(lefts, heads, rights, scale) -> SparsePolynomial:
+    """The layered sum expanded in dicts, the left prefix carried from one j
+    to the next; ``rights`` are right(3), ..., right(m)."""
     total = poly_product([scale, *lefts])
     prefix = const(1)
-    for j in range(1, m):
-        total = total + head(j) * prefix * poly_product(right(i) for i in range(j + 2, m + 1))
+    for j in range(1, len(lefts)):
+        total = total + heads[j - 1] * prefix * poly_product(rights[j - 1:])
         prefix = prefix * lefts[j - 1]
+    return total
+
+
+def _letters_sum(lefts, heads, rights, scale) -> SparsePolynomial | None:
+    """The layered sum at x_d = 2^(W·2^(d−1)), one int decoded once, or None
+    unless every piece is multilinear in x's alone (``poly._letter_slots``)
+    and the pieces of each product have disjoint supports.
+
+    Then every monomial of the sum is multilinear, so its slot, the set of
+    its letters, lies below 2^D for the D letters that occur, and W is sized
+    from B, the sum with each piece replaced by its L1 norm, which bounds
+    every coefficient (docs/DECISIONS.md §8).
+    """
+    if not isinstance(scale, int):
+        return None
+    pieces = [[_letter_slots(p) for p in part] for part in (lefts, heads, rights)]
+    if None in chain.from_iterable(pieces):
+        return None
+    supports = [[reduce(or_, [slot for slot, _ in p], 0) for p in part] for part in pieces]
+    support = _backward(supports, 0, 0, _disjoint, or_)
+    if support < 0:
+        return None
+    norms = [[sum([abs(c) for _, c in p]) for p in part] for part in pieces]
+    width = _slot_width(_backward(norms, abs(scale), 1, mul, add))
+    value = _backward(pieces, scale, 1, partial(_shift_add, width), add)
+    return _from_slots(value, width, _letter_keys(support.bit_length()))
+
+
+def _backward(pieces, value, one, times, plus):
+    """The layered sum of ``pieces``, (lefts, heads, rights), in one backward
+    pass: G_k = H_k·∏_{i≥k+2} R_i + L_k·G_{k+1} from G_{m+1} = scale
+    (``value``), the right product carried along from ``one``, in the ring
+    of ``times`` and ``plus``."""
+    lefts, heads, rights = pieces
+    suffix, m = one, len(lefts)
+    for k in range(m, 0, -1):
+        value = times(lefts[k - 1], value)
+        if k < m:
+            value = plus(value, times(heads[k - 1], suffix))
+            if k > 1:
+                suffix = times(rights[k - 2], suffix)
+    return value
+
+
+def _disjoint(a: int, b: int) -> int:
+    """The union of two supports, or -1, every bit set, when they meet: -1
+    then absorbs every later union and meeting."""
+    return -1 if a & b else a | b
+
+
+def _shift_add(width: int, piece: list[tuple[int, int]], value: int) -> int:
+    """A piece's (slot, coeff) pairs times an int at x_d = 2^(width·2^(d−1)):
+    a shift and an add per term, a ±1 coefficient without a multiply."""
+    total = 0
+    for slot, c in piece:
+        part = value << slot * width if slot else value
+        total = total + part if c == 1 else total - part if c == -1 else total + c * part
     return total
 
 

@@ -25,16 +25,21 @@ decodes each distinct exponent tuple of a group once.
 
 Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
 additions, in one pass when no two pairs of terms share a key and in two
-otherwise.  In at most two variables, a product (or ``poly_product`` of
-many) whose box, the summed spans of its rows (one row per exponent of the
-outer variable), has no more slots than the term pairs is instead one int
-per row with a slot per exponent of the inner variable: a row of an operand
-with no gaps is one big-int multiply per row of the other, any other row a
-shift and add per term, and the rows are decoded once.  The pairs are
-counted exactly, in the order the factors are given, from the sumset of the
-keys of each partial product; the count stops at the box, so it never does
-more work than the dict product it decides against.  A power of one term
-is its key times k; any other power is ``poly_product`` of its k copies.
+otherwise; when it has more keys than its operands together, the operands'
+keys are read for an exponent of 2^30 or more instead of its own for a guard
+bit.  An int operand only scales the other's coefficients.  In at most two
+variables, a product (or ``poly_product`` of many) whose box, the summed
+spans of its rows (one row per exponent of the outer variable), has no more
+slots than the term pairs is instead one int per row with a slot per
+exponent of the inner variable: a row of an operand with no gaps is one
+big-int multiply per row of the other, any other row a shift and add per
+term, and the rows are decoded once.  A product whose first few keys per
+factor already show three variables is refused before whole operands are
+ORed.  The pairs are counted exactly, in the order the factors are given,
+from the sumset of the keys of each partial product; the count stops at the
+box, so it never does more work than the dict product it decides against.
+A power of one term is its key times k; any other power is
+``poly_product`` of its k copies.
 A substitution is one pass over the terms with one multiply per bound
 variable of a term: of ints while its bindings are ints, else of
 polynomials, no power shared between terms.  An exact division, by a
@@ -45,8 +50,12 @@ bisected insert for each exponent a step writes outside the dividend's
 row, so a gap in a row costs nothing.
 The slot codec at the end of this module (``_pack``, ``_unpack``,
 ``_from_slots``) serves both the packed product and the packed walk in
-``walk``.  Output costs each of T terms one mask, one dict lookup and two
-additions per group of four of its k variables, O(T * k / 4), plus one
+``walk``.  Its letters codec reads a polynomial multilinear in x_1, x_2, ...
+alone as slots with bit d - 1 set for each x_d (``_letter_slots``) and
+decodes them through one keys table (``_letter_keys``), for the x-only walk
+and the x-only layered closed forms in ``formulas``.  Output costs each of
+T terms one mask, one dict lookup and two additions per group of four of its
+k variables, O(T * k / 4), plus one
 decode per distinct exponent tuple of a group, and sorts the terms on one
 int key each; ``json_chunks`` builds each term's text from a few fixed
 pieces and its groups' cached ``"name": exp`` entries, with no per-term
@@ -70,6 +79,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^(?:[tquyz]|x(?:0|[1-9][0-9]*)|y[1-9][0-9]*)$")
 _BASE_ORDER = {"t": 0, "q": 1, "u": 2, "y": 3, "z": 4}
+_X = 5  # x_i sorts as (_X, i), after the base names; y_i as (_X + 1, i)
 
 Monomial = int  # packed exponents, one 32-bit field per variable
 
@@ -79,6 +89,7 @@ _MAX = (1 << _WIDTH - 1) - 1  # largest exponent; the bit above it is the field'
 _NAMES: list[str] = []  # field index -> variable name
 _ORDER: list[tuple[int, int]] = []  # field index -> variable_key of its name
 _GUARD = 0  # the guard bits of every assigned field
+_GLIMPSE = 4  # keys of each factor that _packed_product reads before the whole
 
 
 def check_variable(name: str) -> str:
@@ -92,8 +103,8 @@ def variable_key(name: str) -> tuple[int, int]:
     if base is not None:
         return (base, 0)
     if name[0] == "x":
-        return (5, int(name[1:]))
-    return (6, int(name[1:]))
+        return (_X, int(name[1:]))
+    return (_X + 1, int(name[1:]))
 
 
 class _Shifts(dict):
@@ -277,6 +288,9 @@ class SparsePolynomial:
         return other - self
 
     def __mul__(self, other) -> SparsePolynomial:
+        if isinstance(other, int):  # an int only scales the coefficients
+            c = int(other)
+            return SparsePolynomial({m: c * v for m, v in self._terms.items()} if c else {})
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -477,21 +491,33 @@ def _dict_product(a: SparsePolynomial, b: SparsePolynomial) -> SparsePolynomial:
 
     One comprehension first; when it has a key per pair, no two pairs met,
     and since a product of nonzero ints is nonzero, nothing cancels.  Only
-    when pairs collide are the terms summed again in a second pass.
+    when pairs collide are the terms summed again in a second pass.  Either
+    way the keys are checked for a guard bit once (``_guarded``).
     """
     right = list(b._terms.items())
+    pairs = len(a._terms) * len(right)
     terms = {m1 + m2: c1 * c2 for m1, c1 in a._terms.items() for m2, c2 in right}
-    if len(terms) == len(a._terms) * len(right):
-        if reduce(or_, terms, 0) & _GUARD:
-            raise OverflowError(f"an exponent exceeds {_MAX}")
-        return SparsePolynomial(terms)
-    terms = {}
-    get = terms.get
-    for m1, c1 in a._terms.items():
-        for m2, c2 in right:
-            mono = m1 + m2
-            terms[mono] = get(mono, 0) + c1 * c2
-    return SparsePolynomial(_checked(terms))
+    if len(terms) < pairs:
+        terms = {}
+        get = terms.get
+        for m1, c1 in a._terms.items():
+            for m2, c2 in right:
+                mono = m1 + m2
+                terms[mono] = get(mono, 0) + c1 * c2
+    if _guarded(terms, a, b):
+        raise OverflowError(f"an exponent exceeds {_MAX}")
+    return SparsePolynomial(terms if len(terms) == pairs else {m: c for m, c in terms.items() if c})
+
+
+def _guarded(terms: dict[Monomial, int], a: SparsePolynomial, b: SparsePolynomial) -> bool:
+    """Whether a key of ``terms``, the product of a and b, sets a guard bit.
+    When the operands have fewer keys, their ORs are read first: every
+    exponent below 2^30 there means no two sum past 2^31 - 1, and the
+    product's keys are not read."""
+    if len(terms) > len(a._terms) + len(b._terms) and not (
+            reduce(or_, a._terms, 0) | reduce(or_, b._terms, 0)) & _GUARD >> 1:
+        return False
+    return bool(reduce(or_, terms, 0) & _GUARD)
 
 
 def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | None:
@@ -511,10 +537,13 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
     ordered = sorted(factors, key=lambda f: -len(f._terms))
     occurring, fields = 0, []
     for f in reversed(ordered):  # fewest terms first: a third field refuses early
-        occurring |= reduce(or_, f._terms, 0)
-        fields = list(islice(_fields(occurring), 3))
-        if len(fields) > 2:
-            return None
+        # a large factor's first keys, then all of them: the first often show a third field
+        parts = [f._terms] if len(f._terms) <= _GLIMPSE else [islice(f._terms, _GLIMPSE), f._terms]
+        for keys in parts:
+            occurring |= reduce(or_, keys, 0)
+            fields = list(islice(_fields(occurring), 3))
+            if len(fields) > 2:
+                return None
     if len(fields) == 2 and _ORDER[fields[0] // _WIDTH] > _ORDER[fields[1] // _WIDTH]:
         fields.reverse()
     inner = fields[-1] if fields else 0
@@ -707,6 +736,35 @@ def _from_slots(packed: int, width: int, keys: Sequence[Monomial]) -> SparsePoly
     ``width``-bit slot i of ``packed`` as its coefficient."""
     coeffs = _unpack(packed, len(keys), width)
     return SparsePolynomial(dict(compress(zip(keys, coeffs), coeffs)))
+
+
+def _letter_keys(letters: int) -> list[Monomial]:
+    """The keys of the 2^letters slots of a polynomial multilinear in
+    x_1, ..., x_letters: slot i holds the product of x_(b+1) over the set
+    bits b of i.  The x-only walk and the x-only closed forms decode
+    through it."""
+    keys = [0]
+    for d in range(1, letters + 1):
+        x = 1 << _SHIFTS[f"x{d}"]
+        keys += [key + x for key in keys]
+    return keys
+
+
+def _letter_slots(p: SparsePolynomial) -> list[tuple[int, int]] | None:
+    """(slot, coeff) per term of p, the slot with bit d - 1 set for each x_d
+    in the term (``_letter_keys``'s inverse), when p is multilinear in
+    x_1, x_2, ... alone; None when a term has any other variable or a
+    letter squared."""
+    pairs = []
+    for mono, coeff in p._terms.items():
+        slot = 0
+        for shift in _fields(mono):
+            kind, d = _ORDER[shift // _WIDTH]
+            if kind != _X or not d or mono >> shift & _MAX != 1:
+                return None
+            slot |= 1 << d - 1
+        pairs.append((slot, coeff))
+    return pairs
 
 
 def _slot_width(paths: int) -> int:

@@ -36,8 +36,8 @@ from typing import Iterable
 
 from .arcsets import Family
 from .perms import Character, Permutation, SignedPermutation
-from .poly import (_MAX, _SHIFTS, Monomial, SparsePolynomial, _checked, _from_slots, _power,
-                   _slot_width)
+from .poly import (_MAX, _SHIFTS, Monomial, SparsePolynomial, _checked, _from_slots,
+                   _letter_keys, _power, _slot_width)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,8 @@ def _packed_walk(layers: list, paths: int, letters: bool = False) -> SparsePolyn
     With ``letters`` the moves carry x_d as q = 2^(d-1) (``_weighed``), so a
     term's slot has bit d - 1 set for each x_d in it.  A path completes
     descent d in one layer only, so its bits never carry, and the final int
-    decodes through a table of the x keys of every slot.
+    decodes through the letters codec's table of the x keys of every slot
+    (``poly._letter_keys``), which the x-only closed forms share.
     """
     top_t, top_q = _box(layers)
     if not letters and max(top_t, top_q) > _MAX:
@@ -212,10 +213,7 @@ def _packed_walk(layers: list, paths: int, letters: bool = False) -> SparsePolyn
         states = following
     packed = sum(states.values())
     if letters:
-        keys = [0]  # slot i -> the key of the x_(b+1) over the set bits b of i
-        for d in range(1, top_q.bit_length() + 1):
-            x = 1 << _SHIFTS[f"x{d}"]
-            keys += [key + x for key in keys]
+        keys = _letter_keys(top_q.bit_length())
     else:  # row-major: slot a * stride + b -> the key of t^a q^b
         t, q = 1 << _SHIFTS["t"], 1 << _SHIFTS["q"]
         keys = list(chain.from_iterable(range(row, row + stride * q, q)

@@ -63,7 +63,7 @@ GROUPED = f"{POLY_ORACLE}::test_grouped_decode_matches_reference"
 PAIRS = f"{POLY_ORACLE}::test_pairs_are_counted_exactly_in_the_given_order"
 CANONICAL, CANONICAL_TESTS = "src/arcperm/canonical.py", "tests/test_canonical.py"
 ARCSETS, ARCSETS_TESTS = "src/arcperm/arcsets.py", "tests/test_arcsets.py"
-CLI = "src/arcperm/cli.py"
+CLI, FORMULAS_TESTS = "src/arcperm/cli.py", "tests/test_formulas.py"
 ITERATION = f"{FAMILY_WALK}::test_iteration_is_the_generator"
 WORDS = "tests/test_enumerator_oracle.py::test_every_spec_on_whole_groups"
 SET_DEFINITIONS = f"{ARCSETS_TESTS}::test_predicates_match_the_set_definitions"
@@ -76,9 +76,9 @@ WRONG_TYPES = ("tests/test_perms.py::"
 LEDGER = [
     Mutant("letter-bit-one-too-high", WALK,
            "[1 << d - 1 for d in range(1, n)]", "[1 << d for d in range(1, n)]", (FAMILY_WALK,)),
-    Mutant("letter-keys-reversed", WALK,
-           "for d in range(1, top_q.bit_length() + 1):",
-           "for d in range(top_q.bit_length(), 0, -1):", (FAMILY_WALK,)),
+    Mutant("letter-keys-reversed", POLY,
+           "for d in range(1, letters + 1):", "for d in range(letters, 0, -1):",
+           (f"{POLY_TESTS}::test_letter_codec",)),
     Mutant("fdes-without-its-position-1-flag", WALK,
            "tf * (neg & (position == 1))", "tf * neg", (FAMILY_WALK,)),
     Mutant("sign-without-its-inv-parity", WALK,
@@ -95,10 +95,9 @@ LEDGER = [
            '@_identity("arc", WeightSpec(t_stat="des"), 3,',
            '@_identity("arc", WeightSpec(t_stat="des"), 2,', (REGISTRY_TABLE,)),
     Mutant("first-pass-without-its-length-check", POLY,
-           "if len(terms) == len(a._terms) * len(right):", "if True:", (POLY_ORACLE,)),
+           "    if len(terms) < pairs:\n", "    if False:\n", (POLY_ORACLE,)),
     Mutant("first-pass-without-its-guard-test", POLY,
-           "        if reduce(or_, terms, 0) & _GUARD:", "        if False:",
-           (PACKED,)),
+           "    if _guarded(terms, a, b):\n", "    if False:\n", (PACKED,)),
     Mutant("sign-des-set-at-t-plus-one", FORMULAS,
            "return _inv_des(n, -1)", "return _inv_des(n, 1)", ("tests/test_formulas.py",)),
     # the walk's box and width, and the one slot decoder
@@ -343,6 +342,26 @@ LEDGER = [
     Mutant("str-drops-the-leading-minus", POLY,
            '("-" if text.startswith(" - ") else "") + text[3:]', "text[3:]",
            (f"{POLY_TESTS}::test_printing_is_graded_and_stable",)),
+    # the x-only layered forms at the letter point, and the products they spare
+    Mutant("layered-bound-without-its-scale-term", FORMULAS,
+           "_backward(norms, abs(scale), 1, mul, add)", "_backward(norms, 0, 1, mul, add)",
+           (f"{FORMULAS_TESTS}::test_the_bound_at_a_slot_width_edge",)),
+    Mutant("layered-supports-never-meet", FORMULAS,
+           "return -1 if a & b else a | b", "return a | b",
+           (f"{FORMULAS_TESTS}::test_what_the_letter_point_cannot_hold_is_expanded",)),
+    Mutant("layered-recursion-skips-the-first-head", FORMULAS,
+           "        if k < m:\n            value = plus(", "        if 1 < k < m:\n            value = plus(",
+           (f"{FORMULAS_TESTS}::test_random_letter_pieces_match_the_dict_sum",)),
+    Mutant("letter-slot-bit-d-for-x-d", POLY,
+           "slot |= 1 << d - 1", "slot |= 1 << d", (f"{POLY_TESTS}::test_letter_codec",)),
+    Mutant("dict-product-skips-on-the-guard-bits-alone", POLY,
+           "& _GUARD >> 1", "& _GUARD", (f"{PACKED}::test_products_at_half_the_limit",)),
+    Mutant("int-factor-drops-its-coefficient", POLY,
+           "{m: c * v for m, v in self._terms.items()}", "{m: v for m, v in self._terms.items()}",
+           (f"{POLY_TESTS}::test_letter_codec",)),
+    Mutant("large-factor-read-only-in-its-first-keys", POLY,
+           "[islice(f._terms, _GLIMPSE), f._terms]", "[islice(f._terms, _GLIMPSE)]",
+           (f"{POLY_ORACLE}::test_a_third_field_past_the_first_keys_refuses_the_box",)),
     # the type-B order of a word's descents, one arithmetic map
     Mutant("b-order-negatives-in-integer-order", "src/arcperm/perms.py",
            "v if v > 0 else -v - n - 1 for v in word", "v if v > 0 else v - n - 1 for v in word",

@@ -1,5 +1,6 @@
 """Closed forms: spot values, substitution coherence, verification reports."""
 
+import random
 import re
 
 import pytest
@@ -142,6 +143,132 @@ def test_large_builds_match_the_dict_product(monkeypatch):
         assert REGISTRY[name].build(n) == packed[name, n], (name, n)
     for (name, n), text in texts.items():
         assert str(REGISTRY[name].build(n)) == text, (name, n)
+
+
+# The four forms whose pieces are multilinear in x's alone: _layered
+# evaluates them at the letter point and decodes once.
+LETTER_FORMS = ["f_A_des_set", "f_sign_des_set", "f_sign_des_set_even", "f_AB_des_set"]
+
+
+@pytest.fixture
+def letters_spy(monkeypatch):
+    """Records, per layered sum, whether the letter point took it (True) or
+    left it to the dict sum (False)."""
+    original, taken = formulas._letters_sum, []
+
+    def spy(*args):
+        result = original(*args)
+        taken.append(result is not None)
+        return result
+
+    monkeypatch.setattr(formulas, "_letters_sum", spy)
+    return taken
+
+
+def _dict_reference(monkeypatch, build, *args):
+    """``build(*args)`` with every layered sum expanded in dicts."""
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas, "_letters_sum", lambda *pieces: None)
+        return build(*args)
+
+
+def test_letter_forms_match_the_dict_sum(monkeypatch, letters_spy):
+    for name in LETTER_FORMS:
+        for n in range(2, 15):
+            packed = REGISTRY[name].build(n)
+            assert letters_spy.pop() is True, (name, n)
+            assert packed == _dict_reference(monkeypatch, REGISTRY[name].build, n), (name, n)
+
+
+def _random_pieces(rng, m):
+    """x-only layered pieces with signed coefficients whose supports the
+    layered shape keeps apart: layer i's letter is a random x_d, a left or
+    right piece is in its layer's letter and a head in its two layers'."""
+    letter = [var(f"x{d}") for d in rng.sample(range(1, m + 4), m + 1)]
+
+    def coeff():
+        return rng.choice([-3, -2, -1, 1, 2, 3, 10**20 + 1])
+
+    def head(j):
+        parts = [const(1), letter[j], letter[j + 1], letter[j] * letter[j + 1]]
+        return sum([coeff() * part for part in rng.sample(parts, rng.randint(1, 4))], const(0))
+
+    lefts = [coeff() + coeff() * letter[i] for i in range(1, m + 1)]
+    rights = [coeff() + coeff() * letter[i] for i in range(3, m + 1)]
+    return lefts, [head(j) for j in range(1, m)], rights
+
+
+def _layered(lefts, heads, rights, scale):
+    return formulas._layered(len(lefts), lambda i: lefts[i - 1], lambda j: heads[j - 1],
+                             lambda i: rights[i - 3], scale)
+
+
+def test_random_letter_pieces_match_the_dict_sum(letters_spy):
+    rng = random.Random(20140211)
+    for _ in range(60):
+        pieces = _random_pieces(rng, rng.randint(1, 7))
+        scale = rng.choice([1, -1, 7, -(2**64) - 3])
+        packed = _layered(*pieces, scale)
+        assert letters_spy.pop() is True
+        assert packed == formulas._dict_sum(*pieces, scale)
+
+
+@pytest.mark.parametrize("width", [16, 24, 32, 64])
+def test_the_bound_at_a_slot_width_edge(letters_spy, width):
+    """With one-term pieces of one sign, every part of the sum lands on
+    x_1...x_m with that sign, so its coefficient is +-B: at 2^(W-1) - 1 it
+    fills a W-bit slot, and at 2^(W-1) it needs the next width.  The scale
+    term is most of B."""
+    m = 5
+    xs = [var(f"x{i}") for i in range(1, m + 1)]
+    rights = [4 * x for x in xs[2:]]
+    heads_norm = sum([7 * 4 ** (m - j - 1) for j in range(1, m)])  # ‖H_j‖·∏_{i≥j+2} ‖R_i‖
+    for target in (2 ** (width - 1) - 1, 2 ** (width - 1)):
+        for sign in (1, -1):
+            heads = [sign * 7 * xs[j - 1] * xs[j] for j in range(1, m)]
+            packed = _layered(xs, heads, rights, sign * (target - heads_norm))
+            assert letters_spy.pop() is True
+            assert packed == sign * target * poly_product(xs)
+
+
+def test_what_the_letter_point_cannot_hold_is_expanded(letters_spy):
+    """A piece that squares a letter or carries another variable, a scale
+    that is no int, or pieces whose supports meet inside one product of the
+    sum: the letter point refuses them, and the dict sum expands them."""
+    x = [var(f"x{i}") for i in range(6)]
+    lefts = [1 + x[i] for i in range(1, 5)]
+    heads = [x[j] + x[j + 1] for j in range(1, 4)]
+    rights = lefts[2:]
+    cases = [
+        ([1 + x[1]] * 4, heads, rights, 1),  # the lefts meet
+        (lefts, heads, [1 + x[5]] * 2, 1),  # the rights meet
+        (lefts, [x[1] + x[j + 1] for j in range(1, 4)], rights, 1),  # a head meets its prefix
+        (lefts, [x[j] + x[j + 2] for j in range(1, 4)], rights, 1),  # a head meets its suffix
+        ([1 + x[1] ** 2, *lefts[1:]], heads, rights, 1),  # a letter squared
+        ([1 + x[0], *lefts[1:]], heads, rights, 1),  # x0 is no letter
+        (lefts, [T * x[1] + x[2], *heads[1:]], rights, 1),  # t
+        (lefts, heads, [1 + var("y3"), rights[1]], -3),  # y
+        (lefts, heads, rights, 2 + x[5]),  # a polynomial scale
+    ]
+    for case in cases:
+        assert _layered(*case) == formulas._dict_sum(*case), case
+        assert letters_spy.pop() is False, case
+
+
+def test_only_the_t_and_y_forms_reach_the_dict_product(monkeypatch):
+    """The four x-only forms build without a dict product, scalar multiples
+    included; the layered forms in t or y still expand through it."""
+
+    def refuse(a, b):
+        raise AssertionError("a dict product")
+
+    monkeypatch.setattr(poly, "_dict_product", refuse)
+    for name in LETTER_FORMS:
+        for n in range(2, 11):
+            REGISTRY[name].build(n)
+    for name in ("f_A_inv_des", "f_As_des_neg_inv"):
+        with pytest.raises(AssertionError, match="a dict product"):
+            REGISTRY[name].build(6)
 
 
 def test_sign_twisted_form_is_the_inversion_form_at_minus_one():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcperm import poly
 from arcperm.arcsets import generate_arc, generate_b_arc
 from arcperm.perms import Character
 from arcperm.poly import (
@@ -273,3 +274,18 @@ def test_weight_spec_checks_its_character():
     assert WeightSpec(character=Character.SIGN).character is Character.SIGN
     with pytest.raises(ValueError, match="unknown character 'sign'"):
         WeightSpec(character="sign")
+
+
+def test_letter_codec():
+    """A polynomial multilinear in x_1, x_2, ... alone encodes to (slot,
+    coeff) pairs, bit d - 1 of a slot for x_d, which the keys table decodes;
+    anything else is refused."""
+    x1, x3 = var("x1"), var("x3")
+    p = 2 - x1 + 5 * x1 * x3
+    pairs = poly._letter_slots(p)
+    assert sorted(pairs) == [(0, 2), (0b001, -1), (0b101, 5)]
+    keys = poly._letter_keys(3)
+    assert len(keys) == 8 and SparsePolynomial({keys[s]: c for s, c in pairs}) == p
+    for refused in (x1**2, 1 + var("x0"), var("t") * x1, 1 + var("y1"), var("q") + x3):
+        assert poly._letter_slots(refused) is None, refused
+    assert poly._letter_slots(const(0)) == [] and poly._letter_keys(0) == [0]

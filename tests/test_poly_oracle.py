@@ -488,6 +488,20 @@ def test_a_row_that_cancels_between_nonzero_rows():
     assert taken == [True]
 
 
+def test_a_third_field_past_the_first_keys_refuses_the_box():
+    """The packed product reads the first four keys of each factor before any
+    factor whole; a field that a larger factor only shows further on still
+    sends the product to the dict product, in either operand order."""
+    t, q, x1 = var("t"), var("q"), var("x1")
+    late = const(1) + q + q**2 + q**3 + t + x1  # keys in this order: q alone first
+    assert list(late._terms)[:4] == [next(iter(p._terms)) for p in (const(1), q, q**2, q**3)]
+    for factors in ([late, 1 + q], [1 + t * q, late], [late, late]):
+        with packed_spy() as taken:
+            got = poly_product(factors)
+        assert taken == [False]
+        assert got == reduce(poly._dict_product, factors)
+
+
 @pytest.mark.parametrize("field", ["t", "q"])
 def test_bivariate_degrees_past_the_limit_size_no_box(monkeypatch, field):
     t, q = var("t"), var("q")

@@ -14,7 +14,7 @@ import pytest
 from arcperm import poly
 from arcperm.formulas import f_As_des_neg_inv
 from arcperm.perms import Permutation
-from arcperm.poly import ExactDivisionError, SparsePolynomial, exact_div, poly_product, var
+from arcperm.poly import ExactDivisionError, SparsePolynomial, const, exact_div, poly_product, var
 from arcperm.walk import WeightSpec, enumerator
 from test_poly_oracle import no_box
 
@@ -69,6 +69,31 @@ def test_collision_free_products_at_the_limit():
         (mono(x1=LIMIT) + x2) * (x1 + x3)
     assert (mono(x1=LIMIT - 1) + x2) * (x1 + x3) == (
         mono(x1=LIMIT) + mono(x1=LIMIT - 1, x3=1) + x1 * x2 + x2 * x3)
+
+
+def test_products_at_half_the_limit():
+    """A product with more keys than its operands together reads the
+    operands' keys, not its own, when they show every exponent below 2^30, so
+    that no two sum past the limit: two exponents of 2^30 still raise, in
+    either pass."""
+    half, x2, x3, x4, x5 = 2**30, var("x2"), var("x3"), var("x4"), var("x5")
+    below, at = mono(x1=half - 1), mono(x1=half)
+    assert below * at == mono(x1=LIMIT)
+    with pytest.raises(OverflowError):
+        at * at
+    # three fields or more, so the packed product refuses them; a key per
+    # pair, one pass
+    assert (below + x2 + x3) * (below + x4 + x5) == (
+        mono(x1=LIMIT - 1) + below * (x2 + x3 + x4 + x5) + (x2 + x3) * (x4 + x5))
+    with pytest.raises(OverflowError):
+        (at + x2 + x3) * (below + x4 + x5) * var("x1")
+    with pytest.raises(OverflowError):
+        (at + x2 + x3) * (at + x4 + x5)
+    # pairs that meet: the second pass
+    assert (below + x2 + x3 + x4) ** 2 == sum(
+        [p * q for p in (below, x2, x3, x4) for q in (below, x2, x3, x4)], const(0))
+    with pytest.raises(OverflowError):
+        (at + x2 + x3 + x4) ** 2
 
 
 def test_power_at_the_limit():
