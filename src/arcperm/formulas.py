@@ -31,13 +31,26 @@ whose pieces are multilinear in x's alone, ``f_A_des_set``,
 evaluated at x_d = 2^(W·2^(d−1)) by one backward recursion of shift-adds on
 one int and decoded once; the three in t or y are expanded in dicts
 (docs/DECISIONS.md §8).
+
+Each product form in t and q (``f_A_des_maj``, ``f_A_maj``,
+``f_A_signed_maj``, ``f_A_des``, ``f_As_fdes``, ``f_AB_fdes``,
+``f_As_fdes_fmaj`` and the eight character-twisted fmaj forms) is one
+``poly_product`` over all its factors: its q-bracket or head, and each
+binomial, (1 + t)^k and (1 + t^2)^k as k factors.  The packed product packs
+the largest factor whole, applies the others to its rows and decodes once,
+so no partial product is decoded and packed again (docs/DECISIONS.md §7).
+``f_AB_fdes_fmaj`` alone keeps its grouping: its numerator is a difference
+of two chains, each one product, times two binomials, and one product of
+that difference and the two binomials built it in 5.7 ms at n = 16 against
+5.2 ms as grouped (best of 40, three alternating processes, 2-vCPU VM,
+Python 3.11).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial, reduce, wraps
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, mul, or_
 from typing import Callable, Iterator
 
@@ -228,26 +241,26 @@ def f_A_des_set(n: int) -> SparsePolynomial:
 def f_A_des_maj(n: int) -> SparsePolynomial:
     """Joint des/maj distribution on arc permutations (valid from n = 3)."""
     head = 1 + 2 * T * Q * q_bracket(n - 1, Q) + T**2 * Q**n
-    return poly_product(1 + T * Q**i for i in range(2, n - 1)) * head
+    return poly_product([head, *(1 + T * Q**i for i in range(2, n - 1))])
 
 
 @_identity("arc", WeightSpec(t_stat="des"), 3, note="literal form carries (1+t)^(n-3)")
 def f_A_des(n: int) -> SparsePolynomial:
     """Descent-number distribution on arc permutations (literal form, n >= 3)."""
-    return (1 + T) ** (n - 3) * (1 + 2 * (n - 1) * T + T**2)
+    return poly_product([1 + 2 * (n - 1) * T + T**2, *repeat(1 + T, n - 3)])
 
 
 @_identity("arc", WeightSpec(q_stat="maj"), 2)
 def f_A_maj(n: int) -> SparsePolynomial:
     """Major-index distribution on arc permutations."""
-    return q_bracket(n, Q) * poly_product(1 + Q**i for i in range(1, n - 1))
+    return poly_product([q_bracket(n, Q), *(1 + Q**i for i in range(1, n - 1))])
 
 
 @_identity("arc", WeightSpec(q_stat="maj", character=Character.SIGN), 2)
 def f_A_signed_maj(n: int) -> SparsePolynomial:
     """Sign-twisted major-index distribution on arc permutations."""
     base = Q if n % 2 else -Q
-    return q_bracket(n, base) * poly_product(1 + (-Q) ** i for i in range(1, n - 1))
+    return poly_product([q_bracket(n, base), *(1 + (-Q) ** i for i in range(1, n - 1))])
 
 
 @_identity("arc", WeightSpec(descent_vars=True, character=Character.SIGN), 2)
@@ -313,19 +326,14 @@ def f_As_fdes_fmaj(n: int) -> SparsePolynomial:
         + T**3 * Q ** (2 * n) * (1 + Q)
         + T**4 * Q ** (2 * n + 2)
     )
-    return (1 + T * Q) * head * poly_product(
-        1 + T**2 * Q ** (2 * i - 1) for i in range(3, n)
-    )
+    return poly_product([head, 1 + T * Q, *(1 + T**2 * Q ** (2 * i - 1) for i in range(3, n))])
 
 
 @_identity("signed-arc", WeightSpec(t_stat="fdes"), 3, note="literal form carries (1+t^2)^(n-3)")
 def f_As_fdes(n: int) -> SparsePolynomial:
     """fdes distribution on signed arc permutations (literal form, n >= 3)."""
-    return (
-        (1 + T)
-        * (1 + T**2) ** (n - 3)
-        * (1 + 2 * T + (4 * n - 6) * T**2 + 2 * T**3 + T**4)
-    )
+    quartic = 1 + 2 * T + (4 * n - 6) * T**2 + 2 * T**3 + T**4
+    return poly_product([quartic, 1 + T, *repeat(1 + T**2, n - 3)])
 
 
 # χ → (a, b) in the factors 1 + a·b^i·q^(2i−1) of both families' fmaj forms
@@ -337,10 +345,11 @@ _CHARACTER_SIGNS = {
 }
 
 
-def _fmaj_product(n: int, chi: Character) -> SparsePolynomial:
-    """∏_{i=1}^{n−1} (1 + a·b^i·q^(2i−1)) with (a, b) = _CHARACTER_SIGNS[chi]."""
+def _fmaj_factors(n: int, chi: Character) -> list[SparsePolynomial]:
+    """The factors 1 + a·b^i·q^(2i−1), i = 1, ..., n − 1, with (a, b) =
+    _CHARACTER_SIGNS[chi]."""
     a, b = _CHARACTER_SIGNS[chi]
-    return poly_product(1 + a * b**i * Q ** (2 * i - 1) for i in range(1, n))
+    return [1 + a * b**i * Q ** (2 * i - 1) for i in range(1, n)]
 
 
 @_identity("signed-arc", WeightSpec(q_stat="fmaj"), 1, by_character=True)
@@ -348,8 +357,8 @@ def f_As_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
     """Character-twisted fmaj distribution on signed arc permutations."""
     a, b = _CHARACTER_SIGNS[chi]
     if n % 2 and b == -1:
-        return (1 - a * Q) * q_bracket(n, -(Q**2)) * _fmaj_product(n, chi)
-    return q_bracket(2 * n, a * Q) * _fmaj_product(n, chi)
+        return poly_product([q_bracket(n, -(Q**2)), 1 - a * Q, *_fmaj_factors(n, chi)])
+    return poly_product([q_bracket(2 * n, a * Q), *_fmaj_factors(n, chi)])
 
 
 # -- B-arc permutations ---------------------------------------------------------
@@ -359,7 +368,7 @@ def f_As_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
 def f_AB_character_fmaj(n: int, chi: Character) -> SparsePolynomial:
     """Character-twisted fmaj distribution on B-arc permutations."""
     a, b = _CHARACTER_SIGNS[chi]
-    return q_bracket(2 * n, a * b**n * Q) * _fmaj_product(n, chi)
+    return poly_product([q_bracket(2 * n, a * b**n * Q), *_fmaj_factors(n, chi)])
 
 
 @_identity("b-arc", WeightSpec(t_stat="fdes", q_stat="fmaj"), 2)
@@ -380,7 +389,7 @@ def f_AB_fdes_fmaj(n: int) -> SparsePolynomial:
 @_identity("b-arc", WeightSpec(t_stat="fdes"), 3, note="literal form carries (1+t^2)^(n-3)")
 def f_AB_fdes(n: int) -> SparsePolynomial:
     """fdes distribution on B-arc permutations (literal form, n >= 3)."""
-    return (1 + T) ** 3 * (1 + T**2) ** (n - 3) * (1 + (n - 2) * T + T**2)
+    return poly_product([1 + (n - 2) * T + T**2, *repeat(1 + T, 3), *repeat(1 + T**2, n - 3)])
 
 
 @_identity("b-arc", WeightSpec(descent_vars=True), 2)

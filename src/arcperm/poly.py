@@ -33,13 +33,18 @@ spans of its rows (one row per exponent of the outer variable), has no more
 slots than the term pairs is instead one int per row with a slot per
 exponent of the inner variable: a row of an operand with no gaps is one
 big-int multiply per row of the other, any other row a shift and add per
-term, and the rows are decoded once.  A product whose first few keys per
-factor already show three variables is refused before whole operands are
-ORed.  The pairs are counted exactly, in the order the factors are given,
+term, and the rows are decoded once.  A factor's rows are its terms
+grouped in dict order, each row then sorted alone: one linear pass for a
+decoded product, whose rows come in order.  A product whose first few keys
+per factor already show three variables is refused before whole operands
+are ORed.  The pairs are counted exactly, in the order the factors are given,
 from the sumset of the keys of each partial product; the count stops at the
 box, so it never does more work than the dict product it decides against.
 A power of one term is its key times k; any other power is
-``poly_product`` of its k copies.
+``poly_product`` of its k copies.  A q-bracket of n terms with a one-term
+base c·m is n additions of c^k at the key m·k, after one check of m's
+largest exponent times n - 1; any other base takes n - 1 products, the
+last one base^(n-1).
 A substitution is one pass over the terms with one multiply per bound
 variable of a term: of ints while its bindings are ints, else of
 polynomials, no power shared between terms.  An exact division, by a
@@ -158,6 +163,14 @@ def _layout(polys: Iterable[SparsePolynomial]) -> tuple[list[str], list[int]]:
     in the variable order."""
     shifts = sorted(_fields(_occurring(polys)), key=lambda shift: _ORDER[shift // _WIDTH])
     return [_NAMES[shift // _WIDTH] for shift in shifts], shifts
+
+
+def _check_multiple(mono: Monomial, k: int):
+    """OverflowError unless ``mono * k`` is a key: k times each exponent of
+    ``mono`` at most 2**31 - 1, so that no field carries."""
+    fields = range(0, mono.bit_length() or 1, _WIDTH)
+    if max(mono >> shift & _MAX for shift in fields) * k > _MAX:
+        raise OverflowError(f"an exponent exceeds {_MAX}")
 
 
 def _add_term(terms: dict[Monomial, int], mono: Monomial, coeff: int):
@@ -305,18 +318,16 @@ class SparsePolynomial:
     def __pow__(self, k: int) -> SparsePolynomial:
         """self**k.  One term is its key times k; any other polynomial is
         ``poly_product`` of k copies of itself, one packed product in at
-        most two variables (docs/DECISIONS.md §7).  That beats square and
-        multiply for every power a closed form takes: the registry's only
-        powers of more than one term are (1 + t)^3, (1 + t)^(n - 3) and
-        (1 + t^2)^(n - 3), with n - 3 <= 29 under verify's t/q guard.  Past
-        k of about 30, or in three or more variables, it is slower."""
+        most two variables (docs/DECISIONS.md §7).  In t and q that beats
+        square and multiply up to k of about 30; past it, or in three or
+        more variables, it is slower.  No closed form raises a polynomial
+        of more than one term to a power: (1 + t)^k and (1 + t^2)^k go to
+        the form's one ``poly_product`` as k factors beside the others."""
         if not _is_count(k):
             raise ValueError(f"exponent {k!r} must be a nonnegative integer")
         if len(self._terms) == 1:  # k times the key, which no field carries out of in range
             ((mono, coeff),) = self._terms.items()
-            fields = range(0, mono.bit_length() or 1, _WIDTH)
-            if max(mono >> shift & _MAX for shift in fields) * k > _MAX:
-                raise OverflowError(f"an exponent exceeds {_MAX}")
+            _check_multiple(mono, k)
             return SparsePolynomial({mono * k: coeff**k})
         return poly_product(repeat(self, k))
 
@@ -574,12 +585,15 @@ def _rows(p: SparsePolynomial, outer: int | None, inner: int) -> dict[int, list[
     """The terms of p by their exponent in the field at ``outer`` (all in
     row 0 when it is None), each row a list of (exponent in the field at
     ``inner``, coeff), lowest first."""
-    items = sorted(p._terms.items())  # within a row, key order is inner order
-    if outer is None:  # every key lies in the inner field
-        return {0: [(mono >> inner, coeff) for mono, coeff in items]} if items else {}
     rows: dict[int, list[tuple[int, int]]] = {}
-    for mono, coeff in items:
-        rows.setdefault(mono >> outer & _MAX, []).append((mono >> inner & _MAX, coeff))
+    if outer is None:  # every key lies in the inner field
+        if p._terms:
+            rows[0] = [(mono >> inner, coeff) for mono, coeff in p._terms.items()]
+    else:
+        for mono, coeff in p._terms.items():
+            rows.setdefault(mono >> outer & _MAX, []).append((mono >> inner & _MAX, coeff))
+    for row in rows.values():  # one linear pass where the terms came in order
+        row.sort()
     return rows
 
 
@@ -650,16 +664,29 @@ def _times(acc: dict[int, int], before: dict[int, tuple[int, int]],
 
 
 def q_bracket(n: int, base: SparsePolynomial | int) -> SparsePolynomial:
-    """The sum 1 + base + base^2 + ... + base^(n-1); zero when n = 0."""
+    """The sum 1 + base + base^2 + ... + base^(n-1); zero when n = 0.
+
+    A base of one term c·m is summed directly: its k-th power is c^k at the
+    key m·k, after one check of its largest exponent times n - 1, and a
+    constant base (m = 0) merges its powers at key 0.  Any other base is
+    multiplied up power by power, stopping at base^(n-1), the last one summed.
+    """
     if not _is_count(n):
         raise ValueError(f"bracket size {n!r} must be a nonnegative integer")
     base = _operand(base, "the bracket base")
     terms: dict[Monomial, int] = {}
+    if len(base._terms) == 1:
+        ((mono, coeff),) = base._terms.items()
+        _check_multiple(mono, n - 1)
+        for k in range(n):
+            _add_term(terms, mono * k, coeff**k)
+        return SparsePolynomial(terms)
     power = const(1)
-    for _ in range(n):
+    for k in range(n):
+        if k:
+            power = power * base
         for mono, coeff in power._terms.items():
             _add_term(terms, mono, coeff)
-        power = power * base
     return SparsePolynomial(terms)
 
 

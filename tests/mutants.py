@@ -162,9 +162,8 @@ LEDGER = [
            "            base = low_i - after[k][0]", "            base = -after[k][0]",
            (f"{POLY_ORACLE}::test_a_row_that_cancels_between_nonzero_rows",)),
     Mutant("q-bracket-one-power-long", POLY,
-           "    for _ in range(n):\n        for mono, coeff in power._terms.items():",
-           "    for _ in range(n + 1):\n        for mono, coeff in power._terms.items():",
-           (POLY_TESTS,)),
+           "    for k in range(n):\n        if k:\n", "    for k in range(n + 1):\n        if k:\n",
+           (f"{POLY_TESTS}::test_a_bracket_is_the_sum_of_its_powers",)),
     # the long division
     Mutant("division-takes-a-non-dividing-coefficient-as-exact", POLY,
            "            if e < d_top or coeff % lead:", "            if e < d_top:",
@@ -362,6 +361,20 @@ LEDGER = [
     Mutant("large-factor-read-only-in-its-first-keys", POLY,
            "[islice(f._terms, _GLIMPSE), f._terms]", "[islice(f._terms, _GLIMPSE)]",
            (f"{POLY_ORACLE}::test_a_third_field_past_the_first_keys_refuses_the_box",)),
+    # each product form one packed product; a one-term q-bracket summed directly
+    Mutant("bracket-bound-one-power-short", POLY,
+           "_check_multiple(mono, n - 1)", "_check_multiple(mono, n - 2)",
+           (f"{POLY_TESTS}::test_a_bracket_never_takes_the_power_it_does_not_sum",)),
+    Mutant("bracket-coefficient-unpowered", POLY,
+           "_add_term(terms, mono * k, coeff**k)", "_add_term(terms, mono * k, coeff)",
+           (f"{POLY_TESTS}::test_a_bracket_is_the_sum_of_its_powers",)),
+    Mutant("rows-without-their-sort", POLY,
+           "    for row in rows.values():  # one linear pass where the terms came in order\n"
+           "        row.sort()\n", "",
+           (f"{POLY_TESTS}::test_rows_do_not_depend_on_the_dict_order",)),
+    Mutant("fmaj-factors-from-i-2", FORMULAS,
+           "Q ** (2 * i - 1) for i in range(1, n)]", "Q ** (2 * i - 1) for i in range(2, n)]",
+           (f"{FORMULAS_TESTS}::test_each_product_form_is_its_grouping",)),
     # the type-B order of a word's descents, one arithmetic map
     Mutant("b-order-negatives-in-integer-order", "src/arcperm/perms.py",
            "v if v > 0 else -v - n - 1 for v in word", "v if v > 0 else v - n - 1 for v in word",

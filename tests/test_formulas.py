@@ -2,6 +2,7 @@
 
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -35,7 +36,7 @@ from arcperm.formulas import (
     verify_many,
 )
 from arcperm.perms import Character
-from arcperm.poly import const, poly_product, var
+from arcperm.poly import SparsePolynomial, const, poly_product, q_bracket, var
 from arcperm.walk import WeightSpec, enumerator
 from test_poly_oracle import packed_spy
 
@@ -136,13 +137,84 @@ def test_large_builds_match_the_dict_product(monkeypatch):
     small = [(name, n) for name, entry in REGISTRY.items() for n in range(entry.evaluable_from, 13)]
     with packed_spy() as taken:
         packed = {(name, n): REGISTRY[name].build(n) for name, n in small + LARGE_BUILDS}
-    assert sum(taken) >= 16  # two packed products in each character build at least
+    assert sum(taken) >= 16  # one packed product in each character build at least
     texts = {build: str(packed[build]) for build in LARGE_BUILDS}
     monkeypatch.setattr(poly, "_packed_product", lambda factors: None)
     for name, n in small:
         assert REGISTRY[name].build(n) == packed[name, n], (name, n)
     for (name, n), text in texts.items():
         assert str(REGISTRY[name].build(n)) == text, (name, n)
+
+
+# Each product form in t and q as it was grouped before it became one
+# poly_product over all its factors, written out: its pieces multiplied by
+# ``*``, each partial product decoded before the next.
+SIGNS = {Character.TRIVIAL: (1, 1), Character.SIGN: (1, -1), Character.NEG_PARITY: (-1, 1),
+         Character.SIGN_ABS: (-1, -1)}
+
+
+def _fmaj_chain(n, a, b):
+    return poly_product(1 + a * b**i * Q ** (2 * i - 1) for i in range(1, n))
+
+
+def _signed_fmaj(n, a, b):
+    if n % 2 and b == -1:
+        return (1 - a * Q) * q_bracket(n, -(Q**2)) * _fmaj_chain(n, a, b)
+    return q_bracket(2 * n, a * Q) * _fmaj_chain(n, a, b)
+
+
+def _b_fmaj(n, a, b):
+    return q_bracket(2 * n, a * b**n * Q) * _fmaj_chain(n, a, b)
+
+
+def _signed_fdes_fmaj(n):
+    head = (1 + T * Q * (1 + Q) + 2 * T**2 * Q**3 * q_bracket(2 * n - 3, Q)
+            + T**3 * Q ** (2 * n) * (1 + Q) + T**4 * Q ** (2 * n + 2))
+    return (1 + T * Q) * head * poly_product(1 + T**2 * Q ** (2 * i - 1) for i in range(3, n))
+
+
+GROUPINGS = {
+    "f_A_des_maj": lambda n: poly_product(1 + T * Q**i for i in range(2, n - 1))
+    * (1 + 2 * T * Q * q_bracket(n - 1, Q) + T**2 * Q**n),
+    "f_A_des": lambda n: (1 + T) ** (n - 3) * (1 + 2 * (n - 1) * T + T**2),
+    "f_A_maj": lambda n: q_bracket(n, Q) * poly_product(1 + Q**i for i in range(1, n - 1)),
+    "f_A_signed_maj": lambda n: q_bracket(n, Q if n % 2 else -Q)
+    * poly_product(1 + (-Q) ** i for i in range(1, n - 1)),
+    "f_As_fdes_fmaj": _signed_fdes_fmaj,
+    "f_As_fdes": lambda n: (1 + T) * (1 + T**2) ** (n - 3)
+    * (1 + 2 * T + (4 * n - 6) * T**2 + 2 * T**3 + T**4),
+    "f_AB_fdes": lambda n: (1 + T) ** 3 * (1 + T**2) ** (n - 3) * (1 + (n - 2) * T + T**2),
+    **{f"f_As_character_fmaj.{chi.value}": partial(_signed_fmaj, a=a, b=b)
+       for chi, (a, b) in SIGNS.items()},
+    **{f"f_AB_character_fmaj.{chi.value}": partial(_b_fmaj, a=a, b=b)
+       for chi, (a, b) in SIGNS.items()},
+}
+
+
+def test_each_product_form_is_its_grouping():
+    for name, grouped in GROUPINGS.items():
+        for n in range(REGISTRY[name].evaluable_from, 31):
+            assert REGISTRY[name].build(n) == grouped(n), (name, n)
+
+
+def test_each_product_form_is_one_packed_product(monkeypatch):
+    """Built at n = 24 with ``*`` refusing two operands of more than one
+    term each, every product form builds through one ``poly_product``, and
+    that product packs: no partial product is decoded and multiplied again."""
+    multiply = SparsePolynomial.__mul__
+
+    def refuse(a, b):
+        if isinstance(b, SparsePolynomial) and len(a._terms) > 1 < len(b._terms):
+            raise AssertionError(f"a product of {len(a._terms)} and {len(b._terms)} terms")
+        return multiply(a, b)
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", refuse)
+    for name in GROUPINGS:
+        with packed_spy() as taken:
+            REGISTRY[name].build(24)
+        assert taken == [True], name
+    with pytest.raises(AssertionError, match="a product of"):
+        GROUPINGS["f_A_maj"](24)
 
 
 # The four forms whose pieces are multilinear in x's alone: _layered

@@ -1,6 +1,7 @@
 """Polynomial ring arithmetic, substitution, exact division, enumerators."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,53 @@ def test_q_bracket():
     assert q_bracket(2, -(Q**2)) == 1 - Q**2
     with pytest.raises(ValueError):
         q_bracket(-1, Q)
+
+
+def test_a_bracket_is_the_sum_of_its_powers():
+    """A base of one term c·m is summed at the multiples of its key, c^k at
+    m·k, a constant base merging its powers into one coefficient; a base of
+    more terms is multiplied up power by power."""
+    rng = random.Random(1402)
+    bases = [Q, -Q, 2 * T * Q**3, -(Q**2), const(-1), const(0), const(1), const(2),
+             1 + Q, T - 2 * Q**2, X1 + X2 + 3]
+    for _ in range(12):
+        exps = {name: rng.randint(0, 3) for name in ("t", "q", "x2", "y1")}
+        coeff = rng.choice([-5, -2, -1, 1, 3, 2**40 + 1])
+        bases.append(SparsePolynomial.from_terms([(exps, coeff)]))
+    for base in bases:
+        for n in range(13):
+            assert q_bracket(n, base) == sum([base**k for k in range(n)], const(0)), (base, n)
+    for n in range(13):
+        assert q_bracket(n, -1) == n % 2  # zero for even n
+
+
+def test_a_bracket_never_takes_the_power_it_does_not_sum():
+    """The n-term bracket sums base^0, ..., base^(n-1): an exponent of base^n
+    past the limit is no error, one of base^(n-1) still is."""
+    limit = 2**31 - 1
+    top = Q**limit
+    assert str(q_bracket(2, top)) == f"1 + q^{limit}"
+    assert q_bracket(2, 1 + top) == 2 + top
+    for base in (Q ** 2**30, 1 + Q ** 2**30, T * Q ** 2**30):
+        with pytest.raises(OverflowError):
+            q_bracket(3, base)
+
+
+def test_rows_do_not_depend_on_the_dict_order():
+    """``poly._rows`` groups the terms in dict order and sorts each row
+    alone: a polynomial whose dict is shuffled has the rows of its sorted
+    copy, each lowest first."""
+    rng = random.Random(35)
+    t, q = poly._SHIFTS["t"], poly._SHIFTS["q"]
+    cases = [(poly_product([3 - T**2 * Q**5, *(1 + T * Q**i for i in range(1, 9))]), t, q),
+             (poly_product([1 - Q ** (2 * i - 1) for i in range(1, 9)]), None, q)]
+    for p, outer, inner in cases:
+        items = list(p._terms.items())
+        rng.shuffle(items)
+        rows = poly._rows(SparsePolynomial(dict(items)), outer, inner)
+        assert rows == poly._rows(SparsePolynomial(dict(sorted(items))), outer, inner)
+        assert all(row == sorted(row) for row in rows.values())
+        assert sum(map(len, rows.values())) == len(items) > 50
 
 
 def test_exact_div():
