@@ -29,8 +29,9 @@ Seven descent-set forms share one layered shape (``_layered``).  The four
 whose pieces are multilinear in x's alone, ``f_A_des_set``,
 ``f_sign_des_set``, ``f_sign_des_set_even`` and ``f_AB_des_set``, are
 evaluated at x_d = 2^(W·2^(d−1)) by one backward recursion of shift-adds on
-one int and decoded once; the three in t or y are expanded in dicts
-(docs/DECISIONS.md §8).
+one int and decoded once; the three in t or y are summed by the same
+recursion in the polynomial ring, O(m) products of the running sum by a
+piece of two to four terms (docs/DECISIONS.md §8).
 
 Each product form in t and q (``f_A_des_maj``, ``f_A_maj``,
 ``f_A_signed_maj``, ``f_A_des``, ``f_As_fdes``, ``f_AB_fdes``,
@@ -131,25 +132,18 @@ def _layered(m, left, head, right=None, scale=1) -> SparsePolynomial:
     The printed shape of the descent-set forms: head j spans layers j and
     j + 1, and right defaults to left.  Each piece is built once.  In x's
     alone the sum is evaluated at one point and decoded once
-    (``_letters_sum``); any other sum is expanded (``_dict_sum``)
+    (``_letters_sum``); any other sum is the same backward recursion in the
+    polynomial ring, the running sum times each 2- to 4-term piece
     (docs/DECISIONS.md §8).
     """
     lefts = [left(i) for i in range(1, m + 1)]
     heads = [head(j) for j in range(1, m)]
     rights = lefts[2:] if right is None else [right(i) for i in range(3, m + 1)]
-    packed = _letters_sum(lefts, heads, rights, scale)
-    return _dict_sum(lefts, heads, rights, scale) if packed is None else packed
-
-
-def _dict_sum(lefts, heads, rights, scale) -> SparsePolynomial:
-    """The layered sum expanded in dicts, the left prefix carried from one j
-    to the next; ``rights`` are right(3), ..., right(m)."""
-    total = poly_product([scale, *lefts])
-    prefix = const(1)
-    for j in range(1, len(lefts)):
-        total = total + heads[j - 1] * prefix * poly_product(rights[j - 1:])
-        prefix = prefix * lefts[j - 1]
-    return total
+    pieces = (lefts, heads, rights)
+    packed = _letters_sum(*pieces, scale)
+    if packed is None:
+        return _backward(pieces, scale, 1, lambda piece, value: value * piece, add)
+    return packed
 
 
 def _letters_sum(lefts, heads, rights, scale) -> SparsePolynomial | None:

@@ -27,19 +27,21 @@ Costs, for polynomials with T1 and T2 terms: a product is O(T1 * T2) int
 additions, in one pass when no two pairs of terms share a key and in two
 otherwise; when it has more keys than its operands together, the operands'
 keys are read for an exponent of 2^30 or more instead of its own for a guard
-bit.  An int operand only scales the other's coefficients.  In at most two
-variables, a product (or ``poly_product`` of many) whose box, the summed
-spans of its rows (one row per exponent of the outer variable), has no more
-slots than the term pairs is instead one int per row with a slot per
-exponent of the inner variable: a row of an operand with no gaps is one
-big-int multiply per row of the other, any other row a shift and add per
-term, and the rows are decoded once.  A factor's rows are its terms
-grouped in dict order, each row then sorted alone: one linear pass for a
-decoded product, whose rows come in order.  A product whose first few keys
-per factor already show three variables is refused before whole operands
-are ORed.  The pairs are counted exactly, in the order the factors are given,
-from the sumset of the keys of each partial product; the count stops at the
-box, so it never does more work than the dict product it decides against.
+bit.  An int operand only scales the other's coefficients.  ``*`` is always
+that product; ``poly_product`` alone decides to pack.  In at most two
+variables, a ``poly_product`` whose box, the summed spans of its rows (one
+row per exponent of the outer variable), has no more slots than the term
+pairs is instead one int per row with a slot per exponent of the inner
+variable: a row of a factor with no gaps is one big-int multiply per row of
+the running product, any other row a shift and add per term, and the rows
+are decoded once.  A factor's rows are its terms grouped in dict order, each
+row then sorted alone: one linear pass for a decoded product, whose rows
+come in order.  The factors' keys are ORed one whole factor at a time,
+fewest terms first, and the first factor that shows a third variable
+refuses the product.  The pairs are counted exactly, in the order the
+factors are given, from the sumset of the keys of each partial product; the
+count stops at the box, so it never does more work than the dict product it
+decides against.
 A power of one term is its key times k; any other power is
 ``poly_product`` of its k copies.  A q-bracket of n terms with a one-term
 base c·m is n additions of c^k at the key m·k, after one check of m's
@@ -94,7 +96,6 @@ _MAX = (1 << _WIDTH - 1) - 1  # largest exponent; the bit above it is the field'
 _NAMES: list[str] = []  # field index -> variable name
 _ORDER: list[tuple[int, int]] = []  # field index -> variable_key of its name
 _GUARD = 0  # the guard bits of every assigned field
-_GLIMPSE = 4  # keys of each factor that _packed_product reads before the whole
 
 
 def check_variable(name: str) -> str:
@@ -304,13 +305,8 @@ class SparsePolynomial:
         if isinstance(other, int):  # an int only scales the coefficients
             c = int(other)
             return SparsePolynomial({m: c * v for m, v in self._terms.items()} if c else {})
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        if len(self._terms) > 1 < len(other._terms):  # one term only shifts the other's keys
-            packed = _packed_product((self, other))
-            if packed is not None:
-                return packed
         return _dict_product(self, other)
 
     __rmul__ = __mul__
@@ -548,13 +544,10 @@ def _packed_product(factors: Sequence[SparsePolynomial]) -> SparsePolynomial | N
     ordered = sorted(factors, key=lambda f: -len(f._terms))
     occurring, fields = 0, []
     for f in reversed(ordered):  # fewest terms first: a third field refuses early
-        # a large factor's first keys, then all of them: the first often show a third field
-        parts = [f._terms] if len(f._terms) <= _GLIMPSE else [islice(f._terms, _GLIMPSE), f._terms]
-        for keys in parts:
-            occurring |= reduce(or_, keys, 0)
-            fields = list(islice(_fields(occurring), 3))
-            if len(fields) > 2:
-                return None
+        occurring |= reduce(or_, f._terms, 0)
+        fields = list(islice(_fields(occurring), 3))
+        if len(fields) > 2:
+            return None
     if len(fields) == 2 and _ORDER[fields[0] // _WIDTH] > _ORDER[fields[1] // _WIDTH]:
         fields.reverse()
     inner = fields[-1] if fields else 0

@@ -220,12 +220,14 @@ def test_each_product_form_is_one_packed_product(monkeypatch):
 # The four forms whose pieces are multilinear in x's alone: _layered
 # evaluates them at the letter point and decodes once.
 LETTER_FORMS = ["f_A_des_set", "f_sign_des_set", "f_sign_des_set_even", "f_AB_des_set"]
+# The three in t or y: _layered sums them in the polynomial ring.
+RING_FORMS = ["f_A_inv_des", "f_As_des_neg", "f_As_des_neg_inv"]
 
 
 @pytest.fixture
 def letters_spy(monkeypatch):
     """Records, per layered sum, whether the letter point took it (True) or
-    left it to the dict sum (False)."""
+    left it to the polynomial ring (False)."""
     original, taken = formulas._letters_sum, []
 
     def spy(*args):
@@ -237,19 +239,41 @@ def letters_spy(monkeypatch):
     return taken
 
 
-def _dict_reference(monkeypatch, build, *args):
-    """``build(*args)`` with every layered sum expanded in dicts."""
+def _display(lefts, heads, rights, scale):
+    """The layered display expanded as printed, one ``poly_product`` per
+    term: scale·∏ L_i + Σ_j H_j·∏_{i<j} L_i·∏_{i≥j+2} R_i, ``rights`` being
+    R_3, ..., R_m.  It shares no code with the backward recursion."""
+    total = poly_product([scale, *lefts])
+    for j in range(1, len(lefts)):
+        total = total + poly_product([heads[j - 1], *lefts[:j - 1], *rights[j - 1:]])
+    return total
+
+
+def _with_pieces(monkeypatch, build, n):
+    """``build(n)`` and the (lefts, heads, rights, scale) of its layered sum."""
+    original, seen = formulas._letters_sum, []
+
+    def record(*pieces):
+        seen.append(pieces)
+        return original(*pieces)
+
     with monkeypatch.context() as patch:
-        patch.setattr(formulas, "_letters_sum", lambda *pieces: None)
-        return build(*args)
+        patch.setattr(formulas, "_letters_sum", record)
+        built = build(n)
+    (pieces,) = seen
+    return built, pieces
 
 
-def test_letter_forms_match_the_dict_sum(monkeypatch, letters_spy):
-    for name in LETTER_FORMS:
-        for n in range(2, 15):
-            packed = REGISTRY[name].build(n)
-            assert letters_spy.pop() is True, (name, n)
-            assert packed == _dict_reference(monkeypatch, REGISTRY[name].build, n), (name, n)
+def test_layered_forms_match_their_printed_display(monkeypatch, letters_spy):
+    """Each layered form as built against its display expanded from the
+    same pieces: the letter forms to n = 14, the forms in t or y to n = 10,
+    past the brute force's n <= 8."""
+    cases = [(name, n) for name in LETTER_FORMS for n in range(2, 15)]
+    cases += [(name, n) for name in RING_FORMS for n in range(REGISTRY[name].evaluable_from, 11)]
+    for name, n in cases:
+        built, pieces = _with_pieces(monkeypatch, REGISTRY[name].build, n)
+        assert letters_spy.pop() is (name in LETTER_FORMS), (name, n)
+        assert built == _display(*pieces), (name, n)
 
 
 def _random_pieces(rng, m):
@@ -275,14 +299,18 @@ def _layered(lefts, heads, rights, scale):
                              lambda i: rights[i - 3], scale)
 
 
-def test_random_letter_pieces_match_the_dict_sum(letters_spy):
+def test_random_letter_pieces_match_the_printed_display(letters_spy):
+    """At the letter point, and in the polynomial ring when the scale comes
+    as a polynomial, which the letter point refuses."""
     rng = random.Random(20140211)
     for _ in range(60):
         pieces = _random_pieces(rng, rng.randint(1, 7))
         scale = rng.choice([1, -1, 7, -(2**64) - 3])
-        packed = _layered(*pieces, scale)
-        assert letters_spy.pop() is True
-        assert packed == formulas._dict_sum(*pieces, scale)
+        want = _display(*pieces, scale)
+        assert _layered(*pieces, scale) == want
+        assert _layered(*pieces, const(scale)) == want
+        assert letters_spy == [True, False]
+        letters_spy.clear()
 
 
 @pytest.mark.parametrize("width", [16, 24, 32, 64])
@@ -306,7 +334,7 @@ def test_the_bound_at_a_slot_width_edge(letters_spy, width):
 def test_what_the_letter_point_cannot_hold_is_expanded(letters_spy):
     """A piece that squares a letter or carries another variable, a scale
     that is no int, or pieces whose supports meet inside one product of the
-    sum: the letter point refuses them, and the dict sum expands them."""
+    sum: the letter point refuses them, and the polynomial ring sums them."""
     x = [var(f"x{i}") for i in range(6)]
     lefts = [1 + x[i] for i in range(1, 5)]
     heads = [x[j] + x[j + 1] for j in range(1, 4)]
@@ -323,7 +351,7 @@ def test_what_the_letter_point_cannot_hold_is_expanded(letters_spy):
         (lefts, heads, rights, 2 + x[5]),  # a polynomial scale
     ]
     for case in cases:
-        assert _layered(*case) == formulas._dict_sum(*case), case
+        assert _layered(*case) == _display(*case), case
         assert letters_spy.pop() is False, case
 
 

@@ -324,9 +324,10 @@ _dense_pair = st.sampled_from(["t", "q"]).flatmap(lambda name: st.tuples(_dense(
 def test_dense_univariate_products_are_packed(operands):
     (pa, ra), (pb, rb) = map(pair, operands)
     with packed_spy() as taken:
-        got = pa * pb
+        got = poly_product([pa, pb])
     assert taken == [True]
     assert_same(got, ra * rb)
+    assert_same(pa * pb, ra * rb)
 
 
 def _factor(name):
@@ -414,9 +415,11 @@ def test_sparse_boxes_stay_on_the_dict_product(monkeypatch):
     # term pairs is packed, one slot more is not
     monkeypatch.undo()
     with packed_spy() as taken:
-        assert (1 + q) * (1 + q**2) == 1 + q + q**2 + q**3
-        assert (1 + q) * (1 + q**3) == 1 + q + q**3 + q**4
+        assert poly_product([1 + q, 1 + q**2]) == 1 + q + q**2 + q**3
+        assert poly_product([1 + q, 1 + q**3]) == 1 + q + q**3 + q**4
     assert taken == [True, False]
+    assert (1 + q) * (1 + q**2) == 1 + q + q**2 + q**3
+    assert (1 + q) * (1 + q**3) == 1 + q + q**3 + q**4
     # in a chain, (1 + q)^2 has 3 terms: 2*2 + 3*2 = 10 pairs
     for k, packs in ((7, True), (8, False)):
         with packed_spy() as taken:
@@ -444,9 +447,10 @@ def _rectangle():
 def test_dense_bivariate_products_are_packed(a, b):
     (pa, ra), (pb, rb) = pair(a), pair(b)
     with packed_spy() as taken:
-        got = pa * pb
-    assert taken == ([True] if len(a) > 1 < len(b) else [])
+        got = poly_product([pa, pb])
+    assert taken == [True]
     assert_same(got, ra * rb)
+    assert_same(pa * pb, ra * rb)
 
 
 _tq_factor = st.one_of(
@@ -483,14 +487,14 @@ def test_a_row_that_cancels_between_nonzero_rows():
             got = poly_product(factors)
         assert taken == [True]
         assert str(got) == text
-    with packed_spy() as taken:
+    with packed_spy() as taken:  # ``*`` is the dict product, never packed
         assert (1 + t * q) * (1 - t * q) == 1 - t**2 * q**2
-    assert taken == [True]
+    assert taken == []
 
 
 def test_a_third_field_past_the_first_keys_refuses_the_box():
-    """The packed product reads the first four keys of each factor before any
-    factor whole; a field that a larger factor only shows further on still
+    """The packed product ORs each factor's keys whole, fewest terms first:
+    a field that a larger factor only shows past its first four keys still
     sends the product to the dict product, in either operand order."""
     t, q, x1 = var("t"), var("q"), var("x1")
     late = const(1) + q + q**2 + q**3 + t + x1  # keys in this order: q alone first
@@ -529,9 +533,11 @@ def test_bivariate_sparse_boxes_stay_on_the_dict_product(monkeypatch):
     t, q = var("t"), var("q")
     # the box is the sum of the row spans: 1, 2 and 1 slots against 4 term pairs
     with packed_spy() as taken:
-        assert (1 + t * q) * (1 + t * q**2) == 1 + t * q + t * q**2 + t**2 * q**3
-        assert (1 + t * q) * (1 + t * q**3) == 1 + t * q + t * q**3 + t**2 * q**4
+        assert poly_product([1 + t * q, 1 + t * q**2]) == 1 + t * q + t * q**2 + t**2 * q**3
+        assert poly_product([1 + t * q, 1 + t * q**3]) == 1 + t * q + t * q**3 + t**2 * q**4
     assert taken == [True, False]
+    assert (1 + t * q) * (1 + t * q**2) == 1 + t * q + t * q**2 + t**2 * q**3
+    assert (1 + t * q) * (1 + t * q**3) == 1 + t * q + t * q**3 + t**2 * q**4
     # tilted rows cost their own spans, not the rectangle around them
     with packed_spy() as taken:
         got = poly_product([1 + t * q**5, 1 + t * q**5, 1 + t * q**5])

@@ -62,8 +62,8 @@ def test_product_at_the_limit(monkeypatch):
 
 
 def test_collision_free_products_at_the_limit():
-    """In three fields the packed product does not take it: the dict
-    product's first pass meets no two pairs and still checks every key."""
+    """``*`` is the dict product: its first pass meets no two pairs and
+    still checks every key."""
     x1, x2, x3 = var("x1"), var("x2"), var("x3")
     with pytest.raises(OverflowError):
         (mono(x1=LIMIT) + x2) * (x1 + x3)
@@ -81,8 +81,7 @@ def test_products_at_half_the_limit():
     assert below * at == mono(x1=LIMIT)
     with pytest.raises(OverflowError):
         at * at
-    # three fields or more, so the packed product refuses them; a key per
-    # pair, one pass
+    # a key per pair, one pass
     assert (below + x2 + x3) * (below + x4 + x5) == (
         mono(x1=LIMIT - 1) + below * (x2 + x3 + x4 + x5) + (x2 + x3) * (x4 + x5))
     with pytest.raises(OverflowError):
