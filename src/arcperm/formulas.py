@@ -41,10 +41,12 @@ binomial, (1 + t)^k and (1 + t^2)^k as k factors.  The packed product packs
 the largest factor whole, applies the others to its rows and decodes once,
 so no partial product is decoded and packed again (docs/DECISIONS.md §7).
 ``f_AB_fdes_fmaj`` alone keeps its grouping: its numerator is a difference
-of two chains, each one product, times two binomials, and one product of
-that difference and the two binomials built it in 5.7 ms at n = 16 against
-5.2 ms as grouped (best of 40, three alternating processes, 2-vCPU VM,
-Python 3.11).
+of two chains, each one product, times two binomials.  One product of that
+difference and the two binomials builds it in 0.63-0.73 ms at n = 8
+against 0.60-0.66 ms as grouped, level at n = 16 and faster only from about
+n = 24 (12.1-12.5 against 13.5-14.9 ms; best of 30, four alternating
+processes, 2-vCPU VM, Python 3.11.7); ``verify`` runs it at small n
+(docs/DECISIONS.md §7).
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from typing import Callable, Iterator
 
 from .arcsets import FAMILY_NAMES, Family
 from .perms import Character, _integer
-from .poly import (SparsePolynomial, _from_slots, _letter_keys, _letter_slots, _slot_width, const,
-                   exact_div, poly_product, q_bracket, var)
+from .poly import (SparsePolynomial, _from_slots, _letter_keys, _letter_slots, _shift_add,
+                   _slot_width, const, exact_div, poly_product, q_bracket, var)
 from .walk import WeightSpec, enumerator
 
 T = var("t")
@@ -191,16 +193,6 @@ def _disjoint(a: int, b: int) -> int:
     """The union of two supports, or -1, every bit set, when they meet: -1
     then absorbs every later union and meeting."""
     return -1 if a & b else a | b
-
-
-def _shift_add(width: int, piece: list[tuple[int, int]], value: int) -> int:
-    """A piece's (slot, coeff) pairs times an int at x_d = 2^(width·2^(d−1)):
-    a shift and an add per term, a ±1 coefficient without a multiply."""
-    total = 0
-    for slot, c in piece:
-        part = value << slot * width if slot else value
-        total = total + part if c == 1 else total - part if c == -1 else total + c * part
-    return total
 
 
 # -- arc permutations ---------------------------------------------------------

@@ -32,16 +32,16 @@ that product; ``poly_product`` alone decides to pack.  In at most two
 variables, a ``poly_product`` whose box, the summed spans of its rows (one
 row per exponent of the outer variable), has no more slots than the term
 pairs is instead one int per row with a slot per exponent of the inner
-variable: a row of a factor with no gaps is one big-int multiply per row of
-the running product, any other row a shift and add per term, and the rows
-are decoded once.  A factor's rows are its terms grouped in dict order, each
-row then sorted alone: one linear pass for a decoded product, whose rows
-come in order.  The factors' keys are ORed one whole factor at a time,
-fewest terms first, and the first factor that shows a third variable
-refuses the product.  The pairs are counted exactly, in the order the
-factors are given, from the sumset of the keys of each partial product; the
-count stops at the box, so it never does more work than the dict product it
-decides against.
+variable: the factor with the most terms is packed whole, each term of a
+later factor's row is a shift and add on each row of the running product
+(``_shift_add``), and the rows are decoded once.  A factor's rows are its
+terms grouped in dict order, each row then sorted alone: one linear pass
+for a decoded product, whose rows come in order.  The factors' keys are
+ORed one whole factor at a time, fewest terms first, and the first factor
+that shows a third variable refuses the product.  The pairs are counted
+exactly, in the order the factors are given, from the sumset of the keys of
+each partial product; the count stops at the box, so it never does more
+work than the dict product it decides against.
 A power of one term is its key times k; any other power is
 ``poly_product`` of its k copies.  A q-bracket of n terms with a one-term
 base c·m is n additions of c^k at the key m·k, after one check of m's
@@ -57,8 +57,10 @@ bisected insert for each exponent a step writes outside the dividend's
 row, so a gap in a row costs nothing.
 The slot codec at the end of this module (``_pack``, ``_unpack``,
 ``_from_slots``) serves both the packed product and the packed walk in
-``walk``.  Its letters codec reads a polynomial multilinear in x_1, x_2, ...
-alone as slots with bit d - 1 set for each x_d (``_letter_slots``) and
+``walk``: ``_pack`` writes a slot at a time, since it packs only a first
+factor's rows, and ``_unpack`` reads slots of up to 8 bytes through
+``struct``.  Its letters codec reads a polynomial multilinear in x_1, x_2,
+... alone as slots with bit d - 1 set for each x_d (``_letter_slots``) and
 decodes them through one keys table (``_letter_keys``), for the x-only walk
 and the x-only layered closed forms in ``formulas``.  Output costs each of
 T terms one mask, one dict lookup and two additions per group of four of its
@@ -81,7 +83,7 @@ from bisect import insort
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
 from math import prod
-from operator import add, itemgetter, or_, sub
+from operator import itemgetter, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^(?:[tquyz]|x(?:0|[1-9][0-9]*)|y[1-9][0-9]*)$")
@@ -620,40 +622,34 @@ def _touches(factors: Sequence[SparsePolynomial], box: int) -> bool:
     return False
 
 
-def _pieces(row: list[tuple[int, int]], width: int) -> list[tuple[int, int]]:
-    """The row as (lowest exponent, packed int) pieces: the whole row when it
-    has no gaps, else each term (e, c) alone."""
-    if len(row) > 1 and row[-1][0] - row[0][0] == len(row) - 1:
-        return [(row[0][0], _pack(row, width))]
-    return row
-
-
 def _times(acc: dict[int, int], before: dict[int, tuple[int, int]],
            rows: dict[int, list[tuple[int, int]]], after: dict[int, tuple[int, int]],
            width: int) -> dict[int, int]:
     """The packed rows of a product, from the packed rows of its first
     operand and the rows of its second, each packed row starting at its
     lowest exponent in ``before`` (the operand's spans) or ``after`` (the
-    product's).  A row of the second operand with no gaps is one big-int
-    multiply; any other row is applied term by term, a +-1 coefficient as a
-    shift alone."""
-    pieces = [(j, _pieces(row, width)) for j, row in rows.items()]
+    product's).  Every row of the second operand is applied term by term
+    (``_shift_add``)."""
     out = dict.fromkeys(after, 0)
     for i, value in acc.items():
         low_i = before[i][0]
-        for j, row in pieces:
+        for j, row in rows.items():
             k = i + j
-            total = out[k]
-            base = low_i - after[k][0]
-            for low, v in row:
-                if v == 1:
-                    total += value << (base + low) * width
-                elif v == -1:
-                    total -= value << (base + low) * width
-                else:
-                    total += value * v << (base + low) * width
-            out[k] = total
+            out[k] = _shift_add(width, row, value, out[k], low_i - after[k][0])
     return out
+
+
+def _shift_add(width: int, terms: list[tuple[int, int]], value: int, total: int = 0,
+               offset: int = 0) -> int:
+    """``total`` plus ``value`` times c at slot ``offset`` + e, for each
+    (e, c) of ``terms``, in slots of ``width`` bits: a shift and an add per
+    term, a ±1 coefficient without a multiply.  The packed product applies
+    a row of a later factor with it, and ``formulas`` a layered form's piece
+    at the letter point."""
+    for e, c in terms:
+        part = value << (offset + e) * width
+        total = total + part if c == 1 else total - part if c == -1 else total + c * part
+    return total
 
 
 def q_bracket(n: int, base: SparsePolynomial | int) -> SparsePolynomial:
@@ -816,28 +812,14 @@ def _restride(data: bytes, slots: int, size: int, wide: int) -> bytearray:
 def _pack(terms: list[tuple[int, int]], width: int) -> int:
     """The int with coefficient c in the balanced ``width``-bit slot e - e0
     for each (e, c) of ``terms``, e0 the first and lowest e: ``_unpack``'s
-    inverse, in linear time.  OverflowError if a coefficient does not fit."""
+    inverse, written one slot at a time.  OverflowError if a coefficient
+    does not fit."""
     size, half, low = width // 8, 1 << width - 1, terms[0][0]
     slots = terms[-1][0] - low + 1
-    if slots == len(terms):
-        digits = list(map(add, map(itemgetter(1), terms), repeat(half)))
-    else:
-        digits = [half] * slots
-        for e, c in terms:
-            digits[e - low] = c + half
-    code = _DIGITS.get(size)
-    if not code:
-        data = b"".join([digit.to_bytes(size, "little") for digit in digits])
-    else:
-        try:
-            data = struct.pack(f"<{slots}{code}", *digits)
-        except struct.error:
-            raise OverflowError(f"a coefficient does not fit a {width}-bit slot") from None
-        wide = struct.calcsize(code)
-        if wide > size:
-            if max(digits) >> width:
-                raise OverflowError(f"a coefficient does not fit a {width}-bit slot")
-            data = _restride(data, slots, wide, size)
+    digits = [half] * slots
+    for e, c in terms:
+        digits[e - low] = c + half
+    data = b"".join([digit.to_bytes(size, "little") for digit in digits])
     return int.from_bytes(data, "little") - _offset(slots, size)
 
 

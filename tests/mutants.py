@@ -159,8 +159,17 @@ LEDGER = [
            "    if not bound:\n        return SparsePolynomial()\n", "",
            (f"{POLY_ORACLE}::test_a_zero_factor_builds_no_box",)),
     Mutant("times-without-the-row-low", POLY,
-           "            base = low_i - after[k][0]", "            base = -after[k][0]",
+           "out[k], low_i - after[k][0])", "out[k], -after[k][0])",
            (f"{POLY_ORACLE}::test_a_row_that_cancels_between_nonzero_rows",)),
+    Mutant("shift-add-minus-one-added", POLY,
+           "total - part if c == -1", "total + part if c == -1",
+           (f"{POLY_ORACLE}::test_a_row_that_cancels_between_nonzero_rows",)),
+    Mutant("shift-add-without-its-offset", POLY,
+           "(offset + e) * width", "e * width",
+           (f"{POLY_ORACLE}::test_a_row_that_cancels_between_nonzero_rows",)),
+    Mutant("pack-gap-fill-one-slot-off", POLY,
+           "digits[e - low]", "digits[e - low - 1]",
+           (f"{FAMILY_WALK}::test_unpack_reads_balanced_slots_and_refuses_the_rest",)),
     Mutant("q-bracket-one-power-long", POLY,
            "    for k in range(n):\n        if k:\n", "    for k in range(n + 1):\n        if k:\n",
            (f"{POLY_TESTS}::test_a_bracket_is_the_sum_of_its_powers",)),

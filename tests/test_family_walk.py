@@ -288,7 +288,7 @@ def test_tq_identities_on_each_side_of_every_width_change(name):
     assert [(r.n, r.status) for r in rows] == [(n, EQUAL) for n in sizes]
 
 
-@pytest.mark.parametrize("width", [8, 16, 24, 40, 56, 64, 72])
+@pytest.mark.parametrize("width", [8, 16, 24, 40, 48, 56, 64, 72])
 def test_unpack_reads_balanced_slots_and_refuses_the_rest(width):
     half = 1 << width - 1
 
