@@ -22,7 +22,10 @@ character only, or in x variables and a character only, a state is one int
 with a fixed-width slot per term (an x term's slot has bit d - 1 set for
 each x_d in it), and a move is one big-int shift and add; the slots are
 sized from each layer's largest move and the family's size, with no pass
-over the states.  Over any other iterable ``enumerator`` reads each word's
+over the states.  A walk reads the cached graph of ``family_moves`` as it
+is and weighs each move where it takes it, so no per-spec copy of the
+graph is made; sizing the slots visits each move once more, before the
+walk.  Over any other iterable ``enumerator`` reads each word's
 ``stats()`` once, at O(n) per element plus the O(n^2) bit work of its
 inversions, and builds one monomial per distinct statistic key.
 """
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable
 
 from .arcsets import Family
@@ -100,9 +102,7 @@ def enumerator(
     if isinstance(elements, Family):
         if flags and not elements.signed:
             raise ValueError("flag statistics need signed permutations")
-        letters = spec.packs and spec.descent_vars
-        layers = _weighed(elements, spec, letters)
-        return _packed_walk(layers, elements.size, letters) if spec.packs else _dict_walk(layers)
+        return _packed_walk(elements, spec) if spec.packs else _dict_walk(elements, spec)
     counts: dict[tuple, int] = {}
     for p in elements:
         # an unsigned word's stats() would read fmaj as 2 maj and fdes as 2 des
@@ -130,40 +130,25 @@ _PARITIES = {None: (0, 0), Character.TRIVIAL: (0, 0), Character.SIGN: (1, 1),
              Character.NEG_PARITY: (0, 1), Character.SIGN_ABS: (1, 0)}
 
 
-def _weighed(family: Family, spec: WeightSpec, letters: bool = False) -> list:
-    """``family.moves()`` with each move as (target, t, q, xy, sign), xy the
-    key of its x and y variables.  With ``letters`` (a spec whose only
-    variables are x's, for ``_packed_walk``), q is instead the slot bit
-    1 << d - 1 of the descent d the move completes, and xy is 0."""
-    ti, td, tf = _T_FORMS[spec.t_stat]
-    qd, qn = _Q_FORMS[spec.q_stat]
+def _dict_walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
+    """The walk with one {packed monomial: coeff} map per state; each move's
+    t, q, x and y key and sign are weighed as the walk takes it."""
+    (ti, td, tf), (qd, qn) = _T_FORMS[spec.t_stat], _Q_FORMS[spec.q_stat]
     si, sn = _PARITIES[spec.character]
-    n = family.n
-    qs = [qd * d for d in range(n)]  # by descent
-    xs = [0] * n  # by descent
-    ys = [0] * (n + 1)  # by position
-    if letters:
-        qs = [0] + [1 << d - 1 for d in range(1, n)]
-    elif spec.descent_vars:
-        xs = [0] + [1 << _SHIFTS[f"x{d}"] for d in range(1, n)]
-    if spec.neg_vars:
-        ys = [0] + [1 << _SHIFTS[f"y{p}"] for p in range(1, n + 1)]
-    return [[[(target, ti * inv + td * (descent > 0) + tf * (neg & (position == 1)),
-               qs[descent] + qn * neg, xs[descent] + ys[position] * neg,
-               1 - 2 * (si * inv + sn * neg & 1))
-              for target, value, position, descent, inv in moves for neg in (value < 0,)]
-             for moves in layer] for layer in family.moves()]
-
-
-def _dict_walk(layers: list) -> SparsePolynomial:
-    """The walk with one {packed monomial: coeff} map per state."""
+    xs = [0] + [1 << _SHIFTS[f"x{d}"] if spec.descent_vars else 0 for d in range(1, family.n)]
+    ys = [0] + [1 << _SHIFTS[f"y{p}"] if spec.neg_vars else 0 for p in range(1, family.n + 1)]
     states: dict[int, dict[Monomial, int]] = {0: {0: 1}}  # the empty word
-    for layer in layers:
+    for layer in family.moves():
         following: dict[int, dict[Monomial, int]] = {}
         for state, terms in states.items():
             items = terms.items()
-            for target, t, q, xy, sign in layer[state]:
-                key = (_power("t", t) if t else 0) + (_power("q", q) if q else 0) + xy
+            for target, v, position, descent, inv in layer[state]:
+                neg = v < 0
+                t = ti * inv + td * (descent > 0) + tf * (neg & (position == 1))
+                q = qd * descent + qn * neg
+                key = ((_power("t", t) if t else 0) + (_power("q", q) if q else 0)
+                       + xs[descent] + ys[position] * neg)
+                sign = 1 - 2 * (si * inv + sn * neg & 1)
                 acc = following.get(target)
                 if acc is None:
                     following[target] = {m + key: sign * c for m, c in items}
@@ -180,36 +165,39 @@ def _dict_walk(layers: list) -> SparsePolynomial:
     return SparsePolynomial(_checked(total))
 
 
-def _packed_walk(layers: list, paths: int, letters: bool = False) -> SparsePolynomial:
+def _packed_walk(family: Family, spec: WeightSpec) -> SparsePolynomial:
     """The walk with one int per state: t^a q^b is its W-bit slot
     a * (Dq + 1) + b, an exact evaluation at powers of 2^W.  Dt and Dq are
     the sums over the layers of each layer's largest t and q (``_box``),
-    which bound every path's exponents, and W comes from ``paths``, the
-    number of paths (``Family.size``), which bounds every coefficient
+    which bound every path's exponents, and W comes from ``Family.size``,
+    the number of paths, which bounds every coefficient
     (docs/DECISIONS.md §6).  OverflowError before the walk when Dt or Dq
-    passes the exponent limit.
+    passes the exponent limit.  Each move is weighed as the walk takes it.
 
-    With ``letters`` the moves carry x_d as q = 2^(d-1) (``_weighed``), so a
-    term's slot has bit d - 1 set for each x_d in it.  A path completes
-    descent d in one layer only, so its bits never carry, and the final int
-    decodes through the letters codec's table of the x keys of every slot
+    A spec in x variables alone carries x_d as q = 2^(d-1), so a term's
+    slot has bit d - 1 set for each x_d in it.  A path completes descent d
+    in one layer only, so its bits never carry, and the final int decodes
+    through the letters codec's table of the x keys of every slot
     (``poly._letter_keys``), which the x-only closed forms share.
     """
-    top_t, top_q = _box(layers)
+    (ti, td, tf), (qd, qn) = _T_FORMS[spec.t_stat], _Q_FORMS[spec.q_stat]
+    (si, sn), letters = _PARITIES[spec.character], spec.descent_vars
+    top_t, top_q = _box(family, spec)
     if not letters and max(top_t, top_q) > _MAX:
         raise OverflowError(f"an exponent exceeds {_MAX}")
-    stride, width = top_q + 1, _slot_width(paths)
+    stride, width = top_q + 1, _slot_width(family.size)
     states = {0: 1}
-    for layer in layers:
+    for layer in family.moves():
         following = {}
         for state, value in states.items():
-            for target, t, q, _, sign in layer[state]:
+            for target, v, position, descent, inv in layer[state]:
+                neg = v < 0
+                t = ti * inv + td * (descent > 0) + tf * (neg & (position == 1))
+                q = 1 << descent >> 1 if letters else qd * descent + qn * neg
                 part = value << (t * stride + q) * width
-                acc = following.get(target)
-                if acc is None:
-                    following[target] = part if sign > 0 else -part
-                else:
-                    following[target] = acc + part if sign > 0 else acc - part
+                if si * inv + sn * neg & 1:
+                    part = -part
+                following[target] = following[target] + part if target in following else part
         states = following
     packed = sum(states.values())
     if letters:
@@ -221,13 +209,22 @@ def _packed_walk(layers: list, paths: int, letters: bool = False) -> SparsePolyn
     return _from_slots(packed, width, keys)
 
 
-def _box(layers: list) -> tuple[int, int]:
-    """Dt and Dq: the sums over the layers of each layer's largest t and
-    largest q.  A path takes one move per layer, so no path's exponents pass
-    them."""
+def _box(family: Family, spec: WeightSpec) -> tuple[int, int]:
+    """Dt and Dq of a packing spec: the sums over the layers of each layer's
+    largest t and largest q, weighed as ``_packed_walk`` weighs its moves.
+    A path takes one move per layer, so no path's exponents pass them."""
+    (ti, td, tf), (qd, qn) = _T_FORMS[spec.t_stat], _Q_FORMS[spec.q_stat]
+    letters = spec.descent_vars
     top_t = top_q = 0
-    for layer in layers:
-        moves = list(chain.from_iterable(layer))
-        top_t += max(map(itemgetter(1), moves))
-        top_q += max(map(itemgetter(2), moves))
+    for layer in family.moves():
+        layer_t = layer_q = 0
+        for _, v, position, descent, inv in chain.from_iterable(layer):
+            neg = v < 0
+            t = ti * inv + td * (descent > 0) + tf * (neg & (position == 1))
+            q = 1 << descent >> 1 if letters else qd * descent + qn * neg
+            if t > layer_t:
+                layer_t = t
+            if q > layer_q:
+                layer_q = q
+        top_t, top_q = top_t + layer_t, top_q + layer_q
     return top_t, top_q

@@ -75,12 +75,15 @@ WRONG_TYPES = ("tests/test_perms.py::"
 
 LEDGER = [
     Mutant("letter-bit-one-too-high", WALK,
-           "[1 << d - 1 for d in range(1, n)]", "[1 << d for d in range(1, n)]", (FAMILY_WALK,)),
+           "                q = 1 << descent >> 1 if letters",
+           "                q = 1 << descent if letters",
+           (FAMILY_WALK,)),
     Mutant("letter-keys-reversed", POLY,
            "for d in range(1, letters + 1):", "for d in range(letters, 0, -1):",
            (f"{POLY_TESTS}::test_letter_codec",)),
     Mutant("fdes-without-its-position-1-flag", WALK,
-           "tf * (neg & (position == 1))", "tf * neg", (FAMILY_WALK,)),
+           "tf * (neg & (position == 1))\n                q = 1 << descent",
+           "tf * neg\n                q = 1 << descent", (FAMILY_WALK,)),
     Mutant("sign-without-its-inv-parity", WALK,
            "Character.SIGN: (1, 1)", "Character.SIGN: (0, 1)", (FAMILY_WALK,)),
     Mutant("restride-drops-the-top-byte", POLY,
@@ -102,19 +105,31 @@ LEDGER = [
            "return _inv_des(n, -1)", "return _inv_des(n, 1)", ("tests/test_formulas.py",)),
     # the walk's box and width, and the one slot decoder
     Mutant("walk-dt-without-its-last-layer", WALK,
-           "        top_t += max(map(itemgetter(1), moves))\n",
-           "        top_t += max(map(itemgetter(1), moves)) if layer is not layers[-1] else 0\n",
+           "        top_t, top_q = top_t + layer_t, top_q + layer_q\n",
+           "        top_t, top_q = (top_t + layer_t * (layer is not family.moves()[-1]),\n"
+           "                        top_q + layer_q)\n",
            (FAMILY_WALK,)),
     Mutant("walk-width-from-half-the-size", WALK,
-           "elements.size, letters)", "elements.size // 2, letters)", (FAMILY_WALK,)),
+           "_slot_width(family.size)", "_slot_width(family.size // 2)", (FAMILY_WALK,)),
     Mutant("walk-without-its-box-limit", WALK,
            "    if not letters and max(top_t, top_q) > _MAX:", "    if False:",
            (f"{FAMILY_WALK}::test_the_box_limit_raises_before_the_walk",)),
     Mutant("walk-dq-one-too-small", WALK,
-           "stride, width = top_q + 1, _slot_width(paths)", "stride, width = top_q, _slot_width(paths)",
-           (FAMILY_WALK,)),
+           "stride, width = top_q + 1, _slot_width(family.size)",
+           "stride, width = top_q, _slot_width(family.size)", (FAMILY_WALK,)),
     Mutant("walk-without-the-character-sign", WALK,
-           "               1 - 2 * (si * inv + sn * neg & 1))", "               1)", (FAMILY_WALK,)),
+           "                if si * inv + sn * neg & 1:\n                    part = -part\n", "",
+           (FAMILY_WALK,)),
+    # each walk weighs a move as it takes it, and the box weighs it apart
+    Mutant("walk-q-without-the-negative-flag-the-box-keeps", WALK,
+           "qd * descent + qn * neg\n                part", "qd * descent\n                part",
+           (f"{FAMILY_WALK}::test_packed_walk_equals_dict_walk",)),
+    Mutant("dict-walk-y-key-one-position-off", WALK,
+           "ys[position] * neg", "ys[position - 1] * neg",
+           (f"{FAMILY_WALK}::test_weighing_equals_the_per_move_closure",)),
+    Mutant("walk-sign-neg-parity-from-positive-entries", WALK,
+           "if si * inv + sn * neg & 1:", "if si * inv + sn * (v > 0) & 1:",
+           (f"{FAMILY_WALK}::test_weighing_equals_the_per_move_closure",)),
     Mutant("decoder-keys-one-slot-off", POLY,
            "dict(compress(zip(keys, coeffs), coeffs))", "dict(compress(zip(keys[1:], coeffs), coeffs))",
            (FAMILY_WALK,)),

@@ -11,6 +11,7 @@ walk, which keeps a term map per state.
 
 import hashlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,8 +25,9 @@ from arcperm.arcsets import (
 )
 from arcperm.formulas import EQUAL, OUT_OF_STATED_RANGE, REGISTRY, verify_formula
 from arcperm import poly, walk
-from arcperm.poly import _from_slots, _pack, _slot_width, _unpack, var
-from arcperm.walk import WeightSpec, _box, _dict_walk, _packed_walk, _weighed, enumerator
+from arcperm.perms import Character
+from arcperm.poly import SparsePolynomial, _from_slots, _pack, _slot_width, _unpack, var
+from arcperm.walk import WeightSpec, _box, _dict_walk, _packed_walk, enumerator
 from helpers import hyperoctahedral, symmetric
 from test_enumerator_oracle import SPECS, assert_same, needs_flags
 
@@ -186,8 +188,8 @@ def test_packed_walk_equals_dict_walk(family):
             if needs_flags(spec) and not signed:
                 continue
             fam = Family(family, n)
-            packed = _packed_walk(_weighed(fam, spec, spec.letters), fam.size, spec.letters)
-            assert_same(packed, _dict_walk(_weighed(fam, spec)))
+            packed = _packed_walk(fam, spec)
+            assert_same(packed, _dict_walk(fam, spec))
             if spec.letters:
                 assert_same(packed, enumerator(GENERATORS[family](n), spec))
 
@@ -202,9 +204,9 @@ def test_tq_specs_take_the_packed_walk(monkeypatch):
 def test_only_t_with_x_and_x_with_y_take_the_dict_walk(monkeypatch):
     walked = []
 
-    def spy(layers):
+    def spy(family, spec):
         walked.append(name)
-        return dict_walk(layers)
+        return dict_walk(family, spec)
 
     dict_walk = walk._dict_walk
     monkeypatch.setattr(walk, "_dict_walk", spy)
@@ -260,20 +262,52 @@ def _old_weigh(spec):
     return weigh
 
 
+def _weighed_layers(family, spec, letters=False):
+    """The growth graph with each move weighed by ``_old_weigh`` as
+    (target, t, q, xy, sign), the form the walks once read.  With
+    ``letters`` x_d is instead the slot bit 2^(d-1) in q, as the packed walk
+    of a spec in x alone reads it, and xy is 0."""
+    weigh = _old_weigh(spec)
+    bits = {1 << poly._SHIFTS[f"x{d}"]: 1 << d - 1 for d in range(1, family.n)}
+    return [[[(target, t, bits.get(xy, 0), 0, sign) if letters else (target, t, q, xy, sign)
+              for target, t, q, xy, sign in map(weigh, moves)] for moves in layer]
+            for layer in family.moves()]
+
+
+def _reference_walk(layers):
+    """A {packed monomial: coeff} map per state over weighed layers: the
+    walk as it read them before the walks weighed each move themselves."""
+    states = {0: {0: 1}}
+    for layer in layers:
+        following = {}
+        for state, terms in states.items():
+            for target, t, q, xy, sign in layer[state]:
+                key = (poly._power("t", t) if t else 0) + (poly._power("q", q) if q else 0) + xy
+                acc = following.setdefault(target, {})
+                for m, c in terms.items():
+                    acc[m + key] = acc.get(m + key, 0) + sign * c
+        states = following
+    total = {}
+    for terms in states.values():
+        for m, c in terms.items():
+            total[m] = total.get(m, 0) + c
+    return SparsePolynomial({m: c for m, c in total.items() if c})
+
+
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_weighing_equals_the_per_move_closure(family):
-    for n in range(1, 8):
+    # each walk weighs a raw move as it takes it; both must equal a walk
+    # over the moves weighed one by one by the closure (equal term maps, so
+    # equal text: test_packed_walk_equals_dict_walk compares that too)
+    for n in range(1, 10):
         fam = Family(family, n)
-        bits = {1 << poly._SHIFTS[f"x{d}"]: 1 << d - 1 for d in range(1, n)}
         for spec in SPECS:
-            want = [[list(map(_old_weigh(spec), moves)) for moves in layer]
-                    for layer in fam.moves()]
-            assert _weighed(fam, spec) == want, spec
-            if spec.packs and spec.letters:  # x_d as the slot bit 2^(d-1), in q
-                letters = [[[(target, t, bits.get(xy, 0), 0, sign)
-                             for target, t, _, xy, sign in moves] for moves in layer]
-                           for layer in want]
-                assert _weighed(fam, spec, True) == letters, spec
+            if needs_flags(spec) and not fam.signed:
+                continue
+            want = _reference_walk(_weighed_layers(fam, spec))
+            assert _dict_walk(fam, spec) == want, (n, spec)
+            if spec.packs:
+                assert _packed_walk(fam, spec) == want, (n, spec)
 
 
 @pytest.mark.parametrize("name", TQ_IDENTITIES)
@@ -353,8 +387,8 @@ def test_box_and_size_equal_the_path_pass(family):
         for spec in PACKED:
             if needs_flags(spec) and not signed:
                 continue
-            layers = _weighed(fam, spec, spec.letters)
-            assert (fam.size, *_box(layers)) == _path_pass(layers), (n, spec)
+            layers = _weighed_layers(fam, spec, spec.letters)
+            assert (fam.size, *_box(fam, spec)) == _path_pass(layers), (n, spec)
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
@@ -373,38 +407,53 @@ def test_the_rule_past_brute_force_sizes(family):
     assert paths == [fam.size]
 
 
+def stub(layers, size, n=4):
+    """A family given by its raw moves (target, v, position, descent, inv),
+    for layers that no arc family has; n bounds the descents and positions
+    the dict walk keys."""
+    return SimpleNamespace(moves=lambda: layers, size=size, n=n)
+
+
 def test_walk_decodes_bounds_that_no_path_reaches():
     t, q = var("t"), var("q")
-    # the layers' largest t are 1 and 2 and their largest q 2 and 3, but the
-    # two paths are t q^3 and -t^2 q^2
-    layers = [
-        [[(0, 1, 0, 0, 1), (1, 0, 2, 0, -1)]],
-        [[(0, 0, 3, 0, 1)], [(0, 2, 0, 0, 1)]],
-    ]
-    assert _box(layers) == (3, 5) and _path_pass(layers) == (2, 2, 3)
-    assert _packed_walk(layers, 2) == t * q**3 - t**2 * q**2 == _dict_walk(layers)
+    # t is inv, q is maj (the descent), a negative entry flips the sign: the
+    # layers' largest t are 1 and 2 and their largest q 2 and 3, but the two
+    # paths are t q^3 and -t^2 q^2
+    spec = WeightSpec(t_stat="inv", q_stat="maj", character=Character.NEG_PARITY)
+    fam = stub([
+        [[(0, 1, 1, 0, 1), (1, -1, 1, 2, 0)]],
+        [[(0, 1, 2, 3, 0)], [(0, 1, 2, 0, 2)]],
+    ], 2)
+    assert _box(fam, spec) == (3, 5) and _path_pass(_weighed_layers(fam, spec)) == (2, 2, 3)
+    assert _packed_walk(fam, spec) == t * q**3 - t**2 * q**2 == _dict_walk(fam, spec)
     # letters: x1 and x2 as slot bits, a path through each
-    letters = [[[(0, 0, 1, 0, 1), (1, 0, 0, 0, 1)]], [[(0, 0, 0, 0, 1)], [(0, 0, 2, 0, -1)]]]
-    assert _box(letters) == (0, 3)
-    assert _packed_walk(letters, 2, True) == var("x1") - var("x2")
+    spec = WeightSpec(descent_vars=True, character=Character.NEG_PARITY)
+    fam = stub([[[(0, 1, 1, 1, 0), (1, 1, 1, 0, 0)]], [[(0, 1, 2, 0, 0)], [(0, -2, 2, 2, 0)]]], 2)
+    assert _box(fam, spec) == (0, 3)
+    assert _packed_walk(fam, spec) == var("x1") - var("x2") == _dict_walk(fam, spec)
 
 
 def test_the_box_limit_raises_before_the_walk(monkeypatch):
     # the limit is checked before a slot width is chosen, so no exponent past
     # it is ever shifted into an int or decoded; the moves out of state 1 are
-    # never taken
+    # never taken.  t is inv and q is maj (the descent); in x alone a move
+    # that completes descent d carries the slot bit 2^(d-1) in q.
     def no_walk(paths):
         raise AssertionError("the walk started")
 
+    def one_move(inv=0, descent=0):  # the move out of state 1 of layer 1, which no path reaches
+        return stub([[[(0, 1, 1, 0, 0)]], [[(0, 1, 2, 0, 0)], [(0, 1, 2, descent, inv)]]], 1)
+
     monkeypatch.setattr(walk, "_slot_width", no_walk)
-    for t, q in ((2**31, 0), (0, 2**31)):
-        layers = [[[(0, 0, 0, 0, 1)]], [[(0, 0, 0, 0, 1)], [(0, t, q, 0, 1)]]]
+    tq = WeightSpec(t_stat="inv", q_stat="maj")
+    for fam in (one_move(inv=2**31), one_move(descent=2**31)):
         with pytest.raises(OverflowError):
-            _packed_walk(layers, 1)
-        with pytest.raises(AssertionError, match="the walk started"):
-            _packed_walk(layers, 1, True)  # the letters box has no exponent to check
+            _packed_walk(fam, tq)
+    # the letters box has no exponent to check: its Dq is 2^31 here
+    with pytest.raises(AssertionError, match="the walk started"):
+        _packed_walk(one_move(descent=32), WeightSpec(descent_vars=True))
     with pytest.raises(OverflowError):  # two layers of 2**30 each
-        _packed_walk([[[(0, 2**30, 0, 0, 1)]], [[(0, 2**30, 0, 0, 1)]]], 1)
-    for t, q in ((2**31 - 1, 0), (0, 2**31 - 1)):  # exponents up to 2**31 - 1
+        _packed_walk(stub([[[(0, 1, 1, 0, 2**30)]], [[(0, 1, 2, 0, 2**30)]]], 1), tq)
+    for fam in (one_move(inv=2**31 - 1), one_move(descent=2**31 - 1)):  # up to 2**31 - 1
         with pytest.raises(AssertionError, match="the walk started"):
-            _packed_walk([[[(0, 0, 0, 0, 1)]], [[(0, 0, 0, 0, 1)], [(0, t, q, 0, 1)]]], 1)
+            _packed_walk(fam, tq)
