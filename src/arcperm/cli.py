@@ -121,16 +121,17 @@ def _json_rows(records: Iterable[dict]) -> Iterator[str]:
     """The text of ``json.dumps(rows, indent=2)`` for verify's rows, given
     as their ``VerifyRow.record`` dicts: each key and scalar through
     ``json.dumps``, each polynomial as its own text in runs of terms
-    (``SparsePolynomial.json_chunks``).  A record is dropped before the next
-    one is asked for, so the rows need not exist at once."""
-    opening = "["
+    (``SparsePolynomial.json_chunks``), all through one table of decoded
+    groups that is freed when the write ends.  A record is dropped before
+    the next one is asked for, so the rows need not exist at once."""
+    opening, table = "[", {}
     for record in records:
         yield opening + "\n  {"
         sep = "\n    "
         for name, value in record.items():
             yield sep + json.dumps(name) + ": "
             if isinstance(value, SparsePolynomial):
-                yield from value.json_chunks(2)
+                yield from value.json_chunks(2, table)
             else:
                 yield json.dumps(value)
             sep = ",\n    "

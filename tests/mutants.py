@@ -69,6 +69,7 @@ WORDS = "tests/test_enumerator_oracle.py::test_every_spec_on_whole_groups"
 SET_DEFINITIONS = f"{ARCSETS_TESTS}::test_predicates_match_the_set_definitions"
 DROPPED = "tests/test_cli_json.py::test_a_record_is_dropped_before_the_next_is_asked_for"
 PAYLOADS = "tests/test_cli_json.py::test_each_subcommand_payload"
+ONE_TABLE = "tests/test_cli_json.py::test_one_table_serves_every_polynomial_of_a_write"
 REGISTRY_TABLE = "tests/test_formulas.py::test_registry_is_the_recorded_table"
 WRONG_TYPES = ("tests/test_perms.py::"
                "test_a_formula_size_circle_index_or_weight_flag_that_reads_as_a_number_is_refused")
@@ -123,7 +124,7 @@ LEDGER = [
     # each walk weighs a move as it takes it, and the box weighs it apart
     Mutant("walk-q-without-the-negative-flag-the-box-keeps", WALK,
            "qd * descent + qn * neg\n                part", "qd * descent\n                part",
-           (f"{FAMILY_WALK}::test_packed_walk_equals_dict_walk",)),
+           (f"{FAMILY_WALK}::test_weighing_equals_the_per_move_closure",)),
     Mutant("dict-walk-y-key-one-position-off", WALK,
            "ys[position] * neg", "ys[position - 1] * neg",
            (f"{FAMILY_WALK}::test_weighing_equals_the_per_move_closure",)),
@@ -295,7 +296,7 @@ LEDGER = [
            (DROPPED,)),
     # dict payloads through the stdlib's encoder, verify's rows through _json_rows
     Mutant("row-polynomial-at-depth-1", CLI,
-           "value.json_chunks(2)", "value.json_chunks(1)",
+           "value.json_chunks(2, table)", "value.json_chunks(1, table)",
            ("tests/test_cli_json.py::test_polynomial_text_matches_json_dumps",)),
     Mutant("dict-payload-without-indent", CLI,
            "json.JSONEncoder(indent=2)", "json.JSONEncoder()", (PAYLOADS,)),
@@ -305,6 +306,10 @@ LEDGER = [
     Mutant("out-rewrite-not-cut-to-length", CLI,
            "os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))", "pass",
            ("tests/test_cli.py::test_output_file_is_rewritten_to_its_new_length",)),
+    Mutant("json-table-key-without-k", POLY,
+           "key = (*group_names, k, g)", "key = (*group_names, g)", (ONE_TABLE,)),
+    Mutant("json-table-key-without-depth", POLY,
+           "table.setdefault(depth, {})", "table", (ONE_TABLE,)),
     Mutant("json-run-without-its-comma", POLY,
            '            opening = ","\n        yield "[]"', '            opening = ""\n        yield "[]"',
            ("tests/test_cli_json.py::test_a_polynomial_is_written_in_runs_of_terms",)),

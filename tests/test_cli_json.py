@@ -69,6 +69,48 @@ def test_a_polynomial_is_written_in_runs_of_terms():
     assert rows_text([row(poly)]) == reference([row(poly)])
 
 
+# two pairs whose first group has the same names and g but another k: a part
+# decoded for one k puts the degree and fields of the other's terms in the
+# wrong place of the sort key, and so reorders them (z and x5..x7 sort after
+# the names of the first group)
+_poly = SparsePolynomial.from_terms
+SAME_NAMES_OTHER_K = [
+    _poly([({"t": 2}, 1), ({"q": 1}, -2), ({"u": 1, "y": 1}, 3),
+           ({"t": 1, "q": 1, "u": 1, "y": 1}, 4), ({}, 5)]),
+    _poly([({"t": 2}, 1), ({"z": 1}, -2), ({"q": 1, "z": 3}, 3), ({"u": 1, "y": 1}, 4),
+           ({"y": 2}, 5)]),
+    _poly([({"x1": 2}, 1), ({"x5": 1}, -2), ({"x2": 1, "x3": 1}, 3), ({"x4": 3, "x5": 1}, 4)]),
+    _poly([({"x1": 2}, 1), ({"x7": 1}, -2), ({"x2": 1, "x3": 1, "x6": 1}, 3), ({"x4": 1}, 4),
+           ({"x5": 2}, 5)]),
+]
+
+
+def test_one_table_serves_every_polynomial_of_a_write():
+    assert [len(p.variables()) for p in SAME_NAMES_OTHER_K] == [4, 5, 5, 7]
+    table = {}
+    for depth in (2, 3):  # a depth's entries are not another's
+        for poly in SAME_NAMES_OTHER_K:
+            assert "".join(poly.json_chunks(depth, table)) == poly.json_text(depth)
+    a, b, c, d = SAME_NAMES_OTHER_K
+    records = [row(a), row(b), row(c), row(d),
+               {"formula": "f", "n": 4, "status": formulas.MISMATCH, "lhs": c, "rhs": d,
+                "diff": c - d, "note": None}]
+    assert rows_text(records) == reference(records)
+
+
+def test_the_group_table_ends_with_the_write(monkeypatch):
+    decoded = []
+    chunks = SparsePolynomial.json_chunks
+
+    def spy(self, depth=0, table=None):
+        yield from chunks(self, depth, table)
+        decoded.extend(weakref.ref(group) for groups in table.values() for group in groups.values())
+
+    monkeypatch.setattr(SparsePolynomial, "json_chunks", spy)
+    rows_text([row(poly) for poly in SAME_NAMES_OTHER_K])
+    assert decoded and all(ref() is None for ref in decoded)
+
+
 def test_no_rows_are_an_empty_list():
     assert rows_text(iter([])) == "[]" == json.dumps([], indent=2)
 

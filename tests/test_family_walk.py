@@ -178,20 +178,19 @@ PACKED = [spec for spec in SPECS if spec.packs]
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
-def test_packed_walk_equals_dict_walk(family):
-    # the specs in x variables alone pack their letters as slot bits, and
-    # are checked against the word loop here too, past test_every_spec's n
-    signed = family in ("signed-arc", "b-arc")
-    assert sum(spec.letters for spec in PACKED) == 5
+def test_letters_walk_equals_word_loop(family):
+    # the specs in x variables alone pack their letters as slot bits; their
+    # walk is checked against the word loop here, past test_every_spec's n
+    # (test_weighing_equals_the_per_move_closure checks the packed and the
+    # dict walk of every packing spec against one reference walk)
+    letters = [spec for spec in PACKED if spec.letters]
+    assert len(letters) == 5
     for n in range(1, 10):
-        for spec in PACKED:
-            if needs_flags(spec) and not signed:
+        fam = Family(family, n)
+        for spec in letters:
+            if needs_flags(spec) and not fam.signed:
                 continue
-            fam = Family(family, n)
-            packed = _packed_walk(fam, spec)
-            assert_same(packed, _dict_walk(fam, spec))
-            if spec.letters:
-                assert_same(packed, enumerator(GENERATORS[family](n), spec))
+            assert_same(_packed_walk(fam, spec), enumerator(GENERATORS[family](n), spec))
 
 
 def test_tq_specs_take_the_packed_walk(monkeypatch):
@@ -298,7 +297,7 @@ def _reference_walk(layers):
 def test_weighing_equals_the_per_move_closure(family):
     # each walk weighs a raw move as it takes it; both must equal a walk
     # over the moves weighed one by one by the closure (equal term maps, so
-    # equal text: test_packed_walk_equals_dict_walk compares that too)
+    # equal str and to_json)
     for n in range(1, 10):
         fam = Family(family, n)
         for spec in SPECS:
